@@ -25,6 +25,15 @@ from repro.statevector.simulator import Statevector
 MAX_EXACT_QUBITS = 16
 
 
+def _start_vector(dimension: int) -> np.ndarray:
+    """A fixed Lanczos start vector.
+
+    ARPACK's default start vector is random, so without one repeated solves
+    of the same Hamiltonian differ in the last digits.
+    """
+    return np.random.default_rng(0).uniform(-1.0, 1.0, dimension)
+
+
 @dataclass
 class ExactResult:
     """Ground-state energy and state of a qubit Hamiltonian."""
@@ -56,7 +65,9 @@ def exact_ground_state(
         ground_state = eigenvectors[:, 0]
     else:
         sparse = hamiltonian.to_sparse_matrix()
-        eigenvalues, eigenvectors = eigsh(sparse, k=1, which="SA")
+        eigenvalues, eigenvectors = eigsh(
+            sparse, k=1, which="SA", v0=_start_vector(sparse.shape[0])
+        )
         ground_energy = float(eigenvalues[0])
         ground_state = eigenvectors[:, 0]
     return ExactResult(
@@ -112,6 +123,7 @@ def exact_lowest_energies(
             hamiltonian.to_sparse_matrix(),
             k=num_states,
             which="SA",
+            v0=_start_vector(dimension),
             return_eigenvectors=False,
         )
     return [float(value) for value in np.sort(eigenvalues)[:num_states]]

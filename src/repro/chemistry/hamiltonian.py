@@ -128,6 +128,7 @@ def build_molecular_problem(
     max_exact_qubits: int = MAX_EXACT_QUBITS,
     scf_solver: Optional[RestrictedHartreeFock] = None,
     particle_sector: Optional[tuple[int, int]] = None,
+    scf_result: Optional[SCFResult] = None,
 ) -> MolecularProblem:
     """Build the qubit-space ground-state problem for ``molecule``.
 
@@ -135,13 +136,16 @@ def build_molecular_problem(
     with two-qubit reduction, optional frozen core / active-space selection.
     ``particle_sector`` overrides the (n_alpha, n_beta) electron numbers used
     for the symmetry-sector eigenvalues and the HF bitstring — this is how
-    cations (H2+) and triplet sectors are targeted.
+    cations (H2+) and triplet sectors are targeted.  ``scf_result`` is an
+    already converged SCF of ``molecule`` (e.g. the one that chose
+    ``active_orbitals``); without it, ``scf_solver`` runs the SCF here.
     """
     if two_qubit_reduction and mapping != PARITY:
         raise ChemistryError("two-qubit reduction requires the parity mapping")
 
-    solver = scf_solver if scf_solver is not None else RestrictedHartreeFock()
-    scf_result = solver.run(molecule)
+    if scf_result is None:
+        solver = scf_solver if scf_solver is not None else RestrictedHartreeFock()
+        scf_result = solver.run(molecule)
     active_space = build_active_space(
         scf_result,
         num_frozen_orbitals=num_frozen_orbitals,

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.chemistry.active_space import select_sigma_active_orbitals
+from repro.chemistry.exact import MAX_EXACT_QUBITS
 from repro.chemistry.geometry import Molecule
 from repro.chemistry.hamiltonian import MolecularProblem, build_molecular_problem
 from repro.chemistry.scf import RestrictedHartreeFock
@@ -262,7 +263,7 @@ def make_problem(
     compute_exact: bool = True,
     particle_sector: Optional[Tuple[int, int]] = None,
     scf_solver: Optional[RestrictedHartreeFock] = None,
-    max_exact_qubits: int = 16,
+    max_exact_qubits: int = MAX_EXACT_QUBITS,
 ) -> MolecularProblem:
     """Build the qubit-space problem for a preset molecule at a bond length."""
     preset = get_preset(name)
@@ -274,10 +275,10 @@ def make_problem(
         )
     molecule = preset.geometry_builder(length)
 
+    solver = scf_solver if scf_solver is not None else RestrictedHartreeFock()
+    scf_result = solver.run(molecule)
     active_orbitals = None
     if preset.sigma_active_space:
-        solver = scf_solver if scf_solver is not None else RestrictedHartreeFock()
-        scf_result = solver.run(molecule)
         active_orbitals = select_sigma_active_orbitals(
             scf_result, num_frozen_orbitals=preset.num_frozen_orbitals
         )
@@ -289,8 +290,8 @@ def make_problem(
         active_orbitals=active_orbitals,
         compute_exact=compute_exact,
         particle_sector=sector,
-        scf_solver=scf_solver,
         max_exact_qubits=max_exact_qubits,
+        scf_result=scf_result,
     )
     problem.name = name
     return problem

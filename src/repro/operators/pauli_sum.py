@@ -212,23 +212,31 @@ class PauliSum:
         return matrix
 
     def to_sparse_matrix(self):
-        """Sparse CSR matrix of the operator (imported lazily from scipy)."""
-        from scipy.sparse import csr_matrix, identity, kron
+        """Sparse CSR matrix of the operator (imported lazily from scipy).
 
-        single = {
-            "I": csr_matrix(np.eye(2, dtype=complex)),
-            "X": csr_matrix(np.array([[0, 1], [1, 0]], dtype=complex)),
-            "Y": csr_matrix(np.array([[0, -1j], [1j, 0]], dtype=complex)),
-            "Z": csr_matrix(np.array([[1, 0], [0, -1]], dtype=complex)),
-        }
+        A term ``c * P`` with X mask ``x`` and Z mask ``z`` (Y sets both bits;
+        ``label[0]`` is the most significant bit) maps basis state ``b`` to
+        ``b ^ x`` with amplitude ``c * i**(#Y) * (-1)**popcount(b & z)``.
+        Terms sharing an X mask fill the same positions, so each X mask adds
+        one diagonal-times-bit-flip block with one entry per column.
+        """
+        from scipy.sparse import coo_matrix, csr_matrix
+
         dim = 2**self._num_qubits
-        total = csr_matrix((dim, dim), dtype=complex)
+        columns = np.arange(dim, dtype=np.int64)
+        blocks: Dict[int, np.ndarray] = {}
         for label, coefficient in self._terms.items():
-            term_matrix = identity(1, dtype=complex, format="csr")
-            for char in label:
-                term_matrix = kron(term_matrix, single[char], format="csr")
-            total = total + coefficient * term_matrix
-        return total
+            x_mask = int(label.translate(_X_BITS), 2)
+            amplitude = coefficient * _Y_PHASES[label.count("Y") % 4]
+            signs = 1 - 2 * _bit_parity(columns & int(label.translate(_Z_BITS), 2))
+            blocks[x_mask] = blocks.get(x_mask, 0.0) + amplitude * signs
+        if not blocks:
+            return csr_matrix((dim, dim), dtype=complex)
+        rows = np.concatenate([columns ^ x_mask for x_mask in blocks])
+        data = np.concatenate(list(blocks.values()))
+        return coo_matrix(
+            (data, (rows, np.tile(columns, len(blocks)))), shape=(dim, dim)
+        ).tocsr()
 
     # ------------------------------------------------------------------ #
     # dunder methods
@@ -256,6 +264,18 @@ class PauliSum:
         )
         suffix = ", ..." if len(self._terms) > 4 else ""
         return f"PauliSum({self._num_qubits} qubits, {len(self._terms)} terms: {preview}{suffix})"
+
+
+_X_BITS = str.maketrans("IXYZ", "0110")
+_Z_BITS = str.maketrans("IXYZ", "0011")
+_Y_PHASES = (1, 1j, -1, -1j)
+
+
+def _bit_parity(values: np.ndarray) -> np.ndarray:
+    """``popcount(v) % 2`` of non-negative int64 values (no ``np.bitwise_count``)."""
+    for shift in (32, 16, 8, 4, 2, 1):
+        values = values ^ (values >> shift)
+    return values & 1
 
 
 def _residual_phase(pauli: Pauli) -> complex:

@@ -19,8 +19,11 @@ from repro.chemistry import (
     table1_rows,
     taper_bits,
 )
+from repro.chemistry.exact import exact_lowest_energies
 from repro.chemistry.fermion import FermionTerm
 from repro.chemistry.molecules import available_molecules, get_preset
+from repro.chemistry.scf import RestrictedHartreeFock
+from repro.operators.fingerprints import hamiltonian_fingerprint
 from repro.exceptions import ChemistryError
 from repro.operators import PauliSum
 from repro.statevector import Statevector
@@ -151,6 +154,60 @@ class TestExactSolver:
         big = PauliSum({"I" * 20: 1.0})
         with pytest.raises(ChemistryError):
             exact_ground_state(big, max_qubits=16)
+
+    def test_lanczos_ground_energy_is_deterministic(self, h4_problem):
+        # 6 qubits takes the sparse Lanczos path, whose start vector is fixed.
+        energies = {exact_ground_state_energy(h4_problem.hamiltonian) for _ in range(4)}
+        assert len(energies) == 1
+        assert energies.pop() == pytest.approx(h4_problem.exact_energy, abs=1e-12)
+
+    def test_lanczos_spectrum_is_deterministic(self):
+        # 11 qubits: above the dense-spectrum limit, so eigsh runs.
+        n = 11
+        terms = {}
+        for site in range(n):
+            terms["I" * site + "X" + "I" * (n - site - 1)] = 0.7
+            if site + 1 < n:
+                terms["I" * site + "ZZ" + "I" * (n - site - 2)] = -1.0
+        chain = PauliSum(terms)
+        spectra = [exact_lowest_energies(chain, 3) for _ in range(3)]
+        assert spectra[0] == spectra[1] == spectra[2]
+
+
+# hamiltonian_fingerprint of every preset whose equilibrium build (without
+# the exact reference) takes about a second or less, as computed before the
+# integral engine was tabulated: the qubit Hamiltonians must not move a bit.
+PINNED_FINGERPRINTS = {
+    "H2": "3507dcd02560ebf0",
+    "H2+": "decf938f3ffee6a3",
+    "LiH": "228725dd6dc2accf",
+    "H4": "812c08a2cee82c79",
+    "H6": "76a2f25e9d45c38b",
+    "H8": "881fcc90370ac027",
+    "H2O": "c9d5c4fff7c921ec",
+    "BeH2": "351a638802cf8fc7",
+    "N2": "0055c5942a487869",
+}
+
+
+class TestPinnedBuilds:
+    @pytest.mark.parametrize("name", sorted(PINNED_FINGERPRINTS))
+    def test_fingerprint_unchanged(self, name):
+        problem = make_problem(name, compute_exact=False)
+        assert hamiltonian_fingerprint(problem.hamiltonian) == PINNED_FINGERPRINTS[name]
+
+    def test_sigma_active_space_build_runs_scf_once(self, monkeypatch):
+        calls = []
+        run = RestrictedHartreeFock.run
+
+        def counting_run(self, *args, **kwargs):
+            calls.append(args)
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(RestrictedHartreeFock, "run", counting_run)
+        problem = make_problem("LiH")
+        assert len(calls) == 1
+        assert problem.fingerprint() == PINNED_FINGERPRINTS["LiH"]
 
 
 class TestPresets:

@@ -11,8 +11,11 @@ from repro.chemistry import (
     build_sto3g_basis,
     supported_elements,
 )
+from repro.chemistry.basis import BasisFunction
 from repro.chemistry.elements import ANGSTROM_TO_BOHR, atomic_number
+from repro.chemistry.molecules import get_preset
 from repro.exceptions import ChemistryError
+from tests import recursive_integrals
 
 
 class TestGeometry:
@@ -126,6 +129,63 @@ class TestIntegrals:
         assert overlap[0, 1] == pytest.approx(0.6593, abs=2e-3)
         assert kinetic[0, 0] == pytest.approx(0.7600, abs=2e-3)
         assert kinetic[0, 1] == pytest.approx(0.2365, abs=2e-3)
+
+
+def _engines(basis):
+    return IntegralEngine(basis), recursive_integrals.IntegralEngine(basis)
+
+
+def _assert_bit_identical(engine, oracle, charges, positions):
+    """Every integral matrix equals the recursive oracle's, bit for bit."""
+    assert np.array_equal(engine.overlap_matrix(), oracle.overlap_matrix())
+    assert np.array_equal(engine.kinetic_matrix(), oracle.kinetic_matrix())
+    assert np.array_equal(
+        engine.nuclear_attraction_matrix(charges, positions),
+        oracle.nuclear_attraction_matrix(charges, positions),
+    )
+    assert np.array_equal(
+        engine.electron_repulsion_tensor(), oracle.electron_repulsion_tensor()
+    )
+
+
+class TestTabulatedMatchesRecursion:
+    """The tabulated engine against the recursive one kept under tests/.
+
+    H2O is non-linear, so it exercises all three axes and the p shells; N2 is
+    left out only because the oracle alone takes seconds on it.
+    """
+
+    @pytest.mark.parametrize("name", ["H2", "LiH", "H4", "H2O"])
+    def test_presets_at_equilibrium(self, name):
+        preset = get_preset(name)
+        molecule = preset.geometry_builder(preset.equilibrium_bond_length)
+        _assert_bit_identical(
+            *_engines(build_sto3g_basis(molecule)),
+            molecule.nuclear_charges,
+            molecule.coordinates,
+        )
+
+    def test_d_type_functions_off_axis(self):
+        # STO-3G has no d shells; Cartesian d functions exercise E^{ij}_t with
+        # i, j = 2, the kinetic <a|b-2> term and higher Boys orders.
+        def function(center, angular, exponents, coefficients):
+            return BasisFunction(center, angular, exponents, coefficients, 0, "test")
+
+        basis = [
+            function((0.0, 0.0, 0.0), (2, 0, 0), (1.3, 0.4), (0.6, 0.5)),
+            function((0.3, -1.1, 0.7), (1, 1, 0), (0.9, 0.25), (0.7, 0.4)),
+            function((1.2, 0.4, -0.5), (0, 0, 1), (2.1, 0.5, 0.15), (0.2, 0.5, 0.4)),
+            function((1.2, 0.4, -0.5), (0, 0, 0), (3.4, 0.6), (0.4, 0.7)),
+        ]
+        positions = np.array([[0.0, 0.0, 0.0], [0.3, -1.1, 0.7], [1.2, 0.4, -0.5]])
+        _assert_bit_identical(*_engines(basis), [8, 1, 3], positions)
+
+    def test_boys_function(self):
+        for order in range(7):
+            for argument in (0.0, 1e-13, 1e-12, 3e-7, 0.05, 0.8, 4.2, 17.0, 63.5):
+                assert boys_function(order, argument) == recursive_integrals.boys_function(
+                    order, argument
+                )
 
 
 class TestHartreeFock:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.exceptions import OperatorError
 from repro.operators import PauliSum, group_commuting_terms, measurement_settings_count
+from repro.operators.pauli_sum import _bit_parity
 
 
 class TestConstruction:
@@ -81,6 +82,46 @@ class TestAlgebra:
 
     def test_equality(self):
         assert PauliSum({"XX": 1.0, "ZZ": 0.5}) == PauliSum({"ZZ": 0.5, "XX": 1.0})
+
+
+class TestSparseMatrix:
+    @pytest.mark.parametrize("num_qubits", range(1, 9))
+    def test_matches_dense_on_random_sums(self, num_qubits):
+        rng = np.random.default_rng(100 + num_qubits)
+        labels = ["".join(rng.choice(list("IXYZ"), num_qubits)) for _ in range(24)]
+        # Relabel Y <-> X and drop Z: new terms that share X masks with old ones.
+        labels += [label.translate(str.maketrans("XY", "YX")) for label in labels[:8]]
+        labels += [label.replace("Z", "I") for label in labels[8:16]]
+        labels.append("Y" * num_qubits)
+        total = PauliSum(
+            [(label, complex(rng.normal(), rng.normal())) for label in labels],
+            num_qubits=num_qubits,
+        )
+        np.testing.assert_allclose(
+            total.to_sparse_matrix().toarray(), total.to_matrix(), rtol=0, atol=1e-12
+        )
+
+    def test_first_label_character_is_the_most_significant_qubit(self):
+        # Columns are input basis states, rows outputs; |q0 q1> = index 2*q0 + q1.
+        flip_first = PauliSum({"XI": 1.0}).to_sparse_matrix().toarray()
+        assert flip_first[2, 0] == 1 and flip_first[0, 2] == 1
+        assert np.count_nonzero(flip_first) == 4
+        phase = PauliSum({"ZY": 1.0}).to_sparse_matrix().toarray()
+        # Y|0> = i|1> and Y|1> = -i|0> on the second qubit; Z signs the first.
+        assert phase[1, 0] == 1j and phase[0, 1] == -1j
+        assert phase[3, 2] == -1j and phase[2, 3] == 1j
+
+    def test_empty_sum(self):
+        empty = PauliSum.zero(3).to_sparse_matrix()
+        assert empty.shape == (8, 8) and empty.nnz == 0
+
+    def test_bit_parity_without_bitwise_count(self):
+        rng = np.random.default_rng(7)
+        values = np.concatenate(
+            [np.arange(1024), rng.integers(0, 2**62, 500), [2**63 - 1]]
+        ).astype(np.int64)
+        expected = [bin(int(value)).count("1") % 2 for value in values]
+        assert _bit_parity(values).tolist() == expected
         assert PauliSum({"XX": 1.0}) != PauliSum({"XX": 1.1})
 
 
