@@ -11,6 +11,17 @@ The evaluation pipeline is compiled: the ansatz is flattened once into a
 evolved together on a :class:`~repro.stabilizer.BatchedCliffordTableau`, and
 the Pauli-sum expectation is one vectorized kernel call for the entire batch.
 
+Refinement neighbourhoods — points that differ from one another in a single
+parameter slot ``p`` — skip the full simulation.  Their energy is
+``<psi_<p| R_p(v)^dag H_>p R_p(v) |psi_<p>``: ``psi_<p`` is the shared
+prefix state just before the op that slot ``p`` drives, kept in a forward
+cursor, and ``H_>p = U_>p^dag H U_>p`` is every term conjugated back through
+the ops after it, kept as one snapshot per slot from a single backward pass.
+Each candidate then costs one rotation plus one expectation (Mitarai et al.,
+arXiv:2011.09927, use the same local expansion).  Clifford conjugation maps
+each term to exactly one signed Pauli, so the per-term values, and therefore
+the energies, are bit-for-bit those of the full simulation.
+
 Constraints contribute through two paths: Pauli penalty terms are folded into
 the constrained operator (one Pauli-sum expectation covers them), while
 *overlap* penalties — the ``w * |<psi|psi_k>|^2`` deflation terms of
@@ -27,6 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import telemetry
 from repro.circuits.ansatz import EfficientSU2Ansatz
 from repro.circuits.clifford_points import CliffordGateProgram, validate_clifford_point
 from repro.core.constraints import (
@@ -38,7 +50,11 @@ from repro.operators.pauli_sum import PauliSum
 from repro.problems.base import ProblemSpec
 from repro.stabilizer.expectation import PauliSumEvaluator
 from repro.stabilizer.overlap import stabilizer_state_overlaps
-from repro.stabilizer.tableau import BatchedCliffordTableau, CliffordTableau
+from repro.stabilizer.tableau import (
+    BatchedCliffordTableau,
+    CliffordTableau,
+    SymplecticView,
+)
 
 Point = Tuple[int, ...]
 
@@ -74,6 +90,14 @@ class CliffordObjective:
     :meth:`term_expectations` share one simulation per point; batch
     evaluations cache scalars only, keeping the hot path free of per-point
     extraction.
+
+    Batches whose pending points differ in exactly one parameter slot (the
+    alternates :func:`~repro.core.search.coordinate_descent` asks for) are
+    evaluated from two caches instead: a forward cursor holding a prefix
+    state, and backward snapshots of the conjugated terms (and deflation
+    targets), one per slot.  Both are checked against the requested point
+    on every call, so any call pattern is correct; a sweep over the slots in
+    order reuses the cursor op by op and needs one backward pass.
     """
 
     def __init__(
@@ -145,6 +169,19 @@ class CliffordObjective:
         else:
             self._deflation_targets = None
             self._deflation_digest = None
+        # Neighbourhood evaluation needs every parameter slot to drive exactly
+        # one op, in slot order (always true for EfficientSU2Ansatz).
+        ops = self._program.ops
+        slot_ops = [i for i, op in enumerate(ops) if op.parameter_index is not None]
+        in_order = [ops[i].parameter_index for i in slot_ops] == list(
+            range(self.num_parameters)
+        )
+        self._slot_ops: Optional[List[int]] = slot_ops if in_order else None
+        # Snapshot q holds the rows conjugated through ops[suffix_starts[q]:].
+        self._snapshot_starts = [i + 1 for i in slot_ops] + [len(ops)]
+        self._cursor: Optional[Tuple[Point, int, BatchedCliffordTableau]] = None
+        self._snapshot_key: Optional[Point] = None
+        self._snapshots: Optional[SymplecticView] = None
 
     # ------------------------------------------------------------------ #
     @property
@@ -171,7 +208,7 @@ class CliffordObjective:
 
     @property
     def num_evaluations(self) -> int:
-        """Number of distinct stabilizer simulations performed."""
+        """Number of distinct points evaluated (not served from a cache)."""
         return self._evaluations
 
     @property
@@ -189,9 +226,11 @@ class CliffordObjective:
         """
         return self._deflation_digest
 
-    def _deflation_penalties(self, tableaux) -> np.ndarray:
+    def _deflation_penalties(self, tableaux, targets=None) -> np.ndarray:
         """Summed ``w_k * |<psi|psi_k>|^2`` per batch element: ``(batch,)``."""
-        overlaps = stabilizer_state_overlaps(tableaux, self._deflation_targets)
+        if targets is None:
+            targets = self._deflation_targets
+        overlaps = stabilizer_state_overlaps(tableaux, targets)
         return (overlaps * self._deflation_weights).sum(axis=-1)
 
     def _constrained_value(self, tableau: CliffordTableau) -> float:
@@ -250,8 +289,9 @@ class CliffordObjective:
         """Constrained energies of many Clifford points in one batched simulation.
 
         Returns values in the order of ``points``; duplicates and previously
-        cached points cost nothing extra.  Numerically identical to calling
-        the objective point by point.
+        cached points cost nothing extra.  Pending points that differ in a
+        single slot are priced as a neighbourhood (see the class docstring).
+        Numerically identical to calling the objective point by point.
         """
         keys = [self._key(point) for point in points]
         values: Dict[Point, float] = {}
@@ -268,16 +308,130 @@ class CliffordObjective:
                 values[key] = self._constrained_value(self._tableaux[key])
             pending = [key for key in pending if key not in self._tableaux]
         if pending:
-            batched = self._simulate(pending)
-            energies = self._operator_evaluator.expectation_batch(batched)
-            if self._deflation_targets is not None:
-                energies = energies + self._deflation_penalties(batched)
+            slot = self._varying_slot(pending)
+            if slot is None:
+                batched = self._simulate(pending)
+                energies = self._operator_evaluator.expectation_batch(batched)
+                if self._deflation_targets is not None:
+                    energies = energies + self._deflation_penalties(batched)
+            else:
+                energies = self._neighbourhood_values(pending, slot)
             for position, key in enumerate(pending):
                 values[key] = float(energies[position])
         if self._cache is not None:
             for key in dict.fromkeys(keys):
                 self._cache.setdefault(key, values[key])
         return np.array([values[key] for key in keys], dtype=float)
+
+    # ------------------------------------------------------------------ #
+    # neighbourhood evaluation: one rotation plus one expectation per point
+    # ------------------------------------------------------------------ #
+    def _varying_slot(self, keys: Sequence[Point]) -> Optional[int]:
+        """The one slot in which two or more ``keys`` differ, else ``None``."""
+        if self._slot_ops is None or len(keys) < 2:
+            return None
+        matrix = np.asarray(keys, dtype=np.int64)
+        varying = np.flatnonzero((matrix != matrix[0]).any(axis=0))
+        return int(varying[0]) if len(varying) == 1 else None
+
+    def _prefix_state(self, key: Point, slot: int) -> BatchedCliffordTableau:
+        """``key``'s state just before the op of ``slot``, from the forward cursor.
+
+        The cursor is reusable when it sits at or before ``slot`` and agrees
+        with ``key`` on every slot it has applied; it is then advanced op by
+        op instead of re-simulated from ``|0...0>``.
+        """
+        cursor_key, cursor_slot, state = self._cursor or ((), 0, None)
+        reusable = state is not None and cursor_slot <= slot
+        if reusable and cursor_key[:cursor_slot] == key[:cursor_slot]:
+            start = self._slot_ops[cursor_slot]
+        else:
+            state, start = BatchedCliffordTableau(1, self._program.num_qubits), 0
+        state.apply_program(
+            self._program, np.asarray([key], dtype=np.int64), start, self._slot_ops[slot]
+        )
+        self._cursor = (key, slot, state)
+        return state
+
+    def _conjugated_rows(self, key: Point, slot: int) -> SymplecticView:
+        """Term rows, then deflation-target rows, conjugated back past ``slot``.
+
+        Snapshot ``q`` depends only on ``key[q + 1:]``.  When the snapshots
+        were built from a point that differs from ``key`` there, the pass
+        restarts from the highest snapshot still valid and rebuilds every
+        slot below it, so a sweep that only changes slots ``<= slot`` costs
+        one backward pass.
+        """
+        built = self._snapshot_key
+        if built is None or built[slot + 1 :] != key[slot + 1 :]:
+            self._rebuild_snapshots(key)
+        snapshots = self._snapshots
+        return SymplecticView(snapshots.x[slot], snapshots.z[slot], snapshots.r[slot])
+
+    def _rebuild_snapshots(self, key: Point) -> None:
+        num_parameters = self.num_parameters
+        built = self._snapshot_key
+        if built is None:
+            term_x, term_z = self._operator_evaluator.packed_terms
+            x, z, r = term_x, term_z, np.zeros(len(term_x), dtype=bool)
+            if self._deflation_targets is not None:
+                targets = self._deflation_targets.symplectic_view()
+                x = np.concatenate([x, targets.x.reshape(-1, x.shape[1])])
+                z = np.concatenate([z, targets.z.reshape(-1, x.shape[1])])
+                r = np.concatenate([r, targets.r.reshape(-1)])
+            self._snapshots = SymplecticView(
+                np.empty((num_parameters,) + x.shape, dtype=np.uint64),
+                np.empty((num_parameters,) + z.shape, dtype=np.uint64),
+                np.empty((num_parameters,) + r.shape, dtype=bool),
+            )
+            top = num_parameters
+        else:
+            top = max(q for q in range(num_parameters) if built[q] != key[q])
+            x, z, r = (array[top] for array in self._snapshots)
+        rows = BatchedCliffordTableau._from_arrays(
+            x[None].copy(), z[None].copy(), r[None].copy(), self._program.num_qubits
+        )
+        indices = np.asarray([key], dtype=np.int64)
+        starts = self._snapshot_starts
+        snapshots = self._snapshots
+        for q in range(top - 1, -1, -1):
+            rows.apply_program(
+                self._program, indices, starts[q], starts[q + 1], inverse=True
+            )
+            view = rows.symplectic_view()
+            snapshots.x[q], snapshots.z[q], snapshots.r[q] = view.x[0], view.z[0], view.r[0]
+        self._snapshot_key = key
+
+    def _neighbourhood_values(self, keys: Sequence[Point], slot: int) -> np.ndarray:
+        """Constrained energies of points that differ only in ``slot``."""
+        base = keys[0]
+        prefix = self._prefix_state(base, slot).symplectic_view()
+        count = len(keys)
+        states = BatchedCliffordTableau._from_arrays(
+            np.repeat(prefix.x, count, axis=0),
+            np.repeat(prefix.z, count, axis=0),
+            np.repeat(prefix.r, count, axis=0),
+            self._program.num_qubits,
+        )
+        op = self._program.ops[self._slot_ops[slot]]
+        states.apply_rotation(op.name, op.qubits[0], [key[slot] for key in keys])
+        rows = self._conjugated_rows(base, slot)
+        terms = self._operator_evaluator.num_terms
+        energies = self._operator_evaluator.conjugated_expectation_batch(
+            states, rows.x[:terms], rows.z[:terms], rows.r[:terms]
+        )
+        if self._deflation_targets is not None:
+            shape = self._deflation_targets.symplectic_view().x.shape
+            targets = BatchedCliffordTableau._from_arrays(
+                rows.x[terms:].reshape(shape),
+                rows.z[terms:].reshape(shape),
+                rows.r[terms:].reshape(shape[:2]),
+                self._program.num_qubits,
+            )
+            energies = energies + self._deflation_penalties(states, targets)
+        self._evaluations += count
+        telemetry.counter("objective.neighbourhood.states", count)
+        return energies
 
     def energy(self, indices: Sequence[int]) -> float:
         """Unconstrained Hamiltonian energy (no penalty terms) at a Clifford point."""

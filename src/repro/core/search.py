@@ -369,52 +369,42 @@ def coordinate_descent(
     sweep with no improvement or after ``max_sweeps`` sweeps.  Returns the
     best point, its value, and the evaluations performed (phase ``"refine"``).
 
-    Objectives exposing ``evaluate_batch`` (e.g. ``CliffordObjective``) are
-    driven in batches: each sweep's candidate set is simulated together up
-    front, and re-batched from the incumbent whenever an improvement shifts
-    it.  Batch values match pointwise ones exactly, so the greedy trajectory
-    — points visited, adoption decisions, recorded observations — is
-    identical to the sequential loop.
+    Each dimension's alternates of the current incumbent are evaluated in one
+    ``evaluate_batch`` call (plain callables are called point by point); a
+    :class:`~repro.core.objective.CliffordObjective` prices such a
+    neighbourhood at one rotation plus one expectation per point.  The greedy
+    decisions then replay over those values: an improvement only changes the
+    dimension being swept, so every later candidate of that dimension is
+    either in the batch or the pre-improvement incumbent, which is re-tried
+    through an ordinary (cached) objective call.  A sweep therefore records
+    at most ``cardinality`` observations per dimension.
     """
     batch_evaluate = getattr(objective, "evaluate_batch", None)
+    if batch_evaluate is None:
+
+        def batch_evaluate(points):
+            return [objective(point) for point in points]
 
     def substitute(point: tuple, dimension: int, value: int) -> tuple:
         candidate = list(point)
         candidate[dimension] = value
         return tuple(candidate)
 
-    def sweep_candidates(point: tuple, num_dimensions: int) -> tuple[List[tuple], np.ndarray]:
-        """All single-coordinate mutations of ``point``, built as one array.
-
-        Row order matches the scalar loop below — dimension-major, candidate
-        values ascending with the incumbent value skipped — so the recorded
-        observations are identical either way.
-        """
-        base = np.asarray(point, dtype=np.int64)
-        values = np.tile(np.arange(cardinality, dtype=np.int64), (num_dimensions, 1))
-        alternates = values[values != base[:, None]].reshape(
-            num_dimensions, cardinality - 1
-        )
-        mutated_dimension = np.repeat(np.arange(num_dimensions), cardinality - 1)
-        matrix = np.tile(base, (len(mutated_dimension), 1))
-        matrix[np.arange(len(mutated_dimension)), mutated_dimension] = (
-            alternates.reshape(-1)
-        )
-        candidates = [tuple(row) for row in matrix.tolist()]
-        return candidates, batch_evaluate(matrix)
-
     current = tuple(int(v) for v in start_point)
     current_value = float(objective(current))
     observations: List[Observation] = []
     iteration = start_iteration
-    dimensions = len(current)
     for _ in range(max_sweeps):
         improved = False
-        batched: dict = {}
-        if batch_evaluate is not None and dimensions and cardinality > 1:
-            points, values = sweep_candidates(current, dimensions)
-            batched = dict(zip(points, values))
-        for dimension in range(dimensions):
+        for dimension in range(len(current)):
+            alternates = [
+                substitute(current, dimension, value)
+                for value in range(cardinality)
+                if value != current[dimension]
+            ]
+            batched = {}
+            if alternates:
+                batched = dict(zip(alternates, batch_evaluate(alternates)))
             for candidate_value in range(cardinality):
                 if candidate_value == current[dimension]:
                     continue
@@ -433,14 +423,6 @@ def coordinate_descent(
                 if value < current_value - 1e-12:
                     current, current_value = candidate, value
                     improved = True
-                    # The rest of this sweep branches off the new incumbent,
-                    # so later candidates miss `batched` and fall back to
-                    # pointwise calls.  That bounds each sweep at one batch
-                    # plus at most a sequential remainder (re-batching here
-                    # instead would cost O(dims^2) on improvement-dense
-                    # sweeps); the next sweep re-batches everything from the
-                    # new incumbent, and the final convergence sweep — which
-                    # never improves — is always a single batch.
         if not improved:
             break
     return current, current_value, observations

@@ -226,12 +226,14 @@ class RunSpec:
         return options_digest(payload)
 
     def evaluation_budget(self) -> int:
-        """Worst-case stabilizer evaluations this spec can schedule.
+        """Evaluations the search service charges against a submitter's budget.
 
         ``max_evaluations`` per restart, across ``num_seeds`` restarts and
-        ``num_states`` deflation levels — the unit the search service charges
-        against a submitter's budget (deduped cache hits make the realized
-        cost lower, but admission control must assume the worst).
+        ``num_states`` deflation levels: the Bayesian-optimization budget
+        only.  It is not a worst case.  Coordinate-descent refinement (on by
+        default) adds up to ``4 * num_parameters`` observations per sweep
+        and refinement start on top of it, and deduped cache hits make the
+        realized cost lower.
         """
         return (
             int(self.max_evaluations) * int(self.num_seeds) * int(self.num_states)

@@ -167,6 +167,35 @@ class PauliSumEvaluator:
         """Coefficient-weighted expectations for a whole batch: ``(batch,)`` floats."""
         return self._reduce(self.term_expectations_batch(tableaux))
 
+    @property
+    def packed_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Packed ``(x, z)`` bit rows of the terms in label order: ``(terms, words)``."""
+        return self._term_x, self._term_z
+
+    def conjugated_expectation_batch(
+        self,
+        tableaux: BatchedCliffordTableau,
+        term_x: np.ndarray,
+        term_z: np.ndarray,
+        term_signs: np.ndarray,
+    ) -> np.ndarray:
+        """Energies with term ``i`` replaced by the signed row ``(-1)^signs[i] P_i``.
+
+        The rows are this operator's terms conjugated through a Clifford
+        ``U`` (see :meth:`BatchedCliffordTableau.apply_program` with
+        ``inverse``), so the result is ``<psi| U^dag H U |psi>`` per state.
+        Conjugation maps each term to exactly one signed Pauli, so every
+        per-term value is the same integer the forward simulation gives, and
+        the shared :meth:`_reduce` keeps the energies bit-for-bit identical.
+        """
+        self._check_qubits(tableaux)
+        stab = tableaux.stabilizer_block()
+        destab = tableaux.destabilizer_block()
+        values = stabilizer_expectations(
+            stab.x, stab.z, stab.r, destab.x, destab.z, term_x, term_z
+        )
+        return self._reduce(np.where(term_signs, -values, values).astype(float))
+
     def _reduce(self, term_values: np.ndarray) -> np.ndarray:
         # Multiply-then-sum (not BLAS dot/gemv, whose reduction order varies
         # with batch shape) so batched and single-point energies are

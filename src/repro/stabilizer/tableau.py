@@ -53,6 +53,10 @@ _ROTATION_SEQUENCES = {
 }
 
 
+# Single-qubit gates that are not their own inverse (up to global phase).
+_INVERSE_GATES = {"s": "sdg", "sdg": "s", "sx": "sxdg", "sxdg": "sx"}
+
+
 class SymplecticView(NamedTuple):
     """Read-only packed view of tableau rows: ``x``/``z`` words plus signs."""
 
@@ -97,11 +101,17 @@ class BatchedCliffordTableau:
 
     @classmethod
     def _from_arrays(
-        cls, x: np.ndarray, z: np.ndarray, r: np.ndarray
+        cls, x: np.ndarray, z: np.ndarray, r: np.ndarray, num_qubits: int
     ) -> "BatchedCliffordTableau":
+        """Wrap packed ``(batch, rows, words)`` arrays without copying.
+
+        The gate updates act on every row independently, so ``rows`` need
+        not be ``2 * num_qubits``: any stack of signed Pauli rows (e.g. the
+        terms of a Hamiltonian) can be conjugated through gates this way.
+        """
         tableau = cls.__new__(cls)
         tableau._batch = x.shape[0]
-        tableau._n = x.shape[1] // 2
+        tableau._n = int(num_qubits)
         tableau._words = x.shape[2]
         tableau._x, tableau._z, tableau._r = x, z, r
         return tableau
@@ -156,7 +166,7 @@ class BatchedCliffordTableau:
 
     def copy(self) -> "BatchedCliffordTableau":
         return BatchedCliffordTableau._from_arrays(
-            self._x.copy(), self._z.copy(), self._r.copy()
+            self._x.copy(), self._z.copy(), self._r.copy(), self._n
         )
 
     def extract(self, index: int) -> "CliffordTableau":
@@ -167,6 +177,7 @@ class BatchedCliffordTableau:
             self._x[index : index + 1].copy(),
             self._z[index : index + 1].copy(),
             self._r[index : index + 1].copy(),
+            self._n,
         )
         return CliffordTableau._wrap(sliced)
 
@@ -376,8 +387,23 @@ class BatchedCliffordTableau:
             self._z[:, :, word] ^= swap << offset
         self._r ^= flip.astype(bool)
 
-    def apply_program(self, program: "CliffordGateProgram", indices) -> None:
-        """Run a compiled Clifford gate program on the whole batch."""
+    def apply_program(
+        self,
+        program: "CliffordGateProgram",
+        indices,
+        start: int = 0,
+        stop: Optional[int] = None,
+        inverse: bool = False,
+    ) -> None:
+        """Run a compiled Clifford program (or its ops ``[start, stop)``) on the batch.
+
+        With ``inverse`` the ops run last to first, each replaced by its
+        inverse (up to global phase): rotation index ``k`` becomes
+        ``(4 - k) % 4``, ``s``/``sx`` swap with ``sdg``/``sxdg``, and every
+        other supported gate is its own inverse.  On a stack of Pauli rows
+        this is the Heisenberg picture: each row ``P`` becomes ``U^dag P U``
+        for the program ``U`` of the range.
+        """
         if program.num_qubits != self._n:
             raise SimulationError("program and tableau act on different qubit counts")
         indices = np.asarray(indices, dtype=np.int64)
@@ -388,15 +414,21 @@ class BatchedCliffordTableau:
             )
         if program.num_parameters and np.any((indices < 0) | (indices > 3)):
             raise SimulationError("Clifford rotation indices must be in 0..3")
-        for op in program.ops:
+        ops = program.ops[start:stop]
+        for op in reversed(ops) if inverse else ops:
             if op.parameter_index is not None:
-                self.apply_rotation(op.name, op.qubits[0], indices[:, op.parameter_index])
+                column = indices[:, op.parameter_index]
+                self.apply_rotation(
+                    op.name, op.qubits[0], (4 - column) % 4 if inverse else column
+                )
             elif op.fixed_index is not None:
-                self._apply_rotation_index(op.name, op.fixed_index, op.qubits[0], None)
+                index = (4 - op.fixed_index) % 4 if inverse else op.fixed_index
+                self._apply_rotation_index(op.name, index, op.qubits[0], None)
             elif op.name in ("cx", "cz", "swap"):
                 getattr(self, f"apply_{op.name}")(*op.qubits)
             else:
-                getattr(self, f"apply_{op.name}")(op.qubits[0])
+                name = _INVERSE_GATES.get(op.name, op.name) if inverse else op.name
+                getattr(self, f"apply_{name}")(op.qubits[0])
 
     # ------------------------------------------------------------------ #
     # expectation values

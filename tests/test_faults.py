@@ -313,6 +313,33 @@ class TestRetries:
         # untouched restarts carry clean metadata
         assert result.traces[0].attempts == 1 and not result.traces[0].failures
 
+    def test_transient_fault_inside_refinement_is_retried_bit_identically(
+        self, chain_problem, monkeypatch, tmp_path
+    ):
+        max_evaluations = 24
+        baseline = SearchOrchestrator(
+            chain_problem, num_restarts=2, max_workers=1, seed=0
+        ).run(max_evaluations=max_evaluations)
+        at = max_evaluations + 7  # past warm-up and proposals: inside refinement
+        result = self._run(
+            chain_problem, monkeypatch, tmp_path,
+            plan=[{"restart": 1, "mode": "raise", "at": at, "times": 1}],
+            policy=FailurePolicy(max_retries=2),
+            restarts=2,
+        )
+        marker = tmp_path / "markers" / "fault_r001_0.fired"
+        fired_at = int(marker.read_text().strip().split("@")[1])
+        assert fired_at >= at
+        trace, expected = result.traces[1], baseline.traces[1]
+        assert trace.attempts == 2 and trace.failures[0].transient
+        refine = [o for o in expected.observations if o.phase == "refine"]
+        assert refine and fired_at <= refine[-1].iteration
+        assert [(o.point, o.value, o.iteration, o.phase) for o in trace.observations] == [
+            (o.point, o.value, o.iteration, o.phase) for o in expected.observations
+        ]
+        assert result.energies == baseline.energies
+        assert trace.constrained_energy == expected.constrained_energy
+
     def test_deterministic_fault_fails_fast(
         self, chain_problem, monkeypatch, tmp_path
     ):
