@@ -5,9 +5,8 @@ Two measurements, written to ``BENCH_surrogate.json`` at the repo root:
 * **Forest microbenchmark** — fit + candidate-pool predict of the search's
   production surrogate configuration (12 trees, depth 10) at 100 and 400
   observations x 72 parameters (the LiH-scale search space), comparing the
-  flat-array engine in both its fast and ``reference_parity`` modes against
-  the original ``_Node``-based implementation kept in
-  ``repro.bayesopt._reference``.
+  flat-array engine against the original ``_Node``-based implementation
+  kept in ``tests/reference_forest.py``.
 * **End-to-end search** — the same seeded 400-evaluation CAFQA search on
   stretched H2 (the ``BENCH_orchestrator.json`` configuration) run once with
   the vectorized engine and once with the reference surrogate injected via
@@ -28,10 +27,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.bayesopt._reference import ReferenceRandomForest
 from repro.bayesopt.forest import RandomForestRegressor
 from repro.chemistry import make_problem
 from repro.core.search import CafqaSearch
+from tests.reference_forest import ReferenceRandomForest
 
 pytestmark = pytest.mark.skipif(
     os.environ.get("REPRO_BENCH") != "1",
@@ -72,15 +71,6 @@ def test_surrogate_throughput_and_search_speed():
             ),
             features, targets, pool, repeats=3,
         )
-        parity = _fit_predict_seconds(
-            lambda: RandomForestRegressor(
-                num_trees=NUM_TREES,
-                max_depth=MAX_DEPTH,
-                rng=np.random.default_rng(7),
-                reference_parity=True,
-            ),
-            features, targets, pool, repeats=2,
-        )
         reference = _fit_predict_seconds(
             lambda: ReferenceRandomForest(
                 num_trees=NUM_TREES, max_depth=MAX_DEPTH, rng=np.random.default_rng(7)
@@ -90,14 +80,12 @@ def test_surrogate_throughput_and_search_speed():
         forest_rows[count] = {
             "reference_ms": round(reference * 1e3, 2),
             "vectorized_ms": round(fast * 1e3, 2),
-            "vectorized_parity_ms": round(parity * 1e3, 2),
             "speedup": round(reference / fast, 1),
-            "parity_speedup": round(reference / parity, 1),
         }
         print(
             f"{count} obs x {NUM_PARAMETERS} params: reference "
             f"{reference * 1e3:.0f}ms, vectorized {fast * 1e3:.1f}ms "
-            f"({reference / fast:.0f}x), parity mode {parity * 1e3:.1f}ms"
+            f"({reference / fast:.0f}x)"
         )
 
     problem = make_problem("H2", 2.5)

@@ -2,13 +2,13 @@
 
 The paper (via HyperMapper) uses a random-forest surrogate because the CAFQA
 search space is discrete.  The original from-scratch implementation (kept as
-the test oracle in :mod:`repro.bayesopt._reference`) stored trees as linked
+the test oracle in ``tests/reference_forest.py``) stored trees as linked
 ``_Node`` objects, re-computed ``np.var`` for every candidate threshold, and
 predicted one Python row at a time — at 400 observations x 72 parameters the
 surrogate refit dominated end-to-end search wall-clock by ~100x over the
 stabilizer simulator.
 
-This engine keeps the exact same statistical model (variance-reduction CART
+This engine keeps the same statistical model (variance-reduction CART
 splits, bootstrap bagging, per-node feature subsampling, across-tree
 uncertainty) but stores and computes everything on flat arrays:
 
@@ -16,9 +16,8 @@ uncertainty) but stores and computes everything on flat arrays:
   scans every threshold of every candidate feature with cumulative-sum
   sum-of-squared-error formulas — O(n log n) per feature instead of an
   O(n * thresholds) re-masked ``np.var`` per threshold.  Tie-breaking is
-  deterministic and mirrors the reference scan: the lowest threshold wins
-  within a feature (first arg-max) and the earliest candidate feature wins
-  across features (strict improvement).
+  deterministic: the first arg-max in scan order wins (thresholds ascending
+  within a feature, candidate features in draw order).
 * **Flat storage**: nodes live in parallel ``feature`` / ``threshold`` /
   ``left`` / ``right`` / ``value`` arrays (``feature == -1`` marks a leaf);
   there is no per-node Python object.
@@ -27,22 +26,11 @@ uncertainty) but stores and computes everything on flat arrays:
   concatenates all of its trees into one node table so an ensemble
   prediction is a single traversal of ``num_trees x num_rows`` cursors.
 
-The engine has two modes:
-
-* **fast mode** (default, used by the search): candidate feature subsets
-  come from an argsort-of-uniforms draw, split ties break to the first
-  arg-max in scan order, and children partition straight from the sorted
-  order.  Fully deterministic for a given generator state, but the RNG
-  stream and exact tie arbitration differ from the reference engine, so
-  seeded search trajectories are pinned by golden-trace tests rather than
-  by reference equality.
-* **``reference_parity`` mode** (the property-test oracle): RNG discipline
-  matches the reference engine call-for-call (one bootstrap ``integers``
-  per tree, one feature-subset ``choice`` per internal node attempt,
-  consumed in left-first depth-first order) and near-maximal split ties are
-  re-scored with the reference's exact float sequence, so the same
-  generator state produces bit-identical trees to
-  :class:`repro.bayesopt._reference.ReferenceRandomForest`.
+Candidate feature subsets come from an argsort-of-uniforms draw and children
+partition straight from the sorted order.  Fits are fully deterministic for
+a given generator state; seeded search trajectories are pinned by
+golden-trace tests, and the split rule is checked against the oracle's
+exhaustive scan.
 """
 
 from __future__ import annotations
@@ -70,14 +58,12 @@ class DecisionTreeRegressor:
         min_samples_leaf: int = 2,
         max_features: Optional[int] = None,
         rng: Optional[np.random.Generator] = None,
-        reference_parity: bool = False,
     ):
         self._max_depth = int(max_depth)
         self._min_samples_split = int(min_samples_split)
         self._min_samples_leaf = int(min_samples_leaf)
         self._max_features = max_features
         self._rng = rng if rng is not None else np.random.default_rng()
-        self._reference_parity = bool(reference_parity)
         self._feature: Optional[np.ndarray] = None
         self._threshold: Optional[np.ndarray] = None
         self._left: Optional[np.ndarray] = None
@@ -124,8 +110,7 @@ class DecisionTreeRegressor:
 
         # Left-first pre-order DFS via an explicit stack: pop a node, draw its
         # candidate features, split, push right then left so the left child is
-        # processed (and consumes RNG) before the whole right subtree — the
-        # same order as the reference engine's recursion.
+        # processed (and consumes RNG) before the whole right subtree.
         stack: List[Tuple[np.ndarray, int, int, bool]] = [
             (np.arange(len(targets)), 0, -1, False)
         ]
@@ -156,15 +141,10 @@ class DecisionTreeRegressor:
                 )
             ):
                 continue
-            if self._reference_parity:
-                candidates = self._rng.choice(
-                    num_features, size=max_features, replace=False
-                )
-            else:
-                # Uniform feature subset via argsort-of-uniforms: the same
-                # distribution as ``rng.choice(..., replace=False)`` at a
-                # fraction of the per-node cost.
-                candidates = self._rng.random(num_features).argsort()[:max_features]
+            # Uniform feature subset via argsort-of-uniforms: the same
+            # distribution as ``rng.choice(..., replace=False)`` at a
+            # fraction of the per-node cost.
+            candidates = self._rng.random(num_features).argsort()[:max_features]
             split = self._best_split(features_t, rows, node_targets, candidates)
             if split is None:
                 continue
@@ -197,11 +177,12 @@ class DecisionTreeRegressor:
                  = const(node) + left_sum^2/left_n + right_sum^2/right_n
 
         so only the cumulative *sums* are needed for ranking (the squared
-        terms cancel).  In the default fast mode the first arg-max cell in
-        scan order wins outright; in ``reference_parity`` mode near-maximal
-        ties are re-scored with the reference engine's exact float sequence
-        (see below), so the ranking pass only has to be correct to rounding
-        noise.
+        terms cancel).  The first arg-max cell in scan order wins.  Cells
+        that tie in exact arithmetic (different features inducing the same,
+        possibly mirrored, partition) can differ in the last ulp because
+        each feature accumulates the targets in its own sort order, so the
+        winner among exact ties is decided by rounding; it is always a
+        maximal-gain split up to that rounding.
         """
         num_samples = len(rows)
         min_leaf = max(1, self._min_samples_leaf)
@@ -230,103 +211,18 @@ class DecisionTreeRegressor:
             <= sorted_values[:, window_lo:window_hi]
         ] = -np.inf
 
-        if not self._reference_parity:
-            # First arg-max in C order = thresholds ascending within each
-            # candidate feature, features in draw order — deterministic, and
-            # the same scan order the parity mode's exact arbitration uses.
-            best_flat = int(scores.argmax())
-            best_feature, best_window = divmod(best_flat, scores.shape[1])
-            max_score = float(scores[best_feature, best_window])
-            if max_score == -np.inf:
-                return None
-            # One-pass acceptance: gain = max_score - total^2/n up to
-            # rounding, which is all the 1e-12 positivity check needs.
-            if not max_score - total * total / num_samples > _MIN_GAIN:
-                return None
-            best_position = best_window + window_lo
-            threshold = float(
-                (
-                    sorted_values[best_feature, best_position]
-                    + sorted_values[best_feature, best_position + 1]
-                )
-                / 2.0
-            )
-            # The sorted order already encodes the partition: rows [0, i]
-            # of the winning feature's sort go left.
-            sorted_rows = rows[order[best_feature]]
-            return (
-                int(candidates[best_feature]),
-                threshold,
-                sorted_rows[: best_position + 1],
-                sorted_rows[best_position + 1 :],
-            )
-
-        max_score = scores.max()
+        # First arg-max in C order = thresholds ascending within each
+        # candidate feature, features in draw order — deterministic.
+        best_flat = int(scores.argmax())
+        best_feature, best_window = divmod(best_flat, scores.shape[1])
+        max_score = float(scores[best_feature, best_window])
         if max_score == -np.inf:
             return None
-        squared = node_targets * node_targets
-        total_sq = float(squared.sum())
-        # ``float(np.var(t)) * n`` spelled out with the identical reduction
-        # order (pairwise sum, divide, multiply, divide, multiply) so the
-        # acceptance threshold matches the reference engine bit-for-bit.
-        deviations = node_targets - node_targets.sum() / num_samples
-        parent_sse = float((deviations * deviations).sum() / num_samples) * num_samples
-        if not parent_sse - total_sq + max_score > _MIN_GAIN:
+        # One-pass acceptance: gain = max_score - total^2/n up to
+        # rounding, which is all the 1e-12 positivity check needs.
+        if not max_score - total * total / num_samples > _MIN_GAIN:
             return None
-
-        # Different candidate features frequently induce the same partition,
-        # possibly mirrored (ubiquitous with 4-valued Clifford features).
-        # Such cells tie in exact arithmetic but land on different last-ulp
-        # roundings above, because each column accumulates the targets in its
-        # own sort order.  Every cell within a rounding-scale band of the
-        # maximum is therefore re-scored with the reference engine's exact
-        # float sequence — two-pass variance over the masked samples in
-        # original row order, then ``(parent - left) - right`` — and the
-        # band is scanned in the reference's order (thresholds ascending
-        # within each candidate feature, features in draw order, strict
-        # improvement), so the chosen split matches the reference bit for
-        # bit instead of depending on ulp noise.  Mirrored and duplicated
-        # partitions share their subset variances through the mask memo, and
-        # outside of ties the band holds a single cell.
-        # ~1000x the worst-case cumulative-sum rounding error (n * eps *
-        # total_sq with n <= a few hundred), yet far below genuine gain
-        # differences between distinct partitions.
-        tolerance = 1e-10 * max(1.0, total_sq)
-        tied_features, tied_positions = np.nonzero(scores >= max_score - tolerance)
-        if len(tied_features) == 1:
-            best_feature = int(tied_features[0])
-            best_position = int(tied_positions[0]) + window_lo
-        else:
-            positions = tied_positions + window_lo
-            midpoints = (
-                sorted_values[tied_features, positions]
-                + sorted_values[tied_features, positions + 1]
-            ) / 2.0
-            left_masks = submatrix[tied_features] <= midpoints[:, None]
-            best_feature = best_position = -1
-            best_gain = _MIN_GAIN
-            subset_sse: dict = {}
-
-            def masked_sse(mask: np.ndarray) -> float:
-                key = mask.tobytes()
-                cached = subset_sse.get(key)
-                if cached is None:
-                    subset = node_targets[mask]
-                    count = subset.size
-                    offsets = subset - subset.sum() / count
-                    cached = float((offsets * offsets).sum() / count) * count
-                    subset_sse[key] = cached
-                return cached
-
-            for cell, feature_index in enumerate(tied_features):
-                left_mask = left_masks[cell]
-                gain = (parent_sse - masked_sse(left_mask)) - masked_sse(~left_mask)
-                if gain > best_gain:
-                    best_gain = gain
-                    best_feature = int(feature_index)
-                    best_position = int(positions[cell])
-            if best_feature < 0:
-                return None
+        best_position = best_window + window_lo
         threshold = float(
             (
                 sorted_values[best_feature, best_position]
@@ -334,15 +230,14 @@ class DecisionTreeRegressor:
             )
             / 2.0
         )
-        # Partition with the original row order preserved (like the
-        # reference's boolean-mask recursion) so child statistics see the
-        # samples in the same order.
-        left_mask = submatrix[best_feature] <= threshold
+        # The sorted order already encodes the partition: rows [0, i]
+        # of the winning feature's sort go left.
+        sorted_rows = rows[order[best_feature]]
         return (
             int(candidates[best_feature]),
             threshold,
-            rows[left_mask],
-            rows[~left_mask],
+            sorted_rows[: best_position + 1],
+            sorted_rows[best_position + 1 :],
         )
 
     # ------------------------------------------------------------------ #
@@ -403,7 +298,6 @@ class RandomForestRegressor:
         feature_fraction: float = 0.7,
         seed: Optional[int] = None,
         rng: Optional[np.random.Generator] = None,
-        reference_parity: bool = False,
     ):
         if num_trees < 1:
             raise OptimizationError("the forest needs at least one tree")
@@ -414,7 +308,6 @@ class RandomForestRegressor:
         self._min_samples_split = int(min_samples_split)
         self._min_samples_leaf = int(min_samples_leaf)
         self._feature_fraction = float(feature_fraction)
-        self._reference_parity = bool(reference_parity)
         # An injected generator takes precedence over ``seed`` so callers can
         # derive forests from a single owned RNG stream (the Bayesian
         # optimizer does this per refit for decorrelated, reproducible fits).
@@ -451,7 +344,6 @@ class RandomForestRegressor:
                 min_samples_leaf=self._min_samples_leaf,
                 max_features=max_features,
                 rng=self._rng,
-                reference_parity=self._reference_parity,
             )
             tree.fit(features[indices], targets[indices])
             self._trees.append(tree)

@@ -38,6 +38,7 @@ from repro.core.campaign import (
     run_campaign,
 )
 from repro.core.evalcache import (
+    EvaluationCache,
     EvaluationCacheBackend,
     SqliteEvaluationCache,
     open_cache,
@@ -46,13 +47,11 @@ from repro.core.objective import CliffordObjective
 from repro.core.orchestrator import (
     AttemptFailure,
     CachedObjective,
-    EvaluationCache,
     MultiSeedResult,
     RestartFailure,
     SearchOrchestrator,
     SeedTrace,
     ansatz_fingerprint,
-    hamiltonian_fingerprint,
     objective_fingerprint,
     restart_seed,
 )
@@ -66,7 +65,6 @@ from repro.core.search import (
     CafqaResult,
     CafqaSearch,
     SearchLoopOptions,
-    run_cafqa,
 )
 from repro.core.tgates import (
     CliffordTObjective,
@@ -76,6 +74,7 @@ from repro.core.tgates import (
     indices_to_pi4_angles,
 )
 from repro.core.vqe import VQEResult, VQERunner
+from repro.operators.fingerprints import hamiltonian_fingerprint
 
 __all__ = [
     "ParticleConstraint",
@@ -102,7 +101,6 @@ __all__ = [
     "CliffordObjective",
     "CafqaSearch",
     "CafqaResult",
-    "run_cafqa",
     "SearchOrchestrator",
     "MultiSeedResult",
     "SeedTrace",

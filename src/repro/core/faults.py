@@ -160,6 +160,24 @@ FAULT_DIR_ENV = "REPRO_FAULT_DIR"
 _FAULT_MODES = ("crash", "hang", "raise", "corrupt")
 
 
+def _claim_firing(marker: Path, times: int, note: str) -> bool:
+    """Record one firing in ``marker`` unless it already holds ``times``.
+
+    A marker file holds one line per firing, shared across attempts and
+    processes.  The line is written and the file closed before the caller
+    fires, so the record survives ``os._exit``.
+    """
+    try:
+        fired = len(marker.read_text().splitlines())
+    except OSError:
+        fired = 0
+    if fired >= int(times):
+        return False
+    with open(marker, "a") as handle:
+        handle.write(f"{note}\n")
+    return True
+
+
 @dataclass(frozen=True)
 class FaultSpec:
     """One prescribed fault: what happens to which restart, and when.
@@ -187,34 +205,45 @@ class FaultSpec:
             )
         if int(self.at) < 1:
             raise ReproError("fault 'at' must be a positive evaluation count")
+        if int(self.times) < 1:
+            raise ReproError("fault 'times' must be a positive firing count")
 
 
-def load_fault_plan(environ: Optional[Dict[str, str]] = None) -> List[FaultSpec]:
-    """The fault plan in ``REPRO_FAULT_SPEC`` (a JSON list of fault objects).
+def _load_plan(
+    env_var: str, spec_type: type, environ: Optional[Dict[str, str]]
+) -> list:
+    """The fault plan in ``env_var`` (a JSON list of ``spec_type`` objects).
 
     An absent or empty variable means no faults; a malformed one raises — a
     chaos run with an unparsable plan must not silently run fault-free.
     """
     environ = os.environ if environ is None else environ
-    raw = environ.get(FAULT_SPEC_ENV, "").strip()
+    raw = environ.get(env_var, "").strip()
     if not raw:
         return []
     try:
         payload = json.loads(raw)
     except ValueError as error:
-        raise ReproError(f"{FAULT_SPEC_ENV} is not valid JSON: {error}") from error
+        raise ReproError(f"{env_var} is not valid JSON: {error}") from error
     if not isinstance(payload, list):
-        raise ReproError(f"{FAULT_SPEC_ENV} must be a JSON list of fault objects")
+        raise ReproError(f"{env_var} must be a JSON list of fault objects")
+    known = {spec_field.name for spec_field in fields(spec_type)}
     plan = []
     for entry in payload:
         if not isinstance(entry, dict):
-            raise ReproError(f"{FAULT_SPEC_ENV} entries must be JSON objects")
-        known = {fault_field.name for fault_field in fields(FaultSpec)}
+            raise ReproError(f"{env_var} entries must be JSON objects")
         unknown = sorted(set(entry) - known)
         if unknown:
-            raise ReproError(f"unknown fault fields: {', '.join(unknown)}")
-        plan.append(FaultSpec(**entry))
+            raise ReproError(
+                f"unknown fault fields in {env_var}: {', '.join(unknown)}"
+            )
+        plan.append(spec_type(**entry))
     return plan
+
+
+def load_fault_plan(environ: Optional[Dict[str, str]] = None) -> List[FaultSpec]:
+    """The evaluation-level fault plan in ``REPRO_FAULT_SPEC``."""
+    return _load_plan(FAULT_SPEC_ENV, FaultSpec, environ)
 
 
 def faults_for_restart(
@@ -268,32 +297,15 @@ class ServiceFaultSpec:
                 f"service fault mode must be one of {_SERVICE_FAULT_MODES}, "
                 f"got {self.mode!r}"
             )
+        if int(self.times) < 1:
+            raise ReproError("fault 'times' must be a positive firing count")
 
 
 def load_service_fault_plan(
     environ: Optional[Dict[str, str]] = None,
 ) -> List[ServiceFaultSpec]:
-    """The plan in ``REPRO_SERVICE_FAULT_SPEC`` (a JSON list of fault objects)."""
-    environ = os.environ if environ is None else environ
-    raw = environ.get(SERVICE_FAULT_ENV, "").strip()
-    if not raw:
-        return []
-    try:
-        payload = json.loads(raw)
-    except ValueError as error:
-        raise ReproError(f"{SERVICE_FAULT_ENV} is not valid JSON: {error}") from error
-    if not isinstance(payload, list):
-        raise ReproError(f"{SERVICE_FAULT_ENV} must be a JSON list of fault objects")
-    plan = []
-    for entry in payload:
-        if not isinstance(entry, dict):
-            raise ReproError(f"{SERVICE_FAULT_ENV} entries must be JSON objects")
-        known = {fault_field.name for fault_field in fields(ServiceFaultSpec)}
-        unknown = sorted(set(entry) - known)
-        if unknown:
-            raise ReproError(f"unknown service fault fields: {', '.join(unknown)}")
-        plan.append(ServiceFaultSpec(**entry))
-    return plan
+    """The service-layer fault plan in ``REPRO_SERVICE_FAULT_SPEC``."""
+    return _load_plan(SERVICE_FAULT_ENV, ServiceFaultSpec, environ)
 
 
 def maybe_fire_service_fault(
@@ -322,23 +334,12 @@ def maybe_fire_service_fault(
     for position, fault in enumerate(plan):
         if fault.event != event:
             continue
-        marker = (
-            directory / f"service_fault_{position}_{fault.event}.fired"
-            if directory is not None
-            else None
-        )
-        fired = 0
-        if marker is not None:
-            try:
-                fired = len(marker.read_text().splitlines())
-            except OSError:
-                fired = 0
-        if fired >= int(fault.times):
+        if directory is not None and not _claim_firing(
+            directory / f"service_fault_{position}_{fault.event}.fired",
+            fault.times,
+            f"{fault.mode}@pid{os.getpid()}",
+        ):
             continue
-        if marker is not None:
-            # Closed before the fault fires, so the marker survives os._exit.
-            with open(marker, "a") as handle:
-                handle.write(f"{fault.mode}@pid{os.getpid()}\n")
         if fault.mode == "crash":
             os._exit(13)
         raise InjectedFaultError(
@@ -397,22 +398,18 @@ class FaultInjectingObjective:
             / f"fault_r{self._restart_index:03d}_{fault_position}.fired"
         )
 
-    def _fired_times(self, fault_position: int) -> int:
-        if self._marker_dir is None:
-            return self._memory_fired[fault_position]
-        path = self._marker_path(fault_position)
-        try:
-            return len(path.read_text().splitlines())
-        except OSError:
-            return 0
-
-    def _record_firing(self, fault_position: int, fault: FaultSpec) -> None:
+    def _claim(self, fault_position: int, fault: FaultSpec) -> bool:
+        """Whether the fault is still due, recording the firing if so."""
+        if self._marker_dir is not None:
+            return _claim_firing(
+                self._marker_path(fault_position),
+                fault.times,
+                f"{fault.mode}@{self._count}",
+            )
+        if self._memory_fired[fault_position] >= int(fault.times):
+            return False
         self._memory_fired[fault_position] += 1
-        if self._marker_dir is None:
-            return
-        # Closed before the fault fires, so the marker survives ``os._exit``.
-        with open(self._marker_path(fault_position), "a") as handle:
-            handle.write(f"{fault.mode}@{self._count}\n")
+        return True
 
     def _tear_own_files(self) -> None:
         """Simulate a kill mid-write: torn shard tail + half-written checkpoint."""
@@ -425,8 +422,7 @@ class FaultInjectingObjective:
         if self._checkpoint_path is not None:
             self._checkpoint_path.write_text('{"format": 1, "status": "do')
 
-    def _fire(self, fault_position: int, fault: FaultSpec) -> None:
-        self._record_firing(fault_position, fault)
+    def _fire(self, fault: FaultSpec) -> None:
         if fault.mode == "crash":
             os._exit(13)
         if fault.mode == "corrupt":
@@ -451,10 +447,8 @@ class FaultInjectingObjective:
     def _advance(self, evaluations: int) -> None:
         self._count += int(evaluations)
         for position, fault in enumerate(self._faults):
-            if self._count >= int(fault.at) and self._fired_times(position) < int(
-                fault.times
-            ):
-                self._fire(position, fault)
+            if self._count >= int(fault.at) and self._claim(position, fault):
+                self._fire(fault)
 
     # ------------------------------------------------------------------ #
     def __call__(self, indices) -> float:

@@ -82,16 +82,12 @@ def _identical_operators(left: PauliSum, right: PauliSum) -> bool:
 class CliffordObjective:
     """Constrained stabilizer-state energy as a function of Clifford indices.
 
-    Evaluations are memoized: the Bayesian search frequently revisits
-    neighbouring points, and every evaluation is deterministic (noise-free
-    classical simulation), so caching is free accuracy-wise.  Points queried
-    through :meth:`tableau` keep their stabilizer tableau (not just the
-    scalar), so :meth:`__call__`, :meth:`energy`, and
-    :meth:`term_expectations` share one simulation per point; batch
-    evaluations cache scalars only, keeping the hot path free of per-point
-    extraction.
+    Every call simulates: the objective keeps no memo of past points.  The
+    one evaluation memo of a search lives at the
+    :class:`~repro.core.orchestrator.CachedObjective` boundary, which every
+    orchestrated restart wraps around this objective.
 
-    Batches whose pending points differ in exactly one parameter slot (the
+    Batches whose distinct points differ in exactly one parameter slot (the
     alternates :func:`~repro.core.search.coordinate_descent` asks for) are
     evaluated from two caches instead: a forward cursor holding a prefix
     state, and backward snapshots of the conjugated terms (and deflation
@@ -107,7 +103,6 @@ class CliffordObjective:
         constraint=None,
         spin_z_target: Optional[float] = None,
         penalty_weight: Optional[float] = None,
-        cache: bool = True,
     ):
         if ansatz.num_qubits != problem.num_qubits:
             raise ValueError(
@@ -143,8 +138,6 @@ class CliffordObjective:
             self._energy_evaluator = self._operator_evaluator
         else:
             self._energy_evaluator = PauliSumEvaluator(problem.hamiltonian)
-        self._cache: Optional[Dict[Point, float]] = {} if cache else None
-        self._tableaux: Optional[Dict[Point, CliffordTableau]] = {} if cache else None
         self._evaluations = 0
         # Non-Pauli penalty path: deflation targets are simulated once (on
         # this objective's own compiled program) and every evaluation then
@@ -208,7 +201,7 @@ class CliffordObjective:
 
     @property
     def num_evaluations(self) -> int:
-        """Number of distinct points evaluated (not served from a cache)."""
+        """Number of points simulated (or priced as a neighbourhood)."""
         return self._evaluations
 
     @property
@@ -256,71 +249,34 @@ class CliffordObjective:
         self._evaluations += len(keys)
         return BatchedCliffordTableau.from_program(self._program, matrix)
 
-    # Tableaux are ~KB-sized objects, so unlike the scalar cache the tableau
-    # cache is bounded: a Fig. 15-scale search visits tens of thousands of
-    # points but only ever revisits a recent window (and, at the end, the
-    # incumbent — re-simulating one evicted point is negligible).
-    _TABLEAU_CACHE_LIMIT = 1024
-
     def tableau(self, indices: Sequence[int]) -> CliffordTableau:
-        """The (cached) stabilizer tableau of the ansatz at a Clifford point."""
-        key = self._key(indices)
-        if self._tableaux is not None:
-            cached = self._tableaux.get(key)
-            if cached is not None:
-                return cached
-        tableau = self._simulate([key]).extract(0)
-        if self._tableaux is not None:
-            while len(self._tableaux) >= self._TABLEAU_CACHE_LIMIT:
-                self._tableaux.pop(next(iter(self._tableaux)))
-            self._tableaux[key] = tableau
-        return tableau
+        """The stabilizer tableau of the ansatz at a Clifford point."""
+        return self._simulate([self._key(indices)]).extract(0)
 
     def __call__(self, indices: Sequence[int]) -> float:
-        key = self._key(indices)
-        if self._cache is not None and key in self._cache:
-            return self._cache[key]
-        value = self._constrained_value(self.tableau(key))
-        if self._cache is not None:
-            self._cache[key] = value
-        return value
+        return self._constrained_value(self.tableau(indices))
 
     def evaluate_batch(self, points: Sequence[Sequence[int]]) -> np.ndarray:
         """Constrained energies of many Clifford points in one batched simulation.
 
-        Returns values in the order of ``points``; duplicates and previously
-        cached points cost nothing extra.  Pending points that differ in a
-        single slot are priced as a neighbourhood (see the class docstring).
-        Numerically identical to calling the objective point by point.
+        Returns values in the order of ``points``; duplicates within the batch
+        are simulated once.  Points that differ in a single slot are priced as
+        a neighbourhood (see the class docstring).  Numerically identical to
+        calling the objective point by point.
         """
         keys = [self._key(point) for point in points]
-        values: Dict[Point, float] = {}
-        if self._cache is not None:
-            for key in keys:
-                cached = self._cache.get(key)
-                if cached is not None:
-                    values[key] = cached
-        pending = [key for key in dict.fromkeys(keys) if key not in values]
-        # Points whose tableau is already cached (e.g. via .energy()) reuse it.
-        if self._tableaux is not None and pending:
-            ready = [key for key in pending if key in self._tableaux]
-            for key in ready:
-                values[key] = self._constrained_value(self._tableaux[key])
-            pending = [key for key in pending if key not in self._tableaux]
-        if pending:
-            slot = self._varying_slot(pending)
-            if slot is None:
-                batched = self._simulate(pending)
-                energies = self._operator_evaluator.expectation_batch(batched)
-                if self._deflation_targets is not None:
-                    energies = energies + self._deflation_penalties(batched)
-            else:
-                energies = self._neighbourhood_values(pending, slot)
-            for position, key in enumerate(pending):
-                values[key] = float(energies[position])
-        if self._cache is not None:
-            for key in dict.fromkeys(keys):
-                self._cache.setdefault(key, values[key])
+        distinct = list(dict.fromkeys(keys))
+        if not distinct:
+            return np.zeros(0, dtype=float)
+        slot = self._varying_slot(distinct)
+        if slot is None:
+            batched = self._simulate(distinct)
+            energies = self._operator_evaluator.expectation_batch(batched)
+            if self._deflation_targets is not None:
+                energies = energies + self._deflation_penalties(batched)
+        else:
+            energies = self._neighbourhood_values(distinct, slot)
+        values = {key: float(value) for key, value in zip(distinct, energies)}
         return np.array([values[key] for key in keys], dtype=float)
 
     # ------------------------------------------------------------------ #

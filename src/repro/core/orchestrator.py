@@ -4,7 +4,8 @@ The paper's accuracy numbers come from best-of-many-restart searches: each
 restart explores the Clifford space from a different random warm-up, and the
 best incumbent across restarts is reported.  :class:`SearchOrchestrator`
 shards those restarts across worker processes, deduplicates stabilizer
-evaluations through a process-safe :class:`EvaluationCache` keyed on
+evaluations through a process-safe
+:class:`~repro.core.evalcache.EvaluationCache` keyed on
 ``(objective fingerprint, Clifford index tuple)``, and merges the per-seed
 traces into a :class:`MultiSeedResult`.
 
@@ -48,13 +49,7 @@ from repro.core.faults import (
     FaultInjectingObjective,
     faults_for_restart,
 )
-from repro.core.evalcache import (
-    CacheShardWriter,
-    EvaluationCache,
-    EvaluationCacheBackend,
-    SqliteEvaluationCache,
-    open_cache,
-)
+from repro.core.evalcache import EvaluationCacheBackend, open_cache
 from repro.core.objective import CliffordObjective
 from repro.core.search import CafqaResult, CafqaSearch
 from repro.exceptions import (
@@ -67,10 +62,6 @@ from repro.exceptions import (
 from repro.io import write_json_atomic
 from repro.operators.fingerprints import hamiltonian_fingerprint
 from repro.problems.base import ProblemSpec, reference_energy_of
-
-# Backwards-compatible alias: this helper lived here (privately) before being
-# promoted to :mod:`repro.io`; older call sites and tests import this name.
-_write_json_atomic = write_json_atomic
 
 Point = Tuple[int, ...]
 
@@ -85,16 +76,9 @@ __all__ = [
     "MultiSeedResult",
     "SeedTrace",
     "RestartTask",
-    "FailurePolicy",  # re-exported; lives in repro.core.faults
     "AttemptFailure",
     "RestartFailure",
-    "EvaluationCache",  # re-exported; lives in repro.core.evalcache
-    "EvaluationCacheBackend",  # re-exported; lives in repro.core.evalcache
-    "SqliteEvaluationCache",  # re-exported; lives in repro.core.evalcache
-    "CacheShardWriter",  # re-exported; lives in repro.core.evalcache
-    "open_cache",  # re-exported; lives in repro.core.evalcache
     "CachedObjective",
-    "hamiltonian_fingerprint",  # re-exported; lives in repro.operators.fingerprints
     "ansatz_fingerprint",
     "objective_fingerprint",
     "energy_fingerprint",
@@ -149,7 +133,7 @@ def energy_fingerprint(objective: CliffordObjective) -> str:
 # cached objective (the cache backends live in repro.core.evalcache)
 # --------------------------------------------------------------------------- #
 class CachedObjective:
-    """A :class:`CliffordObjective` backed by an :class:`EvaluationCache`.
+    """A :class:`CliffordObjective` backed by an evaluation cache.
 
     Cache reads return the exact stored double (JSON round-trips floats
     bit-for-bit), so a search replayed on top of a warm cache follows the
@@ -586,13 +570,18 @@ def run_restart(task: RestartTask) -> SeedTrace:
         return finished
 
     start = time.monotonic()
+    # Every restart memoizes its evaluations here, once: in memory, plus a
+    # shard on disk when the run has a store.
     cache = open_cache(task.store_dir)
-    objective = CliffordObjective(task.problem, task.ansatz, **task.objective_options)
-    shard_path = None
-    if cache is not None:
+    if cache is None:
+        cache, writer = EvaluationCacheBackend(), None
+    else:
         writer = cache.shard_writer(f"r{task.restart_index:03d}")
-        shard_path = writer.path
-        objective = CachedObjective(objective, cache, writer)
+    objective = CachedObjective(
+        CliffordObjective(task.problem, task.ansatz, **task.objective_options),
+        cache,
+        writer,
+    )
     faults = faults_for_restart(task.restart_index)
     if faults:
         marker_dir = (
@@ -606,7 +595,7 @@ def run_restart(task: RestartTask) -> SeedTrace:
             checkpoint_path=(
                 _checkpoint_path(task) if task.checkpoint_dir is not None else None
             ),
-            shard_path=shard_path,
+            shard_path=writer.path if writer is not None else None,
         )
     search = CafqaSearch(
         task.problem,
@@ -631,13 +620,12 @@ def run_restart(task: RestartTask) -> SeedTrace:
             best_observation = observation
         if observed_count % max(1, task.checkpoint_interval) != 0:
             return
-        if cache is not None:
-            objective.flush()
+        objective.flush()
         if task.checkpoint_dir is not None:
             # Progress-only payload: resume replays from the evaluation
             # shards, so re-serializing the whole observation list here
             # would be O(n^2) dead weight over a long search.
-            _write_json_atomic(
+            write_json_atomic(
                 _checkpoint_path(task),
                 _checkpoint_payload(
                     task,
@@ -658,8 +646,7 @@ def run_restart(task: RestartTask) -> SeedTrace:
             )
             telemetry.counter("search.evaluations", result.num_iterations)
     finally:
-        if cache is not None:
-            objective.close()
+        objective.close()
         telemetry.flush()
 
     trace = SeedTrace(
@@ -672,11 +659,11 @@ def run_restart(task: RestartTask) -> SeedTrace:
         converged_iteration=result.converged_iteration,
         observations=list(result.search_result.observations),
         duration_seconds=time.monotonic() - start,
-        cache_hits=cache.hits if cache is not None else 0,
-        cache_misses=cache.misses if cache is not None else 0,
+        cache_hits=cache.hits,
+        cache_misses=cache.misses,
     )
     if task.checkpoint_dir is not None:
-        _write_json_atomic(
+        write_json_atomic(
             _checkpoint_path(task),
             _checkpoint_payload(
                 task,

@@ -10,7 +10,6 @@ search result is never worse than the Hartree–Fock baseline.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
@@ -240,10 +239,6 @@ class CafqaSearch:
             self._ansatz, reference_bits_of(self._problem)
         )
 
-    def hartree_fock_indices(self) -> List[int]:
-        """Deprecated alias for :meth:`reference_indices`."""
-        return self.reference_indices()
-
     # ------------------------------------------------------------------ #
     def run(
         self,
@@ -427,37 +422,3 @@ def coordinate_descent(
             break
     return current, current_value, observations
 
-
-def run_cafqa(
-    problem: ProblemSpec,
-    max_evaluations: int = 500,
-    seed: Optional[int] = None,
-    **search_options,
-) -> CafqaResult:
-    """Deprecated: use :func:`repro.run` with a :class:`repro.RunSpec`.
-
-    Forwards to the unified front door (a single-restart orchestrated run is
-    bit-identical to the direct ``CafqaSearch`` this wrapper used to build,
-    and additionally benefits from caching/checkpointing when configured).
-    """
-    warnings.warn(
-        "run_cafqa is deprecated; use repro.run(repro.RunSpec(problem=..., "
-        "max_evaluations=..., seed=...)) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if "objective" in search_options:
-        # An injected objective cannot ride through the orchestrator (which
-        # builds and cache-wraps its own); keep the legacy direct path.
-        search = CafqaSearch(problem, seed=seed, **search_options)
-        return search.run(max_evaluations=max_evaluations)
-    from repro.runspec import RunSpec, run
-
-    spec = RunSpec(
-        problem=problem,
-        max_evaluations=int(max_evaluations),
-        num_seeds=1,
-        seed=seed,
-        search_options=dict(search_options),
-    )
-    return run(spec).best

@@ -10,8 +10,7 @@ a fake-device noise preset).
 :func:`run` consumes a spec and always routes through
 :class:`~repro.core.orchestrator.SearchOrchestrator` — even a single-seed
 run — so evaluation caching and checkpoint/resume are never opt-in side
-paths.  The legacy entrypoints (``run_cafqa``, direct ``CafqaSearch``
-wiring in the examples, ``evaluate_molecule``) forward here.
+paths.  ``evaluate_molecule`` and the examples forward here.
 
 Reproducibility contract: a spec fully determines the search trajectory
 (same spec => bit-identical results, independent of worker count), and

@@ -5,16 +5,16 @@ recursive ``_Node`` trees, an O(n * thresholds) variance scan per candidate
 feature, and per-row Python ``predict``.  It is kept verbatim as the
 ground-truth oracle for the vectorized engine in :mod:`repro.bayesopt.forest`:
 
-* the property tests assert the vectorized trees choose the same splits and
-  produce the same predictions given the same RNG stream, and
+* ``tests/test_forest_vectorized.py`` checks that the engine's split rule
+  always finds a maximal-gain partition of the exhaustive scan in
+  :meth:`ReferenceDecisionTree._best_split`, and
 * ``benchmarks/test_perf_surrogate.py`` measures the vectorized engine's
   speedup against it (and an end-to-end search driven by it reproduces the
-  PR-2 surrogate hot path for before/after throughput numbers).
+  original surrogate hot path for before/after throughput numbers).
 
-Both engines consume their ``rng`` identically — one bootstrap
-``integers`` draw per tree plus one ``choice`` draw per internal node
-attempt, in left-first depth-first order — so a shared generator state
-yields comparable forests.  Do not "improve" this module; it is a fixture.
+It consumes its ``rng`` as one bootstrap ``integers`` draw per tree plus one
+``choice`` draw per internal node attempt, in left-first depth-first order.
+Do not "improve" this module; it is a fixture.
 """
 
 from __future__ import annotations

@@ -177,8 +177,8 @@ class TestBatchedObjectiveRegression:
         ansatz = EfficientSU2Ansatz(problem.num_qubits, reps=1)
         rng = np.random.default_rng(seed)
         points = random_clifford_points(ansatz.num_parameters, num_points, rng)
-        sequential = CliffordObjective(problem, ansatz, penalty_weight=1.0, cache=False)
-        batched = CliffordObjective(problem, ansatz, penalty_weight=1.0, cache=False)
+        sequential = CliffordObjective(problem, ansatz, penalty_weight=1.0)
+        batched = CliffordObjective(problem, ansatz, penalty_weight=1.0)
         expected = np.array([sequential(point) for point in points])
         actual = batched.evaluate_batch(points)
         assert np.array_equal(expected, actual)  # bit-for-bit, not approx
@@ -198,18 +198,6 @@ class TestBatchedObjectiveRegression:
         values = objective.evaluate_batch([point, other, point])
         assert values[0] == single and values[2] == single
         assert values[1] == objective(other)
-
-    def test_shared_tableau_across_energy_and_terms(self, h2_problem):
-        ansatz = EfficientSU2Ansatz(h2_problem.num_qubits, reps=1)
-        objective = CliffordObjective(h2_problem, ansatz, penalty_weight=1.0)
-        point = [0, 2] * (ansatz.num_parameters // 2) + [0] * (
-            ansatz.num_parameters % 2
-        )
-        objective(point)
-        simulations = objective.num_evaluations
-        objective.energy(point)
-        objective.term_expectations(point)
-        assert objective.num_evaluations == simulations  # tableau reused, not re-run
 
     def test_coordinate_descent_batched_matches_sequential(self, h2_problem):
         ansatz = EfficientSU2Ansatz(h2_problem.num_qubits, reps=1)

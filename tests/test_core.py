@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.circuits import EfficientSU2Ansatz
 from repro.core import (
     CHEMICAL_ACCURACY,
@@ -21,12 +22,17 @@ from repro.core import (
     is_chemically_accurate,
     quadratic_penalty,
     relative_accuracy,
-    run_cafqa,
 )
 from repro.core.search import coordinate_descent
 from repro.operators import PauliSum
 from repro.optim import SPSA
 from repro.statevector import Statevector
+
+
+def _run(problem, max_evaluations, seed):
+    """The best single-restart CAFQA result through the ``repro.run`` front door."""
+    spec = repro.RunSpec(problem=problem, max_evaluations=max_evaluations, seed=seed)
+    return repro.run(spec).best
 
 
 class TestMetrics:
@@ -91,7 +97,7 @@ class TestObjective:
         ansatz = EfficientSU2Ansatz(h2_problem.num_qubits, reps=1)
         objective = CliffordObjective(h2_problem, ansatz)
         search = CafqaSearch(h2_problem, ansatz=ansatz)
-        hf_point = search.hartree_fock_indices()
+        hf_point = search.reference_indices()
         assert objective.energy(hf_point) == pytest.approx(h2_problem.hf_energy, abs=1e-8)
         # The constrained objective adds no penalty at the HF point.
         assert objective(hf_point) == pytest.approx(h2_problem.hf_energy, abs=1e-8)
@@ -103,14 +109,6 @@ class TestObjective:
         for _ in range(25):
             point = tuple(rng.integers(0, 4, ansatz.num_parameters).tolist())
             assert objective.energy(point) >= h2_problem.exact_energy - 1e-9
-
-    def test_cache_counts_unique_evaluations(self, h2_problem):
-        ansatz = EfficientSU2Ansatz(h2_problem.num_qubits, reps=1)
-        objective = CliffordObjective(h2_problem, ansatz)
-        point = tuple([0] * ansatz.num_parameters)
-        objective(point)
-        objective(point)
-        assert objective.num_evaluations == 1
 
     def test_qubit_mismatch_rejected(self, h2_problem):
         with pytest.raises(ValueError):
@@ -125,7 +123,7 @@ class TestObjective:
 
 class TestCafqaSearch:
     def test_h2_stretched_recovers_correlation(self, h2_stretched_problem):
-        result = run_cafqa(h2_stretched_problem, max_evaluations=120, seed=0)
+        result = _run(h2_stretched_problem, max_evaluations=120, seed=0)
         assert result.energy <= result.hf_energy + 1e-9
         assert result.exact_energy <= result.energy + 1e-9
         recovered = correlation_energy_recovered(
@@ -134,11 +132,11 @@ class TestCafqaSearch:
         assert recovered > 80.0
 
     def test_never_worse_than_hartree_fock(self, lih_problem):
-        result = run_cafqa(lih_problem, max_evaluations=60, seed=1)
+        result = _run(lih_problem, max_evaluations=60, seed=1)
         assert result.energy <= result.hf_energy + 1e-9
 
     def test_circuit_is_clifford(self, h2_problem):
-        result = run_cafqa(h2_problem, max_evaluations=40, seed=2)
+        result = _run(h2_problem, max_evaluations=40, seed=2)
         assert result.circuit.is_clifford()
 
     def test_search_respects_budget_plus_refinement(self, h2_problem):

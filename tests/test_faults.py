@@ -17,13 +17,15 @@ from repro.core import SearchOrchestrator
 from repro.core.faults import (
     FAULT_DIR_ENV,
     FAULT_SPEC_ENV,
+    SERVICE_FAULT_ENV,
     FailurePolicy,
     FaultInjectingObjective,
     FaultSpec,
     faults_for_restart,
     load_fault_plan,
+    load_service_fault_plan,
 )
-from repro.core.orchestrator import EvaluationCache, _write_json_atomic
+from repro.core.evalcache import EvaluationCache
 from repro.exceptions import (
     DeterministicRestartError,
     IncompleteRunError,
@@ -35,6 +37,7 @@ from repro.exceptions import (
     WorkerCrashError,
     is_transient_failure,
 )
+from repro.io import write_json_atomic
 from repro.problems import ising_chain
 from repro.runspec import RunSpec
 
@@ -149,16 +152,37 @@ class TestFaultPlan:
         assert faults_for_restart(5, environ) == []
 
     def test_malformed_plans_raise(self):
-        with pytest.raises(ReproError, match="not valid JSON"):
-            load_fault_plan({FAULT_SPEC_ENV: "{oops"})
-        with pytest.raises(ReproError, match="JSON list"):
-            load_fault_plan({FAULT_SPEC_ENV: '{"restart": 0}'})
-        with pytest.raises(ReproError, match="unknown fault fields"):
-            load_fault_plan(
-                {FAULT_SPEC_ENV: '[{"restart": 0, "mode": "crash", "when": 3}]'}
+        """Both plan variables reject the same malformations, ``times: 0`` too."""
+        plans = [
+            (FAULT_SPEC_ENV, load_fault_plan, {"restart": 0, "mode": "crash"}),
+            (
+                SERVICE_FAULT_ENV,
+                load_service_fault_plan,
+                {"event": "post_claim", "mode": "crash"},
+            ),
+        ]
+        for env_var, load, valid in plans:
+
+            def parse(entry):
+                return load({env_var: json.dumps([entry])})
+
+            assert len(parse(valid)) == 1
+            with pytest.raises(ReproError, match="not valid JSON"):
+                load({env_var: "{oops"})
+            with pytest.raises(ReproError, match="JSON list"):
+                load({env_var: json.dumps(valid)})
+            with pytest.raises(ReproError, match="entries must be JSON objects"):
+                load({env_var: "[1]"})
+            with pytest.raises(ReproError, match="unknown fault fields"):
+                parse({**valid, "when": 3})
+            with pytest.raises(ReproError, match="mode"):
+                parse({**valid, "mode": "explode"})
+            with pytest.raises(ReproError, match="'times'"):
+                parse({**valid, "times": 0})
+        with pytest.raises(ReproError, match="event"):
+            load_service_fault_plan(
+                {SERVICE_FAULT_ENV: '[{"event": "mid_lease", "mode": "crash"}]'}
             )
-        with pytest.raises(ReproError, match="mode"):
-            FaultSpec(restart=0, mode="explode")
         with pytest.raises(ReproError, match="'at'"):
             FaultSpec(restart=0, mode="crash", at=0)
 
@@ -219,7 +243,7 @@ class TestShardRobustness:
                 replaced.append(len(synced)), real_replace(src, dst))[1],
         )
         target = tmp_path / "checkpoint.json"
-        _write_json_atomic(target, {"format": 1, "status": "finished"})
+        write_json_atomic(target, {"format": 1, "status": "finished"})
         assert json.loads(target.read_text()) == {"format": 1, "status": "finished"}
         # the temp file was fsynced before os.replace made it visible
         assert replaced and replaced[0] >= 1

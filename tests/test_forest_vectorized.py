@@ -1,19 +1,21 @@
-"""Vectorized surrogate engine: reference-parity properties and golden traces.
+"""Vectorized surrogate engine: the split rule against its oracle, and golden traces.
 
-Two safety nets for the PR-3 forest rewrite:
+Two safety nets for the flat-array forest:
 
-* **Oracle parity** — in ``reference_parity`` mode the flat-array engine must
-  reproduce the original ``_Node``-based engine *bit for bit* (same splits,
-  same thresholds, same leaf values, same RNG stream position) when both are
-  driven from the same generator state.  The datasets mix continuous and
-   4-valued integer features because the latter are rife with duplicated and
-  mirrored partitions — exactly the ties that make split arbitration hard.
-* **Golden traces** — the production search uses the engine's fast mode,
-  whose RNG consumption differs from the reference (argsort-of-uniform
-  feature draws, vectorized space sampling), so seeded trajectories changed
-  at the PR-3 cutover.  The traces below pin the new trajectories; any
-  unintended change to sampling order, tie-breaking, or surrogate fitting
-  shows up here as a hard failure.
+* **Oracle split rule** — on random nodes, the engine's one-pass
+  ``_best_split`` must return a partition whose exact-variance gain matches
+  the best gain of the original engine's exhaustive ``np.var`` scan
+  (``tests/reference_forest.py``) up to rounding.  The nodes mix continuous
+  and 4-valued integer features with rounded targets, because those are
+  rife with duplicated, mirrored and exactly tied partitions — the cases
+  where a cumulative-sum score can only be right up to the last ulp.  With
+  every feature a candidate, a one-tree forest also predicts its bootstrap
+  sample like the oracle's, up to the rounding of each leaf mean.
+* **Golden traces** — the production search's RNG consumption
+  (argsort-of-uniform feature draws, vectorized space sampling) and tie
+  arbitration are pinned by seeded trajectories; any unintended change to
+  sampling order, tie-breaking, or surrogate fitting shows up here as a hard
+  failure.
 """
 
 from __future__ import annotations
@@ -22,24 +24,9 @@ import numpy as np
 import pytest
 
 from repro.bayesopt import BayesianOptimizer, DiscreteSpace, RandomForestRegressor
-from repro.bayesopt._reference import ReferenceDecisionTree, ReferenceRandomForest
 from repro.bayesopt.forest import DecisionTreeRegressor
 from repro.core.search import CafqaSearch
-
-
-def _flatten_reference(root):
-    """Reference tree -> flat arrays in the engine's left-first pre-order."""
-    features, thresholds, values = [], [], []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        features.append(-1 if node.feature is None else node.feature)
-        thresholds.append(node.threshold)
-        values.append(node.value)
-        if node.feature is not None:
-            stack.append(node.right)
-            stack.append(node.left)
-    return np.array(features), np.array(thresholds), np.array(values)
+from tests.reference_forest import ReferenceDecisionTree, ReferenceRandomForest
 
 
 def _random_dataset(seed: int):
@@ -54,66 +41,119 @@ def _random_dataset(seed: int):
     return features, targets
 
 
+def _exact_gain(targets: np.ndarray, left_mask: np.ndarray) -> float:
+    """The oracle's split gain: ``np.var`` of the parent minus both children."""
+    left, right = targets[left_mask], targets[~left_mask]
+    return (
+        float(np.var(targets)) * len(targets)
+        - float(np.var(left)) * len(left)
+        - float(np.var(right)) * len(right)
+    )
+
+
 class TestReferenceParity:
-    """Same RNG stream => identical trees/forests to the reference engine."""
+    """The engine against the original ``np.var`` engine in ``tests/reference_forest.py``."""
+
+    NODES_PER_SEED = 20
 
     @pytest.mark.parametrize("seed", range(12))
     def test_tree_splits_match_reference(self, seed):
+        """On random nodes the split's exact gain is the exhaustive scan's best."""
+        generator = np.random.default_rng(1000 + seed)
         features, targets = _random_dataset(seed)
-        max_features = max(1, int(0.7 * features.shape[1]))
-        min_leaf = 1 if seed % 5 == 0 else 2
-        rng_vec = np.random.default_rng(seed)
-        rng_ref = np.random.default_rng(seed)
-        vectorized = DecisionTreeRegressor(
-            max_depth=10,
-            max_features=max_features,
+        if seed % 3 == 0:
+            # Coarse targets: many candidate partitions tie exactly.
+            targets = np.round(targets)
+        num_samples, num_features = features.shape
+        min_leaf = 1 + seed % 2
+        max_features = max(1, int(0.7 * num_features))
+        # Fitting sets up the per-fit scratch arrays ``_best_split`` reads.
+        tree = DecisionTreeRegressor(
             min_samples_leaf=min_leaf,
-            rng=rng_vec,
-            reference_parity=True,
-        ).fit(features, targets)
-        reference = ReferenceDecisionTree(
-            max_depth=10,
             max_features=max_features,
-            min_samples_leaf=min_leaf,
-            rng=rng_ref,
+            rng=np.random.default_rng(seed),
         ).fit(features, targets)
+        features_t = np.ascontiguousarray(features.T)
+        checked = 0
+        while checked < self.NODES_PER_SEED:
+            size = int(generator.integers(4, num_samples + 1))
+            if generator.random() < 0.5:
+                rows = generator.integers(0, num_samples, size=size)  # bootstrap
+            else:
+                rows = np.sort(generator.choice(num_samples, size=size, replace=False))
+            node_targets = targets[rows]
+            first = float(node_targets[0])
+            if (np.abs(node_targets - first) <= 1e-8 + 1e-5 * abs(first)).all():
+                continue  # a leaf: the fit never scans it
+            candidates = generator.permutation(num_features)[:max_features]
+            checked += 1
 
-        flat_feature, flat_threshold, _, _, flat_value = vectorized.node_arrays()
-        ref_feature, ref_threshold, ref_value = _flatten_reference(reference._root)
-        assert np.array_equal(flat_feature, ref_feature)
-        assert np.array_equal(flat_threshold, ref_threshold)
-        assert np.array_equal(flat_value, ref_value)
-        # Both engines must also have consumed the RNG identically.
-        assert rng_vec.integers(0, 2**31) == rng_ref.integers(0, 2**31)
+            split = tree._best_split(features_t, rows, node_targets, candidates)
+            node_features = features[rows][:, candidates]
+            oracle = ReferenceDecisionTree(
+                min_samples_leaf=min_leaf, rng=np.random.default_rng(seed)
+            )
+            expected = oracle._best_split(node_features, node_targets)
+            assert (split is None) == (expected is None)
+            if split is None:
+                continue
 
-        queries = np.random.default_rng(seed + 99).integers(
-            0, 4, size=(64, features.shape[1])
-        ).astype(float)
-        assert np.array_equal(vectorized.predict(queries), reference.predict(queries))
+            feature, threshold, left_rows, right_rows = split
+            assert feature in candidates
+            left_mask = features[rows, feature] <= threshold
+            assert np.array_equal(np.sort(left_rows), np.sort(rows[left_mask]))
+            assert np.array_equal(np.sort(right_rows), np.sort(rows[~left_mask]))
+            assert min(len(left_rows), len(right_rows)) >= min_leaf
+
+            _, _, oracle_mask = expected
+            tolerance = 1e-10 * max(1.0, float(np.sum(node_targets**2)))
+            assert _exact_gain(node_targets, left_mask) >= (
+                _exact_gain(node_targets, oracle_mask) - tolerance
+            )
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_forest_predictions_match_reference(self, seed):
+        """Every feature a candidate: the fits partition the data identically.
+
+        With ``feature_fraction=1`` the per-node feature draws only reorder
+        the candidates, and both forests draw the same bootstrap first, so
+        a one-tree forest splits its sample exactly like the oracle (a
+        mirrored partition may pick another feature, which only moves
+        rows outside the sample).  In-sample predictions then agree up to
+        the rounding of each leaf mean, summed in a different row order.
+        """
         generator = np.random.default_rng(seed)
-        features = generator.integers(0, 4, size=(120, 10)).astype(float)
-        targets = generator.normal(size=120)
-        vectorized = RandomForestRegressor(
-            num_trees=6,
-            max_depth=8,
-            rng=np.random.default_rng(seed + 40),
-            reference_parity=True,
-        ).fit(features, targets)
+        features = generator.normal(size=(150, 8))
+        targets = generator.normal(size=150) + features[:, 0] * features[:, 1]
+        options = dict(num_trees=1, max_depth=8, feature_fraction=1.0)
+        fast = RandomForestRegressor(rng=np.random.default_rng(seed + 40), **options)
         reference = ReferenceRandomForest(
-            num_trees=6, max_depth=8, rng=np.random.default_rng(seed + 40)
-        ).fit(features, targets)
-        queries = generator.integers(0, 4, size=(50, 10)).astype(float)
-        mean_vec, std_vec = vectorized.predict_with_uncertainty(queries)
-        mean_ref, std_ref = reference.predict_with_uncertainty(queries)
-        assert np.array_equal(mean_vec, mean_ref)
-        assert np.array_equal(std_vec, std_ref)
+            rng=np.random.default_rng(seed + 40), **options
+        )
+        fast.fit(features, targets)
+        reference.fit(features, targets)
+        sample = np.random.default_rng(seed + 40).integers(0, 150, size=150)
+        queries = features[np.unique(sample)]
+        mean_fast, std_fast = fast.predict_with_uncertainty(queries)
+        mean_ref, _ = reference.predict_with_uncertainty(queries)
+        assert fast.trees[0].node_count > 15
+        assert np.allclose(mean_fast, mean_ref, rtol=1e-12, atol=1e-12)
+        assert np.all(std_fast == 0.0)
+
+    def test_zero_gain_node_is_not_split(self):
+        """Every partition leaves both child means at 0.5: no split, like the oracle."""
+        features = np.array([[0.0], [0.0], [1.0], [1.0]])
+        targets = np.array([0.0, 1.0, 0.0, 1.0])
+        tree = DecisionTreeRegressor(min_samples_leaf=1).fit(features, targets)
+        rows, candidates = np.arange(4), np.array([0])
+        oracle = ReferenceDecisionTree(min_samples_leaf=1, rng=np.random.default_rng(0))
+        assert oracle._best_split(features, targets) is None
+        assert tree._best_split(features.T.copy(), rows, targets, candidates) is None
+        assert tree.node_count == 1
 
 
 class TestFastMode:
-    """The production (fast) mode: deterministic, structurally valid trees."""
+    """The production engine: deterministic, structurally valid trees."""
 
     def test_deterministic_given_rng_state(self):
         features, targets = _random_dataset(3)

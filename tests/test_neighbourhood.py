@@ -114,8 +114,8 @@ class TestAgainstPreviousCoordinateDescent:
 # --------------------------------------------------------------------------- #
 def _assert_neighbourhoods_match(problem, dimensions, seed=0, **objective_options):
     ansatz = EfficientSU2Ansatz(problem.num_qubits, reps=1)
-    neighbourhood = CliffordObjective(problem, ansatz, cache=False, **objective_options)
-    single = CliffordObjective(problem, ansatz, cache=False, **objective_options)
+    neighbourhood = CliffordObjective(problem, ansatz, **objective_options)
+    single = CliffordObjective(problem, ansatz, **objective_options)
     rng = np.random.default_rng(seed)
     base = [int(v) for v in rng.integers(0, 4, ansatz.num_parameters)]
     for dimension in dimensions:

@@ -25,7 +25,8 @@ from repro.core import (
     objective_fingerprint,
     restart_seed,
 )
-from repro.core.orchestrator import CachedObjective, EvaluationCache
+from repro.core.evalcache import EvaluationCache
+from repro.core.orchestrator import CachedObjective
 from repro.exceptions import OptimizationError
 from repro.operators import PauliSum
 
@@ -101,7 +102,7 @@ class TestEvaluationCache:
 
     def test_cached_objective_matches_and_dedups(self, h2_far_problem, tmp_path):
         ansatz = EfficientSU2Ansatz(h2_far_problem.num_qubits, reps=1)
-        raw = CliffordObjective(h2_far_problem, ansatz, cache=False)
+        raw = CliffordObjective(h2_far_problem, ansatz)
         reference = CliffordObjective(h2_far_problem, ansatz)
         cache = EvaluationCache(tmp_path)
         cached = CachedObjective(raw, cache, cache.shard_writer("r000"))

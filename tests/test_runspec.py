@@ -5,7 +5,7 @@ run (JSON round-trip, stable options digest shared with the checkpoint
 layer), every run routes through the orchestrator (single-seed runs are
 bit-identical to a direct ``CafqaSearch``; checkpointed runs resume), the
 paper-style best-of-8-seeds H2 search reproduces the pinned PR-2/PR-3
-energy bit-for-bit, and the legacy ``run_cafqa`` shim warns and matches.
+energy bit-for-bit.
 """
 
 import json
@@ -13,7 +13,7 @@ import json
 import pytest
 
 import repro
-from repro.core import CafqaSearch, run_cafqa
+from repro.core import CafqaSearch
 from repro.core.orchestrator import _OBJECTIVE_OPTIONS, options_digest
 from repro.exceptions import ReproError
 from repro.problems import ising_chain
@@ -168,6 +168,25 @@ class TestRunFrontDoor:
         assert report.best.constrained_energy == direct.constrained_energy
         assert report.reference_energy == h2_stretched_problem.hf_energy
 
+    def test_storeless_run_memoizes_like_a_fresh_cache(
+        self, h2_stretched_problem, tmp_path
+    ):
+        """Without a store the restart still memoizes, exactly as a cold cache does."""
+        spec = RunSpec(problem="H2", max_evaluations=40, seed=3)
+        storeless = run(spec, problem=h2_stretched_problem)
+        cached = run(
+            RunSpec(problem="H2", max_evaluations=40, seed=3, cache_dir=str(tmp_path)),
+            problem=h2_stretched_problem,
+        )
+        (trace,), (cached_trace,) = storeless.result.traces, cached.result.traces
+        assert trace.cache_hits > 0
+        assert (trace.cache_hits, trace.cache_misses) == (
+            cached_trace.cache_hits,
+            cached_trace.cache_misses,
+        )
+        assert trace.observations == cached_trace.observations
+        assert storeless.energy == cached.energy
+
     def test_spec_can_carry_a_problem_instance(self):
         spec = RunSpec(problem=ising_chain(num_sites=3), max_evaluations=30, seed=0)
         report = repro.run(spec)
@@ -259,36 +278,3 @@ class TestRunFrontDoor:
         report = repro.run(spec)
         assert report.energy == PINNED_H2_8SEED_ENERGY
         assert report.result.num_restarts == 8
-
-
-# --------------------------------------------------------------------------- #
-# deprecation shims
-# --------------------------------------------------------------------------- #
-class TestDeprecatedEntrypoints:
-    def test_run_cafqa_warns_and_matches_direct_search(self, h2_problem):
-        direct = CafqaSearch(h2_problem, seed=2).run(max_evaluations=40)
-        with pytest.warns(DeprecationWarning, match="repro.run"):
-            shimmed = run_cafqa(h2_problem, max_evaluations=40, seed=2)
-        assert shimmed.energy == direct.energy
-        assert shimmed.best_indices == direct.best_indices
-        assert shimmed.constrained_energy == direct.constrained_energy
-
-    def test_reference_aliases(self, h2_problem):
-        search = CafqaSearch(h2_problem, seed=0)
-        assert search.hartree_fock_indices() == search.reference_indices()
-
-    def test_run_cafqa_still_accepts_an_injected_objective(self, h2_problem):
-        from repro.circuits import EfficientSU2Ansatz
-        from repro.core import CliffordObjective
-
-        objective = CliffordObjective(
-            h2_problem, EfficientSU2Ansatz(h2_problem.num_qubits, reps=1)
-        )
-        with pytest.warns(DeprecationWarning):
-            result = run_cafqa(
-                h2_problem, max_evaluations=20, seed=0, objective=objective
-            )
-        direct = CafqaSearch(h2_problem, seed=0, objective=objective).run(
-            max_evaluations=20
-        )
-        assert result.energy == direct.energy
