@@ -57,8 +57,6 @@ from repro.core.orchestrator import (
 )
 from repro.core.pipeline import (
     MoleculeEvaluation,
-    curve_as_table,
-    dissociation_curve,
     evaluate_molecule,
 )
 from repro.core.search import (
@@ -127,8 +125,6 @@ __all__ = [
     "indices_to_pi4_angles",
     "MoleculeEvaluation",
     "evaluate_molecule",
-    "dissociation_curve",
-    "curve_as_table",
     "SweepRun",
     "SweepPointFailure",
     "SweepReport",

@@ -45,8 +45,8 @@ __all__ = [
 
 MEMO_FORMAT = 1
 
-# Summary keys surfaced in ``SweepReport.as_table`` rows (curve_as_table
-# style: one flat printable dict per point, coordinates first).
+# Summary keys surfaced in ``SweepReport.as_table`` rows (one flat printable
+# dict per point, coordinates first).
 _TABLE_SUMMARY_KEYS = (
     "problem",
     "energy",

@@ -66,9 +66,11 @@ class FailurePolicy:
     ones fail fast.  ``restart_timeout`` is a per-attempt wall-clock limit in
     seconds, enforced by the parent when restarts run in worker processes —
     a worker past its deadline is killed and the attempt counts as a
-    :class:`~repro.exceptions.RestartTimeoutError` (inline single-worker
-    runs cannot preempt a hung evaluation, so the timeout is not enforced
-    there).  ``on_incomplete`` decides the endgame once retries are
+    :class:`~repro.exceptions.RestartTimeoutError`.  It needs at least two
+    workers: a one-worker run executes its restarts in this process through
+    the same scheduler, which cannot preempt a hung evaluation there.
+    Retries, backoff and the endgame apply the same way with one worker or
+    many.  ``on_incomplete`` decides the endgame once retries are
     exhausted: ``"raise"`` (default) raises
     :class:`~repro.exceptions.IncompleteRunError`; ``"partial"`` returns the
     surviving restarts with the failures recorded on the result.

@@ -26,7 +26,12 @@ import json
 import math
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    BrokenExecutor,
+    Future,
+    ProcessPoolExecutor,
+)
 from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -555,7 +560,7 @@ def _checkpoint_payload(task: RestartTask, status: str, **extra) -> dict:
 
 
 def run_restart(task: RestartTask) -> SeedTrace:
-    """Run one restart to completion; the ProcessPoolExecutor entry point.
+    """Run one restart to completion; the scheduler's per-restart entry point.
 
     When ``REPRO_FAULT_SPEC`` prescribes faults for this restart index, the
     objective is wrapped in a :class:`~repro.core.faults
@@ -687,15 +692,17 @@ class SearchOrchestrator:
 
     Each restart gets its own deterministic RNG seed (see
     :func:`restart_seed`) and runs the full search — warm-up, surrogate
-    rounds, coordinate-descent refinement — in a worker process.  With
+    rounds, coordinate-descent refinement — in a worker process, or in this
+    process when there is only one worker.  With
     ``cache_dir`` (or a ``checkpoint_dir`` at :meth:`run` time) the
     stabilizer evaluations are persisted, so repeated or interrupted runs
     resume instead of recomputing.
 
     ``max_workers=None`` uses ``min(num_restarts, cpu count)``;
-    ``max_workers=1`` (or a single restart) runs inline in this process,
-    which keeps single-seed pipeline calls free of process-pool overhead and
-    bit-identical to a direct :class:`CafqaSearch` run.
+    ``max_workers=1`` (or a single restart) runs the restarts one at a time
+    in this process, which keeps single-seed pipeline calls free of
+    process-pool overhead and bit-identical to a direct :class:`CafqaSearch`
+    run.  Either way the restarts go through the same scheduler.
 
     Scheduling is fault-tolerant under the run's
     :class:`~repro.core.faults.FailurePolicy`: every restart runs in its own
@@ -824,10 +831,7 @@ class SearchOrchestrator:
             restarts=self._num_restarts,
             workers=workers,
         ):
-            if workers <= 1:
-                traces, failures = self._execute_inline(tasks, policy)
-            else:
-                traces, failures = self._execute_pool(tasks, workers, policy)
+            traces, failures = self._execute(tasks, workers, policy)
         telemetry.flush()
 
         if failures and (policy.on_incomplete == "raise" or not traces):
@@ -844,90 +848,28 @@ class SearchOrchestrator:
     # ------------------------------------------------------------------ #
     # fault-tolerant scheduling
     # ------------------------------------------------------------------ #
-    def _execute_inline(
-        self, tasks: List[RestartTask], policy: FailurePolicy
-    ) -> Tuple[List[SeedTrace], List[RestartFailure]]:
-        """Run restarts in this process with retry/fail-fast semantics.
-
-        The per-restart timeout is not enforced here — a hung evaluation
-        cannot be preempted from inside its own process; use worker
-        processes (``max_workers > 1``) for hang protection.
-        """
-        traces: List[SeedTrace] = []
-        failures: List[RestartFailure] = []
-        for task in tasks:
-            attempts = 0
-            history: List[AttemptFailure] = []
-            lost = 0.0
-            while True:
-                attempts += 1
-                started = time.monotonic()
-                try:
-                    trace = run_restart(task)
-                except Exception as error:  # noqa: BLE001 — isolation boundary
-                    elapsed = time.monotonic() - started
-                    lost += elapsed
-                    record = AttemptFailure(
-                        attempt=attempts,
-                        error_type=type(error).__name__,
-                        message=str(error)[:500],
-                        transient=is_transient_failure(error),
-                        elapsed_seconds=elapsed,
-                    )
-                    history.append(record)
-                    telemetry.event(
-                        "restart.attempt_failed",
-                        restart=task.restart_index,
-                        attempt=attempts,
-                        error=record.error_type,
-                        transient=record.transient,
-                    )
-                    if record.transient and attempts < policy.max_attempts:
-                        delay = policy.backoff_delay(
-                            self._seed, task.restart_index, attempts
-                        )
-                        telemetry.event(
-                            "restart.retry",
-                            restart=task.restart_index,
-                            attempt=attempts,
-                            backoff=delay,
-                        )
-                        if delay > 0:
-                            time.sleep(delay)
-                        continue
-                    failures.append(
-                        RestartFailure(
-                            restart_index=task.restart_index,
-                            seed=task.seed,
-                            attempts=attempts,
-                            failures=history,
-                            wall_clock_lost_seconds=lost,
-                        )
-                    )
-                    break
-                trace.attempts = attempts
-                trace.failures = history
-                trace.wall_clock_lost_seconds = lost
-                traces.append(trace)
-                break
-        return traces, failures
-
-    def _execute_pool(
+    def _execute(
         self, tasks: List[RestartTask], workers: int, policy: FailurePolicy
     ) -> Tuple[List[SeedTrace], List[RestartFailure]]:
-        """Run restarts across a process pool with exception isolation.
+        """Run restarts with exception isolation, retries and backoff.
 
         Each restart is a separate future; at most ``workers`` are in flight
         at once so the per-restart deadline measures execution, not queueing.
-        A timed-out restart is killed by terminating the pool's workers
-        (restarts cannot be cancelled individually once running); in-flight
-        siblings that die in that teardown — or in a ``BrokenProcessPool``
-        we inflicted — are resubmitted *without* being charged an attempt.
+        Restarts, first attempts and retries alike, start in order of
+        ``(ready time, restart index)``.  A timed-out restart is killed by
+        terminating the pool's workers (restarts cannot be cancelled
+        individually once running); in-flight siblings that die in that
+        teardown — or in a ``BrokenProcessPool`` we inflicted — are
+        resubmitted *without* being charged an attempt.
         A spontaneous pool break (a worker crashed on its own) cannot be
         attributed to one restart, so every in-flight restart is charged; a
         crashing restart can therefore burn siblings' retry budget, but the
         attempt bound keeps the scheduler loop finite, and retries resume
         from checkpoints so the repeated work is nearly free.
+
+        With one worker the executor runs each restart in this process inside
+        ``submit``: the future is already done when it is waited on, so
+        ``restart_timeout`` never fires and the pool rules never apply.
         """
         state: Dict[int, dict] = {
             task.restart_index: {
@@ -945,13 +887,13 @@ class SearchOrchestrator:
         timed_out: set = set()
         killed_for_timeout = False
         needs_rebuild = False
-        executor = ProcessPoolExecutor(max_workers=workers)
+        executor = _new_executor(workers)
         try:
             while ready or running:
                 now = time.monotonic()
                 if needs_rebuild and not running:
                     executor.shutdown(wait=False, cancel_futures=True)
-                    executor = ProcessPoolExecutor(max_workers=workers)
+                    executor = _new_executor(workers)
                     needs_rebuild = False
                     killed_for_timeout = False
                 if not needs_rebuild:
@@ -1132,6 +1074,34 @@ class SearchOrchestrator:
             best=best,
             failures=list(failures) if failures else [],
         )
+
+
+class _InProcessExecutor:
+    """The one-worker executor: runs each submitted call on this thread.
+
+    ``submit`` returns an already-resolved future holding the call's result
+    or the ``Exception`` it raised, so a failing restart never surfaces as a
+    broken executor; a ``BaseException`` such as ``KeyboardInterrupt``
+    propagates.
+    """
+
+    def submit(self, fn, *args) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as error:  # noqa: BLE001 — isolation boundary
+            future.set_exception(error)
+        return future
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        pass
+
+
+def _new_executor(workers: int):
+    """A process pool of ``workers``, or the in-process executor for one."""
+    if workers <= 1:
+        return _InProcessExecutor()
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 def _terminate_pool_workers(executor: ProcessPoolExecutor) -> None:

@@ -1,16 +1,16 @@
 """End-to-end CAFQA pipeline: chemistry -> Clifford search -> metrics -> (optional) VQE.
 
-This is the orchestration layer the examples and the per-figure experiment
-drivers build on.  ``evaluate_molecule`` runs the full comparison the paper's
-dissociation figures report (HF vs CAFQA vs exact at one bond length);
-``dissociation_curve`` sweeps bond lengths.
+``evaluate_molecule`` runs the full comparison the paper's dissociation
+figures report (HF vs CAFQA vs exact at one bond length) through
+:func:`repro.run`.  Whole curves are swept by
+:func:`repro.experiments.dissociation.run_dissociation_curve`.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Optional
 
 from repro.chemistry.hamiltonian import MolecularProblem
 from repro.chemistry.molecules import get_preset
@@ -18,24 +18,18 @@ from repro.core.constraints import ParticleConstraint
 from repro.core.metrics import AccuracySummary
 from repro.core.orchestrator import MultiSeedResult
 from repro.core.search import CafqaResult
-from repro.exceptions import ReproError
 
 
 @dataclass
 class MoleculeEvaluation:
-    """HF / CAFQA / exact comparison for one molecule at one bond length.
-
-    ``problem`` / ``cafqa`` / ``multi_seed`` are ``None`` when the evaluation
-    was replayed from a campaign memo record (a digest-level cache hit keeps
-    the summary numbers without re-materializing the search objects).
-    """
+    """HF / CAFQA / exact comparison for one molecule at one bond length."""
 
     molecule: str
     bond_length: float
     summary: AccuracySummary
-    problem: Optional[MolecularProblem] = field(default=None, repr=False)
-    cafqa: Optional[CafqaResult] = field(default=None, repr=False)
-    multi_seed: Optional[MultiSeedResult] = field(default=None, repr=False)
+    problem: MolecularProblem = field(repr=False)
+    cafqa: CafqaResult = field(repr=False)
+    multi_seed: MultiSeedResult = field(repr=False)
 
     @property
     def hf_energy(self) -> float:
@@ -79,9 +73,10 @@ def evaluate_molecule(
     a :class:`repro.RunSpec` and executed by :func:`repro.run`, so every
     evaluation goes through the :class:`~repro.core.orchestrator
     .SearchOrchestrator` — ``num_seeds`` independent restarts (the default
-    single restart runs inline, bit-identical to a plain ``CafqaSearch``),
-    sharded across ``max_workers`` processes, with optional evaluation
-    caching (``cache_dir``) and checkpoint/resume (``checkpoint_dir``).
+    single restart runs in this process, bit-identical to a plain
+    ``CafqaSearch``), sharded across ``max_workers`` processes, with optional
+    evaluation caching (``cache_dir``) and checkpoint/resume
+    (``checkpoint_dir``).
     """
     from repro.runspec import RunSpec, run
 
@@ -125,122 +120,3 @@ def evaluate_molecule(
         summary=summary,
         multi_seed=multi,
     )
-
-
-def dissociation_curve(
-    molecule: str,
-    bond_lengths: Sequence[float],
-    max_evaluations: int = 300,
-    seed: Optional[int] = None,
-    compute_exact: bool = True,
-    num_seeds: int = 1,
-    max_workers: Optional[int] = None,
-    cache_dir: Optional[os.PathLike] = None,
-    checkpoint_dir: Optional[os.PathLike] = None,
-    **options,
-) -> List[MoleculeEvaluation]:
-    """Sweep bond lengths and evaluate HF / CAFQA / exact at each (a paper "dissociation curve").
-
-    A thin consumer of the campaign engine: the bond lengths become one
-    :class:`repro.SweepSpec` axis and execute through
-    :func:`repro.run_sweep`, so every point runs a best-of-``num_seeds``
-    orchestrated search, a shared ``cache_dir`` dedupes stabilizer
-    evaluations across points and repeated sweeps, and a ``checkpoint_dir``
-    additionally memoizes whole completed points (a resubmitted sweep
-    replays them as digest-level cache hits).  Seeds follow the historic
-    ``seed + index`` convention, so migrated sweeps are bit-identical.
-    """
-    if len(bond_lengths) == 0:
-        raise ReproError("at least one bond length is required")
-    from repro.runspec import RunSpec
-    from repro.sweepspec import SweepSpec, run_sweep
-
-    particle_sector = options.pop("particle_sector", None)
-    constraint = options.pop("constraint", None)
-    spin_z_target = options.pop("spin_z_target", None)
-    base = RunSpec(
-        problem=molecule,
-        problem_options={
-            "bond_length": float(bond_lengths[0]),
-            "compute_exact": compute_exact,
-            "particle_sector": particle_sector,
-        },
-        max_evaluations=max_evaluations,
-        num_seeds=num_seeds,
-        seed=seed,
-        max_workers=max_workers,
-        search_options={
-            "constraint": constraint,
-            "spin_z_target": spin_z_target,
-            **options,
-        },
-    )
-    sweep = SweepSpec(
-        base=base,
-        axes={"problem_options.bond_length": [float(b) for b in bond_lengths]},
-        cache_dir=os.fspath(cache_dir) if cache_dir is not None else None,
-        checkpoint_dir=os.fspath(checkpoint_dir) if checkpoint_dir is not None else None,
-        on_failure="raise",
-        name=f"dissociation:{molecule}",
-    )
-    report = run_sweep(sweep)
-
-    evaluations = []
-    for row in report.runs:
-        length = float(row.coords["problem_options.bond_length"])
-        if row.report is not None:
-            problem = row.report.problem
-            multi = row.report.result
-            cafqa = multi.best
-            summary = AccuracySummary(
-                molecule=molecule,
-                bond_length=length,
-                hf_energy=problem.hf_energy,
-                cafqa_energy=cafqa.energy,
-                exact_energy=problem.exact_energy,
-            )
-            evaluations.append(
-                MoleculeEvaluation(
-                    molecule=molecule,
-                    bond_length=length,
-                    summary=summary,
-                    problem=problem,
-                    cafqa=cafqa,
-                    multi_seed=multi,
-                )
-            )
-        else:
-            # Memoized point: rebuild the summary from the recorded numbers.
-            summary = AccuracySummary(
-                molecule=molecule,
-                bond_length=length,
-                hf_energy=float(row.summary["reference_energy"]),
-                cafqa_energy=float(row.summary["energy"]),
-                exact_energy=row.summary.get("exact_energy"),
-            )
-            evaluations.append(
-                MoleculeEvaluation(molecule=molecule, bond_length=length, summary=summary)
-            )
-    return evaluations
-
-
-def curve_as_table(evaluations: Sequence[MoleculeEvaluation]) -> List[Dict[str, object]]:
-    """Flatten evaluations into printable rows (used by benches and EXPERIMENTS.md)."""
-    rows = []
-    for evaluation in evaluations:
-        summary = evaluation.summary
-        rows.append(
-            {
-                "molecule": summary.molecule,
-                "bond_length_A": summary.bond_length,
-                "hf_energy": summary.hf_energy,
-                "cafqa_energy": summary.cafqa_energy,
-                "exact_energy": summary.exact_energy,
-                "hf_error": summary.hf_error,
-                "cafqa_error": summary.cafqa_error,
-                "correlation_recovered_pct": summary.recovered_correlation,
-                "relative_accuracy": summary.relative_accuracy,
-                "chemically_accurate": summary.chemically_accurate,
-            }
-        )
-    return rows

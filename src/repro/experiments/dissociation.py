@@ -23,6 +23,7 @@ from repro.chemistry.molecules import get_preset, make_problem
 from repro.core.campaign import SweepReport
 from repro.core.constraints import ParticleConstraint
 from repro.core.metrics import AccuracySummary
+from repro.exceptions import ReproError
 from repro.experiments.config import ExperimentScale, QUICK, spread_bond_lengths
 from repro.runspec import RunSpec
 from repro.sweepspec import SweepSpec, run_sweep
@@ -107,6 +108,8 @@ def curve_sweepspec(
     shared cache/checkpoint directories reach every series — without paying
     for the searches.
     """
+    if len(bond_lengths) == 0:
+        raise ReproError("at least one bond length is required")
     base = RunSpec(
         problem=molecule,
         problem_options={

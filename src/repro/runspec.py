@@ -384,7 +384,7 @@ def run(spec: RunSpec, problem: Optional[ProblemSpec] = None) -> RunReport:
     Every run — including single-seed ones — goes through the
     :class:`~repro.core.orchestrator.SearchOrchestrator`, so evaluation
     caching (``cache_dir``) and checkpoint/resume (``checkpoint_dir``) apply
-    uniformly; a 1-seed inline run is bit-identical to a direct
+    uniformly; a 1-seed in-process run is bit-identical to a direct
     ``CafqaSearch``.  ``problem`` overrides the spec's problem resolution
     with a prebuilt instance (used by the legacy wrappers and sweeps).
 

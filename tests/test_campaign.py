@@ -7,6 +7,7 @@ sweep with one injected failure must still return every other point with the
 failure recorded in the aggregate report.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -14,8 +15,9 @@ import numpy as np
 import pytest
 
 from repro.core.faults import FAULT_DIR_ENV, FAULT_SPEC_ENV
-from repro.core.pipeline import dissociation_curve
 from repro.exceptions import IncompleteRunError, ReproError
+from repro.experiments.config import SMOKE
+from repro.experiments.dissociation import run_dissociation_curve
 from repro.runspec import RunSpec
 from repro.sweepspec import SweepSpec, run_sweep
 
@@ -199,35 +201,36 @@ class TestReport:
 
 class TestDissociationCurveFrontDoor:
     def test_empty_numpy_bond_lengths_raise_cleanly(self):
-        # Regression: ``if not bond_lengths:`` blew up on numpy arrays with
-        # "truth value of an array ... is ambiguous" before the len() guard.
-        with pytest.raises(ReproError, match="at least one bond length"):
-            dissociation_curve("H2", np.array([]))
-        with pytest.raises(ReproError, match="at least one bond length"):
-            dissociation_curve("H2", [])
+        # Regression: an empty list or array used to reach
+        # ``float(bond_lengths[0])`` and escape as a raw IndexError.
+        for empty in ([], np.array([])):
+            with pytest.raises(ReproError, match="at least one bond length"):
+                run_dissociation_curve("H2", bond_lengths=empty)
 
     def test_numpy_linspace_input_works(self, tmp_path):
-        evaluations = dissociation_curve(
-            "H2",
-            np.linspace(2.0, 2.5, 2),
-            max_evaluations=24,
-            seed=3,
-            cache_dir=tmp_path / "cache",
-            checkpoint_dir=tmp_path / "ckpt",
-        )
-        assert [e.bond_length for e in evaluations] == BOND_LENGTHS
-        assert all(e.cafqa_energy <= e.hf_energy + 1e-9 for e in evaluations)
-        # a second call replays from the memo records: same numbers, summary-only
-        replay = dissociation_curve(
-            "H2",
-            np.linspace(2.0, 2.5, 2),
-            max_evaluations=24,
-            seed=3,
-            cache_dir=tmp_path / "cache",
-            checkpoint_dir=tmp_path / "ckpt",
-        )
-        assert [e.cafqa_energy for e in replay] == [e.cafqa_energy for e in evaluations]
-        assert all(e.cafqa is None and e.problem is None for e in replay)
+        scale = dataclasses.replace(SMOKE, name="tiny", search_evaluations_small=24)
+
+        def curve(log):
+            return run_dissociation_curve(
+                "H2",
+                scale=scale,
+                bond_lengths=np.linspace(2.0, 2.5, 2),
+                seed=3,
+                cache_dir=str(tmp_path / "cache"),
+                checkpoint_dir=str(tmp_path / "ckpt"),
+                log=log,
+            )
+
+        first = curve(log=None)
+        assert first.bond_lengths == BOND_LENGTHS
+        assert first.cafqa_never_worse_than_hf()
+        # a second call replays both points from the memo records
+        lines = []
+        replay = curve(log=lines.append)
+        assert sum("cache hit" in line for line in lines) == 2
+        assert [p.cafqa_energy for p in replay.points] == [
+            p.cafqa_energy for p in first.points
+        ]
 
 
 class TestDriverKnobForwarding:

@@ -304,7 +304,7 @@ class TestKillMidWriteRecovery:
 
 
 # --------------------------------------------------------------------------- #
-# retries, fail-fast, and partial results (inline executor)
+# retries, fail-fast, and partial results (one worker, in-process)
 # --------------------------------------------------------------------------- #
 class TestRetries:
     def _run(self, problem, monkeypatch, tmp_path, plan, policy, restarts=3):

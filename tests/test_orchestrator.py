@@ -26,9 +26,11 @@ from repro.core import (
     restart_seed,
 )
 from repro.core.evalcache import EvaluationCache
+from repro.core.faults import FAULT_DIR_ENV, FAULT_SPEC_ENV, FailurePolicy
 from repro.core.orchestrator import CachedObjective
-from repro.exceptions import OptimizationError
+from repro.exceptions import IncompleteRunError, OptimizationError
 from repro.operators import PauliSum
+from repro.problems import ising_chain
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +219,99 @@ class TestSearchOrchestrator:
             SearchOrchestrator(h2_far_problem, num_restarts=0)
         with pytest.raises(OptimizationError):
             SearchOrchestrator(h2_far_problem, num_restarts=2, max_workers=0)
+
+
+# --------------------------------------------------------------------------- #
+# one scheduler for one worker and many
+# --------------------------------------------------------------------------- #
+class TestOneScheduler:
+    @pytest.fixture(scope="class")
+    def problem(self):
+        return ising_chain(num_sites=3, transverse_field=1.0)
+
+    def test_one_worker_and_two_workers_record_the_same_faults(
+        self, problem, monkeypatch, tmp_path
+    ):
+        # Raise-mode faults leave the worker alive, so this runs the real
+        # pool: a transient fault on restart 1 (retried once) and a
+        # deterministic one on restart 2 (failed fast).
+        monkeypatch.setenv(
+            FAULT_SPEC_ENV,
+            json.dumps([
+                {"restart": 1, "mode": "raise", "at": 5, "times": 1},
+                {"restart": 2, "mode": "raise", "at": 3, "times": 99,
+                 "transient": False},
+            ]),
+        )
+        results = {}
+        for workers in (1, 2):
+            monkeypatch.setenv(FAULT_DIR_ENV, str(tmp_path / f"markers{workers}"))
+            results[workers] = SearchOrchestrator(
+                problem, num_restarts=3, max_workers=workers, seed=0,
+                failure_policy=FailurePolicy(on_incomplete="partial"),
+            ).run(max_evaluations=24)
+        one, two = results[1], results[2]
+
+        def errors(records):
+            return [(r.error_type, r.transient) for r in records]
+
+        assert [t.restart_index for t in one.traces] == [0, 1]
+        for a, b in zip(one.traces, two.traces, strict=True):
+            assert _observation_rows(a) == _observation_rows(b)
+            assert a.energy == b.energy and a.best_indices == b.best_indices
+            assert a.attempts == b.attempts
+            assert errors(a.failures) == errors(b.failures)
+        assert [t.attempts for t in one.traces] == [1, 2]
+        assert errors(one.traces[1].failures) == [("InjectedFaultError", True)]
+        assert one.failed_restart_indices == two.failed_restart_indices == [2]
+        for a, b in zip(one.failures, two.failures, strict=True):
+            assert a.attempts == b.attempts == 1
+            assert errors(a.failures) == errors(b.failures) == [
+                ("DeterministicRestartError", False)
+            ]
+
+    def test_restart_runtime_error_is_one_deterministic_failure(
+        self, problem, monkeypatch
+    ):
+        # A RuntimeError raised by a restart must not read as a broken
+        # executor (which would rebuild and resubmit it forever).
+        calls = []
+
+        def failing_restart(task):
+            # Fails the test instead of spinning if the restart is resubmitted.
+            assert not calls, "the failed restart was resubmitted"
+            calls.append(task.restart_index)
+            raise RuntimeError("bug in the objective")
+
+        monkeypatch.setattr("repro.core.orchestrator.run_restart", failing_restart)
+        with pytest.raises(IncompleteRunError) as excinfo:
+            SearchOrchestrator(
+                problem, num_restarts=1, max_workers=1, seed=0,
+                failure_policy=FailurePolicy(max_retries=2),
+            ).run(max_evaluations=8)
+        assert calls == [0]
+        (failure,) = excinfo.value.failures
+        assert failure.attempts == 1
+        (record,) = failure.failures
+        assert record.attempt == 1
+        assert record.error_type == "RuntimeError"
+        assert not record.transient
+
+    def test_keyboard_interrupt_propagates_unrecorded(self, problem, monkeypatch):
+        calls = []
+
+        def interrupted_restart(task):
+            calls.append(task.restart_index)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("repro.core.orchestrator.run_restart", interrupted_restart)
+        # Recorded as a failure, it would surface as IncompleteRunError.
+        with pytest.raises(KeyboardInterrupt):
+            SearchOrchestrator(
+                problem, num_restarts=2, max_workers=1, seed=0,
+                failure_policy=FailurePolicy(on_incomplete="partial"),
+            ).run(max_evaluations=8)
+        assert calls == [0]
 
 
 # --------------------------------------------------------------------------- #
