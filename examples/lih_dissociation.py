@@ -4,7 +4,9 @@
 Declares the bond-length sweep as one :class:`repro.SweepSpec` and executes
 it with :func:`repro.run_sweep`: every point runs a best-of-N-restarts CAFQA
 search through the fault-tolerant orchestrator, all points share one
-evaluation cache, and completed points leave digest-keyed memo records.
+evaluation cache, and completed points are stored, keyed by digest, in the
+job store of the work directory's ``checkpoints/`` (readable with
+``python -m repro.service status --data <workdir>/checkpoints``).
 Re-running the example against the same work directory replays every
 finished point as a whole-run "cache hit" instead of searching again — kill
 it mid-sweep and the resubmission picks up where it stopped.

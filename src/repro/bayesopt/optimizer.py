@@ -93,9 +93,6 @@ class BayesianOptimizer:
     seed_points:
         Points evaluated up front regardless of the random warm-up (CAFQA
         seeds the Hartree–Fock Clifford point so it can never do worse).
-    convergence_patience:
-        Stop early when the best value has not improved for this many
-        consecutive evaluations (None disables early stopping).
     seed / rng:
         ``rng`` injects the generator driving warm-up sampling, candidate
         pools, and surrogate fits; when omitted one is created from ``seed``.
@@ -111,10 +108,7 @@ class BayesianOptimizer:
         faster on batched objectives at the cost of a slightly less adaptive
         trajectory.  Each batch is additionally capped at the evaluations
         remaining until the next surrogate refit (so batching never stales
-        the model beyond ``refit_interval``; raise both together), and
-        model-guided batching is disabled when ``convergence_patience`` is
-        set, since no evaluation may run past the stopping point (seed points
-        still batch: every seed is evaluated unconditionally either way).
+        the model beyond ``refit_interval``; raise both together).
     """
 
     def __init__(
@@ -125,7 +119,6 @@ class BayesianOptimizer:
         surrogate_factory: Optional[Callable[[], RandomForestRegressor]] = None,
         acquisition: Optional[AcquisitionFunction] = None,
         seed_points: Optional[Sequence[Sequence[int]]] = None,
-        convergence_patience: Optional[int] = None,
         refit_interval: int = 1,
         proposal_batch: int = 1,
         seed: Optional[int] = None,
@@ -143,7 +136,6 @@ class BayesianOptimizer:
         self._surrogate_factory = surrogate_factory
         self._acquisition = acquisition or GreedyAcquisition()
         self._seed_points = [tuple(int(v) for v in p) for p in (seed_points or [])]
-        self._patience = convergence_patience
         self._refit_interval = max(1, int(refit_interval))
         self._proposal_batch = int(proposal_batch)
         self._rng = rng if rng is not None else np.random.default_rng(seed)
@@ -169,7 +161,6 @@ class BayesianOptimizer:
         value_buffer = np.empty(len(feature_buffer))
         best_point: Optional[Point] = None
         best_value = np.inf
-        stale = 0
         converged_iteration = 0
         # Objectives exposing ``evaluate_batch`` (e.g. CliffordObjective) get
         # whole batches of points instead of one call per point; the recorded
@@ -177,7 +168,7 @@ class BayesianOptimizer:
         batch_evaluate = getattr(objective, "evaluate_batch", None)
 
         def record(point: Point, phase: str, value: Optional[float] = None) -> None:
-            nonlocal best_point, best_value, stale, converged_iteration
+            nonlocal best_point, best_value, converged_iteration
             nonlocal feature_buffer, value_buffer
             value = float(objective(point)) if value is None else float(value)
             observation = Observation(
@@ -194,10 +185,7 @@ class BayesianOptimizer:
             if value < best_value - 1e-12:
                 best_value = value
                 best_point = point
-                stale = 0
                 converged_iteration = observation.iteration
-            else:
-                stale += 1
             if callback is not None:
                 callback(observation)
 
@@ -217,64 +205,50 @@ class BayesianOptimizer:
         for position, point in enumerate(pending_seeds):
             record(point, "seed", None if seed_values is None else seed_values[position])
 
-        # Warm-up phase: uniform random exploration.  The single acceptance
-        # rule (budget, attempts cap, dedup against everything already
-        # tracked, duplicates allowed once the space is exhausted) serves
-        # both execution modes.  When the objective is batched and no early
-        # stopping can trigger, the warm-up is drawn in whole-block vector
-        # samples and submitted as one batch; with patience set, sampling
-        # stays one draw per evaluation so no point is sampled or simulated
-        # past the stopping iteration.
+        # Warm-up phase: uniform random exploration, planned in whole-block
+        # vector samples (budget, attempts cap, dedup against everything
+        # already tracked, duplicates allowed once the space is exhausted)
+        # and then evaluated in order — as one batch when the objective is
+        # batched.  A block of k draws consumes the generator exactly like k
+        # single draws, so the planned points do not depend on the block size.
         warmup_budget = min(self._warmup, max_evaluations - len(observations))
         attempts_cap = 50 * self._warmup
         attempts = 0
-        if batch_evaluate is not None and self._patience is None:
-            planned: List[Point] = []
-            planned_keys = set(seen_keys)
-            while len(planned) < warmup_budget and attempts < attempts_cap:
-                block = self._space.sample_array(
-                    min(warmup_budget - len(planned), attempts_cap - attempts), self._rng
-                )
-                attempts += len(block)
-                for row, key in zip(block.tolist(), _row_keys(block)):
-                    if key in planned_keys and self._space.size > len(planned_keys):
-                        continue
-                    planned.append(tuple(row))
-                    planned_keys.add(key)
-                    if len(planned) >= warmup_budget:
-                        break
-            values = batch_evaluate(planned) if len(planned) > 1 else None
-            for position, candidate in enumerate(planned):
-                record(
-                    candidate, "warmup", None if values is None else values[position]
-                )
-        else:
-            while warmup_budget > 0 and attempts < attempts_cap:
-                attempts += 1
-                block = self._space.sample_array(1, self._rng)
-                key = _row_keys(block)[0]
-                if key in seen_keys and self._space.size > len(seen_keys):
+        planned: List[Point] = []
+        planned_keys = set(seen_keys)
+        while len(planned) < warmup_budget and attempts < attempts_cap:
+            block = self._space.sample_array(
+                min(warmup_budget - len(planned), attempts_cap - attempts), self._rng
+            )
+            attempts += len(block)
+            for row, key in zip(block.tolist(), _row_keys(block)):
+                if key in planned_keys and self._space.size > len(planned_keys):
                     continue
-                record(tuple(block[0].tolist()), "warmup")
-                warmup_budget -= 1
-                if self._stopped(stale):
+                planned.append(tuple(row))
+                planned_keys.add(key)
+                if len(planned) >= warmup_budget:
                     break
+        values = (
+            batch_evaluate(planned)
+            if batch_evaluate is not None and len(planned) > 1
+            else None
+        )
+        for position, candidate in enumerate(planned):
+            record(candidate, "warmup", None if values is None else values[position])
 
         # Model-guided phase: score the candidate pool once per round and
         # submit the top proposals as one batch.
         surrogate = None
         rounds_since_fit = self._refit_interval
-        while len(observations) < max_evaluations and not self._stopped(stale):
+        while len(observations) < max_evaluations:
             if rounds_since_fit >= self._refit_interval or surrogate is None:
                 surrogate = self._fit_surrogate(
                     feature_buffer[: len(observations)],
                     value_buffer[: len(observations)],
                 )
                 rounds_since_fit = 0
-            # With early stopping active, propose one point at a time so no
-            # batch is simulated past the stopping point (mirrors warm-up).
             count = min(
-                self._proposal_batch if self._patience is None else 1,
+                self._proposal_batch,
                 max_evaluations - len(observations),
                 self._refit_interval - rounds_since_fit,
             )
@@ -293,8 +267,6 @@ class BayesianOptimizer:
                     candidate, "search", None if values is None else values[position]
                 )
                 rounds_since_fit += 1
-                if len(observations) >= max_evaluations or self._stopped(stale):
-                    break
 
         if best_point is None:
             raise OptimizationError("no evaluations were performed")
@@ -307,9 +279,6 @@ class BayesianOptimizer:
         )
 
     # ------------------------------------------------------------------ #
-    def _stopped(self, stale: int) -> bool:
-        return self._patience is not None and stale >= self._patience
-
     def _fit_surrogate(
         self, features: np.ndarray, values: np.ndarray
     ) -> RandomForestRegressor:

@@ -11,10 +11,14 @@ top of that per-run substrate the campaign adds three cross-run properties:
   ``cache_dir``, so points with overlapping objectives (repeated sweeps,
   constrained re-runs of the same Hamiltonian, Clifford baselines shared
   across t-budgets) dedupe their stabilizer evaluations;
-* **digest-level memoization** — a completed run leaves a JSON record keyed
-  by :meth:`RunSpec.run_digest` under ``<checkpoint_dir>/runs/``, so an
-  already-completed point in a resubmitted (or killed-and-restarted) sweep
-  is a whole-run cache hit that never touches the orchestrator;
+* **digest-level memoization** — a completed run is stored as a ``done``
+  job keyed by :meth:`RunSpec.run_digest` in the
+  :class:`~repro.service.store.JobStore` of ``checkpoint_dir``
+  (``<checkpoint_dir>/queue.sqlite``, the service's data-directory layout),
+  so an already-completed point in a resubmitted (or killed-and-restarted)
+  sweep is a whole-run cache hit that never touches the orchestrator, and
+  ``python -m repro.service status|result --data <checkpoint_dir>`` can
+  read the sweep's points;
 * **partial-sweep semantics** — a point whose run raises
   :class:`~repro.exceptions.IncompleteRunError` (its ``FailurePolicy``
   retries exhausted) is recorded in the :class:`SweepReport` with its
@@ -26,11 +30,10 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro import telemetry
-from repro.exceptions import IncompleteRunError, ReproError
+from repro.exceptions import IncompleteRunError, JobNotFoundError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.runspec import RunReport, RunSpec
@@ -42,8 +45,6 @@ __all__ = [
     "SweepReport",
     "run_campaign",
 ]
-
-MEMO_FORMAT = 1
 
 # Summary keys surfaced in ``SweepReport.as_table`` rows (one flat printable
 # dict per point, coordinates first).
@@ -64,7 +65,7 @@ class SweepRun:
     """One completed point: its coordinates, digest, and summary payload.
 
     ``summary`` is the run's :meth:`RunReport.to_dict` payload (also what the
-    memo record stores).  ``report`` is the full in-memory
+    job store's result record holds).  ``report`` is the full in-memory
     :class:`~repro.runspec.RunReport` for freshly-executed points and ``None``
     for memoized ones — a memo hit deliberately skips problem construction
     and search entirely.
@@ -196,77 +197,6 @@ class SweepReport:
 
 
 # --------------------------------------------------------------------------- #
-# digest-level memoization of whole runs
-# --------------------------------------------------------------------------- #
-def _memo_dir(sweep: "SweepSpec") -> Optional[Path]:
-    if not sweep.memoize or sweep.checkpoint_dir is None:
-        return None
-    return Path(sweep.checkpoint_dir) / "runs"
-
-
-def _memo_path(memo_dir: Path, run_digest: str) -> Path:
-    return memo_dir / f"run_{run_digest}.json"
-
-
-def _load_memo(memo_dir: Path, run_digest: str) -> Optional[Dict[str, object]]:
-    """A completed run's summary from its memo record, or None to run it.
-
-    Anything unreadable — truncated write, garbage bytes, wrong format or
-    digest — means "not memoized": the worst case of a corrupted record is a
-    recompute, never a failed sweep.
-    """
-    path = _memo_path(memo_dir, run_digest)
-    if not path.exists():
-        return None
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-    if (
-        not isinstance(payload, dict)
-        or payload.get("format") != MEMO_FORMAT
-        or payload.get("status") != "done"
-        or payload.get("run_digest") != run_digest
-        or not isinstance(payload.get("summary"), dict)
-    ):
-        return None
-    return payload["summary"]
-
-
-def _store_memo(
-    memo_dir: Path, run_digest: str, spec: "RunSpec", summary: Dict[str, object]
-) -> None:
-    """Persist a completed run's summary record (atomically; best-effort).
-
-    Memoization is an optimization: a spec that cannot be serialized (e.g.
-    one carrying a non-JSON search option) simply leaves no record.
-    """
-    from repro.io import write_json_atomic
-
-    payload = {
-        "format": MEMO_FORMAT,
-        "status": "done",
-        "run_digest": run_digest,
-        "summary": summary,
-    }
-    try:
-        payload["spec"] = spec.to_dict()
-        json.dumps(payload)  # pre-flight: the record must round-trip
-    except (TypeError, ValueError, ReproError):
-        # Spec not serializable (instance problem / non-JSON option): store
-        # the summary without the spec echo — or nothing if even that fails.
-        payload.pop("spec", None)
-        try:
-            json.dumps(payload)
-        except (TypeError, ValueError):
-            return
-    try:
-        write_json_atomic(_memo_path(memo_dir, run_digest), payload)
-    except OSError:
-        pass
-
-
-# --------------------------------------------------------------------------- #
 # the scheduler
 # --------------------------------------------------------------------------- #
 def _emit(log: Optional[Callable[[str], None]], message: str) -> None:
@@ -290,16 +220,25 @@ def run_campaign(
     telemetry.init()
     started = time.monotonic()
     points = sweep.expand()
-    memo_dir = _memo_dir(sweep)
-    if memo_dir is not None:
-        memo_dir.mkdir(parents=True, exist_ok=True)
+    store = None
+    if sweep.memoize and sweep.checkpoint_dir is not None:
+        from repro.service import open_store
+
+        store = open_store(sweep.checkpoint_dir)
 
     runs: List[SweepRun] = []
     failures: List[SweepPointFailure] = []
-    for point in points:
-        digest = point.spec.run_digest()
-        if memo_dir is not None:
-            summary = _load_memo(memo_dir, digest)
+    try:
+        for point in points:
+            digest = point.spec.run_digest()
+            summary = None
+            if store is not None:
+                # A validated record, or None: missing, unfinished, or corrupt
+                # (which the store requeues) — the worst case is a recompute.
+                try:
+                    summary = store.result(digest)
+                except JobNotFoundError:
+                    pass
             if summary is not None:
                 telemetry.event(
                     "campaign.memo_hit", point=point.index, digest=digest
@@ -320,44 +259,47 @@ def run_campaign(
                     )
                 )
                 continue
-        point_started = time.monotonic()
-        try:
-            with telemetry.span(
-                "campaign.point", point=point.index, label=point.label
-            ):
-                report = run(point.spec)
-        except IncompleteRunError as error:
-            if sweep.on_failure == "raise":
-                raise
-            failure = _point_failure(point, digest, error)
-            failures.append(failure)
+            point_started = time.monotonic()
+            try:
+                with telemetry.span(
+                    "campaign.point", point=point.index, label=point.label
+                ):
+                    report = run(point.spec)
+            except IncompleteRunError as error:
+                if sweep.on_failure == "raise":
+                    raise
+                failure = _point_failure(point, digest, error)
+                failures.append(failure)
+                _emit(
+                    log,
+                    f"[campaign] point {point.index} ({point.label}): failed "
+                    f"({failure.error_type}) — recorded, sweep continues",
+                )
+                continue
+            elapsed = time.monotonic() - point_started
+            summary = report.to_dict()
+            if store is not None:
+                store.record(point.spec, summary)
             _emit(
                 log,
-                f"[campaign] point {point.index} ({point.label}): failed "
-                f"({failure.error_type}) — recorded, sweep continues",
+                f"[campaign] point {point.index} ({point.label}): "
+                f"E={report.energy:+.6f} in {elapsed:.1f}s",
             )
-            continue
-        elapsed = time.monotonic() - point_started
-        summary = report.to_dict()
-        if memo_dir is not None:
-            _store_memo(memo_dir, digest, point.spec, summary)
-        _emit(
-            log,
-            f"[campaign] point {point.index} ({point.label}): "
-            f"E={report.energy:+.6f} in {elapsed:.1f}s",
-        )
-        runs.append(
-            SweepRun(
-                index=point.index,
-                coords=dict(point.coords),
-                spec=point.spec,
-                run_digest=digest,
-                summary=summary,
-                memoized=False,
-                report=report,
-                duration_seconds=elapsed,
+            runs.append(
+                SweepRun(
+                    index=point.index,
+                    coords=dict(point.coords),
+                    spec=point.spec,
+                    run_digest=digest,
+                    summary=summary,
+                    memoized=False,
+                    report=report,
+                    duration_seconds=elapsed,
+                )
             )
-        )
+    finally:
+        if store is not None:
+            store.close()
     telemetry_summary = None
     recorder = telemetry.current()
     if recorder is not None:

@@ -252,11 +252,14 @@ def options_digest(options: Dict[str, object]) -> str:
     Values with a value-stable ``repr`` are rendered directly; arbitrary
     objects (e.g. acquisition instances, whose default repr embeds a memory
     address) are rendered as their type plus instance dict, so two runs
-    configured the same way digest the same.
+    configured the same way digest the same.  Numpy scalars, at any depth
+    of a plain dict/list/tuple, are rendered as the Python values they
+    hold, so ``np.float64(0.75)`` digests like ``0.75`` (and like its own
+    JSON round-trip).
     """
     digest = hashlib.sha256()
     for key in sorted(options):
-        value = options[key]
+        value = _plain(options[key])
         if isinstance(value, (int, float, str, bool, frozenset, type(None), tuple, list, dict)):
             rendered = repr(value)
         else:
@@ -264,6 +267,17 @@ def options_digest(options: Dict[str, object]) -> str:
             rendered = f"{type(value).__qualname__}({sorted(state.items())!r})"
         digest.update(f"{key}={rendered};".encode())
     return digest.hexdigest()[:16]
+
+
+def _plain(value):
+    """``value`` with numpy scalars converted to Python ones, recursively."""
+    if isinstance(value, np.generic):
+        return value.item()
+    if type(value) is dict:
+        return {key: _plain(item) for key, item in value.items()}
+    if type(value) in (list, tuple):
+        return type(value)(_plain(item) for item in value)
+    return value
 
 
 @dataclass

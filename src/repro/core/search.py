@@ -95,7 +95,6 @@ class SearchLoopOptions:
     candidate_pool_size: int = 200
     surrogate_factory: Optional[Callable] = None
     acquisition: Optional[AcquisitionFunction] = None
-    convergence_patience: Optional[int] = None
     refit_interval: int = 5
     proposal_batch: int = 1
 
@@ -122,7 +121,6 @@ class SearchLoopOptions:
             surrogate_factory=self.surrogate_factory,
             acquisition=self.acquisition,
             seed_points=list(seed_points),
-            convergence_patience=self.convergence_patience,
             refit_interval=int(self.refit_interval),
             proposal_batch=int(self.proposal_batch),
             seed=seed,
@@ -165,7 +163,6 @@ class CafqaSearch:
         candidate_pool_size: int = 200,
         surrogate_factory: Optional[Callable] = None,
         acquisition: Optional[AcquisitionFunction] = None,
-        convergence_patience: Optional[int] = None,
         seed_hartree_fock: bool = True,
         seed_point: Optional[Sequence[int]] = None,
         seed_points: Optional[Sequence[Sequence[int]]] = None,
@@ -207,7 +204,6 @@ class CafqaSearch:
             candidate_pool_size=int(candidate_pool_size),
             surrogate_factory=surrogate_factory,
             acquisition=acquisition,
-            convergence_patience=convergence_patience,
             refit_interval=int(refit_interval),
             proposal_batch=int(proposal_batch),
         )

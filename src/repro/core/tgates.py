@@ -122,13 +122,12 @@ class CliffordTSearch:
     """Bayesian search over the Clifford + <=k T-gate space.
 
     The loop kwargs (``warmup_fraction``, ``candidate_pool_size``,
-    ``convergence_patience``, ``refit_interval``, ``proposal_batch``,
-    ``seed``/``rng``) are the same names and defaults as
-    :class:`~repro.core.search.CafqaSearch` — both searches share
-    :class:`~repro.core.search.SearchLoopOptions`.  Like the Clifford
-    search, the problem's classical reference state is seeded by default
-    (``seed_reference``; even pi/4 indices, i.e. zero T gates), and
-    ``seed_point`` adds one more start — e.g. the doubled indices of a
+    ``refit_interval``, ``proposal_batch``, ``seed``/``rng``) are the same
+    names and defaults as :class:`~repro.core.search.CafqaSearch` — both
+    searches share :class:`~repro.core.search.SearchLoopOptions`.  Like
+    the Clifford search, the problem's classical reference state is seeded
+    by default (``seed_reference``; even pi/4 indices, i.e. zero T gates),
+    and ``seed_point`` adds one more start — e.g. the doubled indices of a
     finished Clifford search, the paper's Section 8 recipe.
     """
 
@@ -144,7 +143,6 @@ class CliffordTSearch:
         candidate_pool_size: int = 200,
         surrogate_factory=None,
         acquisition: Optional[AcquisitionFunction] = None,
-        convergence_patience: Optional[int] = None,
         seed_reference: bool = True,
         seed_point: Optional[Sequence[int]] = None,
         refit_interval: int = 5,
@@ -165,7 +163,6 @@ class CliffordTSearch:
             candidate_pool_size=int(candidate_pool_size),
             surrogate_factory=surrogate_factory,
             acquisition=acquisition,
-            convergence_patience=convergence_patience,
             refit_interval=int(refit_interval),
             proposal_batch=int(proposal_batch),
         )

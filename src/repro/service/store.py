@@ -469,9 +469,7 @@ class JobStore:
         completed) by someone else, and a stale result must not overwrite a
         live state.
         """
-        record = json.dumps(
-            {"format": RESULT_FORMAT, "run_digest": digest, "summary": summary}
-        )
+        record = _result_record(digest, summary)
         with self._transaction() as cursor:
             cursor.execute(
                 "UPDATE jobs SET state='done', result_json=?, lease_owner=NULL,"
@@ -485,6 +483,33 @@ class JobStore:
                     f"job {digest}; result dropped"
                 )
         telemetry.event("service.complete", digest=digest, worker=worker_id)
+
+    def record(self, spec: RunSpec, summary: Dict[str, object]) -> str:
+        """Store a run completed outside the queue as a ``done`` job.
+
+        The campaign scheduler's whole-run memo: no lease is needed and no
+        submitter is charged.  The row is upserted, so a missing job is
+        created and a queued, leased or requeued-as-corrupt one is
+        overwritten with this result.  A spec that cannot be serialized (an
+        instance-built problem) is echoed as JSON ``null``; :meth:`claim`
+        fails such a row cleanly if it is ever queued.  Returns the digest.
+        """
+        digest = spec.run_digest()
+        try:
+            spec_json = spec.to_json()
+        except (TypeError, ValueError, ReproError):
+            spec_json = "null"
+        record = _result_record(digest, summary)
+        with self._transaction() as cursor:
+            cursor.execute(
+                "INSERT INTO jobs (digest, spec_json, state, max_attempts,"
+                " result_json, enqueued_at) VALUES (?, ?, 'done', ?, ?, ?)"
+                " ON CONFLICT(digest) DO UPDATE SET state='done',"
+                "  result_json=excluded.result_json, lease_owner=NULL,"
+                "  lease_expires=NULL, lease_boot_id=NULL, error=NULL",
+                (digest, spec_json, self._max_attempts, record, float(self._clock())),
+            )
+        return digest
 
     def fail(
         self, digest: str, worker_id: str, message: str, transient: bool = True
@@ -670,6 +695,13 @@ class JobStore:
             "queue": self.queue_metrics(),
             "submitters": self.accounting(),
         }
+
+
+def _result_record(digest: str, summary: Dict[str, object]) -> str:
+    """The stored result record :meth:`JobStore._validate_result` checks."""
+    return json.dumps(
+        {"format": RESULT_FORMAT, "run_digest": digest, "summary": summary}
+    )
 
 
 class _Transaction:

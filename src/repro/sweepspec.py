@@ -69,8 +69,9 @@ class SweepSpec:
     ``cache_dir`` / ``checkpoint_dir`` are the campaign's *shared*
     directories: every expanded run uses them (overriding whatever the base
     spec carries), so adjacent points dedupe stabilizer evaluations through
-    one :class:`~repro.core.orchestrator.EvaluationCache` and completed runs
-    leave digest-keyed memo records under ``<checkpoint_dir>/runs/``.
+    one evaluation cache (:mod:`repro.core.evalcache`) and completed runs
+    are stored, keyed by digest, in the job store of ``checkpoint_dir``
+    (``<checkpoint_dir>/queue.sqlite``, see :mod:`repro.service.store`).
 
     With ``derive_seeds`` (default), each point whose seed is not itself
     swept gets ``base.seed + point_index`` — the ``seed + index`` convention

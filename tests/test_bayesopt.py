@@ -159,14 +159,6 @@ class TestBayesianOptimizer:
         result = optimizer.minimize(self._quadratic, max_evaluations=25)
         assert result.num_iterations <= 25
 
-    def test_convergence_patience_stops_early(self):
-        space = DiscreteSpace([2] * 3)
-        optimizer = BayesianOptimizer(
-            space, warmup_evaluations=4, convergence_patience=3, seed=3
-        )
-        result = optimizer.minimize(lambda point: 1.0, max_evaluations=100)
-        assert result.num_iterations < 100
-
     def test_iterations_to_reach(self):
         space = DiscreteSpace.clifford(3)
         optimizer = BayesianOptimizer(space, warmup_evaluations=10, seed=4)

@@ -9,6 +9,7 @@ failure recorded in the aggregate report.
 
 import dataclasses
 import json
+import sqlite3
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,10 @@ from repro.core.faults import FAULT_DIR_ENV, FAULT_SPEC_ENV
 from repro.exceptions import IncompleteRunError, ReproError
 from repro.experiments.config import SMOKE
 from repro.experiments.dissociation import run_dissociation_curve
+from repro.operators import PauliSum
+from repro.problems.base import HamiltonianProblem
 from repro.runspec import RunSpec
+from repro.service import open_store, queue_path, sweep_results
 from repro.sweepspec import SweepSpec, run_sweep
 
 BOND_LENGTHS = [2.0, 2.5]
@@ -114,19 +118,62 @@ class TestMemoization:
         run_sweep(sweep)
         report = run_sweep(sweep)
         assert report.num_memoized == 0
-        assert not (Path(sweep.checkpoint_dir) / "runs").exists()
+        assert not queue_path(sweep.checkpoint_dir).exists()
 
     def test_corrupt_memo_record_recomputes(self, tmp_path):
         sweep = h2_sweep(tmp_path)
         first = run_sweep(sweep)
-        memo_dir = Path(sweep.checkpoint_dir) / "runs"
-        records = sorted(memo_dir.glob("run_*.json"))
-        assert len(records) == 2
-        records[0].write_text("{ not json")
-        records[1].write_text(json.dumps({"format": 99, "status": "done"}))
+        with sqlite3.connect(queue_path(sweep.checkpoint_dir)) as connection:
+            digests = [
+                digest
+                for (digest,) in connection.execute(
+                    "SELECT digest FROM jobs WHERE state='done' ORDER BY digest"
+                )
+            ]
+            assert len(digests) == 2
+            for digest, record in zip(
+                digests, ["{ not json", json.dumps({"format": 99})]
+            ):
+                connection.execute(
+                    "UPDATE jobs SET result_json=? WHERE digest=?", (record, digest)
+                )
+        connection.close()
         report = run_sweep(sweep)
         assert report.num_memoized == 0
         assert report.energies == first.energies
+        assert run_sweep(sweep).num_memoized == 2
+
+    def test_numpy_axis_sweep_memoizes_after_json_round_trip(self, tmp_path):
+        sweep = h2_sweep(
+            tmp_path,
+            axes={"problem_options.bond_length": list(np.linspace(2.0, 2.5, 2))},
+        )
+        first = run_sweep(sweep)
+        second = run_sweep(SweepSpec.from_json(sweep.to_json()))
+        assert second.num_memoized == 2
+        assert second.energies == first.energies
+
+    def test_instance_problem_sweep_memoizes(self, tmp_path):
+        toy = HamiltonianProblem(
+            name="toy", hamiltonian=PauliSum({"ZZ": -1.0, "XI": 0.5})
+        )
+        sweep = h2_sweep(
+            tmp_path,
+            base=RunSpec(problem=toy, max_evaluations=8, seed=1),
+            axes={"seed": [1, 2]},
+        )
+        first = run_sweep(sweep)
+        second = run_sweep(sweep)
+        assert first.num_memoized == 0
+        assert second.num_memoized == 2
+        assert second.energies == first.energies
+
+    def test_service_reads_campaign_points(self, tmp_path):
+        sweep = h2_sweep(tmp_path)
+        report = run_sweep(sweep)
+        with open_store(sweep.checkpoint_dir) as store:
+            assert sweep_results(store, sweep) == [run.summary for run in report.runs]
+            assert store.counts()["done"] == 2
 
 
 class TestPartialSweeps:

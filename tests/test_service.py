@@ -365,6 +365,30 @@ class TestResults:
         assert store.result(digest) is None
         assert store.get(digest).state == "queued"
 
+    def test_recorded_run_replays_and_charges_no_one(self, store):
+        digest = store.record(ising_spec(), {"energy": -2.5})
+        assert digest == ising_spec().run_digest()
+        assert store.get(digest).state == "done"
+        assert store.accounting() == []
+        receipt = store.submit(ising_spec(), submitter="alice")
+        assert receipt.replayed and receipt.digest == digest
+        assert store.result(digest) == {"energy": -2.5}
+        (alice,) = store.accounting()
+        assert alice["replayed"] == 1 and alice["evaluations_charged"] == 0
+
+    def test_record_overwrites_a_requeued_corrupt_row(self, store):
+        digest = store.record(ising_spec(), {"energy": -2.5})
+        store._connection.execute(
+            "UPDATE jobs SET result_json='garbage {{' WHERE digest=?", (digest,)
+        )
+        assert store.result(digest) is None
+        assert store.get(digest).state == "queued"
+        store.record(ising_spec(), {"energy": -3.0})
+        record = store.get(digest)
+        assert record.state == "done" and record.error is None
+        assert store.result(digest) == {"energy": -3.0}
+        assert store.counts() == {"queued": 0, "leased": 0, "done": 1, "failed": 0}
+
     def test_valid_result_survives_revalidation(self, store):
         digest = store.submit(ising_spec()).digest
         store.claim("w1", lease_ttl=30.0)

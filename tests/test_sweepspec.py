@@ -9,6 +9,7 @@ sweep's shared directories threaded into every point, and
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ReproError
@@ -228,3 +229,29 @@ class TestRunDigest:
         spec = RunSpec(problem=problem)
         assert spec.run_digest() == RunSpec(problem=problem).run_digest()
         assert spec.run_digest() != RunSpec(problem=other).run_digest()
+
+    def test_python_native_digest_is_pinned(self):
+        # Pins the digest of native values: normalizing numpy scalars must
+        # not move it (every stored memo and job is keyed by it).
+        spec = RunSpec(problem="H2", problem_options={"bond_length": 0.75})
+        assert spec.run_digest() == "0b8f0bc40350f87f"
+        assert RunSpec.from_json(spec.to_json()).run_digest() == "0b8f0bc40350f87f"
+
+    def test_numpy_scalars_digest_like_python_values(self):
+        scalar = RunSpec(
+            problem="H2",
+            problem_options={"bond_length": np.float64(0.75)},
+            seed=np.int64(0),
+            search_options={"seed_points": [(np.int64(1), 2)]},
+        )
+        plain = RunSpec(
+            problem="H2",
+            problem_options={"bond_length": 0.75},
+            seed=0,
+            search_options={"seed_points": [(1, 2)]},
+        )
+        assert scalar.run_digest() == plain.run_digest()
+        assert scalar.options_digest() == plain.options_digest()
+        assert RunSpec(
+            problem="H2", problem_options={"bond_length": np.float64(0.75)}
+        ).run_digest() == "0b8f0bc40350f87f"
