@@ -48,7 +48,6 @@ from repro.exceptions import (
     OperatorError,
     OptimizationError,
     ReproError,
-    ResultCorruptError,
     RestartFailureError,
     RestartTimeoutError,
     ServiceError,
@@ -80,7 +79,6 @@ __all__ = [
     "BackpressureError",
     "BudgetExceededError",
     "LeaseLostError",
-    "ResultCorruptError",
     "is_transient_failure",
     "run",
     "RunSpec",

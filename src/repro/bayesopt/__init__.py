@@ -1,13 +1,5 @@
-"""Discrete Bayesian optimization: random-forest surrogate plus greedy acquisition."""
+"""Discrete Bayesian optimization: random-forest surrogate plus greedy pick."""
 
-from repro.bayesopt.acquisition import (
-    AcquisitionFunction,
-    EpsilonGreedyAcquisition,
-    ExpectedImprovement,
-    GreedyAcquisition,
-    LowerConfidenceBound,
-    make_acquisition,
-)
 from repro.bayesopt.forest import DecisionTreeRegressor, RandomForestRegressor
 from repro.bayesopt.optimizer import (
     BayesianOptimizationResult,
@@ -20,12 +12,6 @@ __all__ = [
     "DiscreteSpace",
     "DecisionTreeRegressor",
     "RandomForestRegressor",
-    "AcquisitionFunction",
-    "GreedyAcquisition",
-    "EpsilonGreedyAcquisition",
-    "ExpectedImprovement",
-    "LowerConfidenceBound",
-    "make_acquisition",
     "BayesianOptimizer",
     "BayesianOptimizationResult",
     "Observation",

@@ -2,8 +2,8 @@
 
 This mirrors the HyperMapper-style search the paper uses: a random warm-up
 phase maps the space, then each round fits the random-forest surrogate on all
-observations, scores a candidate pool with the acquisition function, and
-evaluates the best-scoring unseen candidate.
+observations, predicts a candidate pool, and greedily evaluates the unseen
+candidate with the lowest predicted value.
 """
 
 from __future__ import annotations
@@ -13,12 +13,15 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.bayesopt.acquisition import AcquisitionFunction, GreedyAcquisition
 from repro.bayesopt.forest import RandomForestRegressor
 from repro.bayesopt.space import DiscreteSpace
 from repro.exceptions import OptimizationError
 
 Point = Tuple[int, ...]
+
+# Candidate points predicted per model-guided round: half uniform samples,
+# half mutations of the incumbent.
+CANDIDATE_POOL_SIZE = 200
 
 
 def _point_key(point: Sequence[int]) -> bytes:
@@ -84,12 +87,11 @@ class BayesianOptimizer:
         Number of uniformly random evaluations before the surrogate is used
         (the paper's "first 1,000 iterations are a warm-up period", scaled to
         the problem at hand).
-    candidate_pool_size:
-        Number of candidate points scored by the acquisition per round
-        (mix of random points and mutations of the incumbent).
-    surrogate_factory / acquisition:
-        Overridable for ablation studies; defaults follow the paper (random
-        forest + greedy acquisition).
+    surrogate_factory:
+        Builds the surrogate fitted each round; the default is the paper's
+        random forest.  Each round greedily evaluates the unseen candidates
+        of a :data:`CANDIDATE_POOL_SIZE`-point pool with the lowest predicted
+        values.
     seed_points:
         Points evaluated up front regardless of the random warm-up (CAFQA
         seeds the Hartree–Fock Clifford point so it can never do worse).
@@ -103,7 +105,7 @@ class BayesianOptimizer:
     proposal_batch:
         Number of surrogate-guided candidates proposed *and evaluated as one
         batch* per round.  The default of 1 reproduces the classic
-        one-point-per-round loop exactly; larger values score the candidate
+        one-point-per-round loop exactly; larger values predict the candidate
         pool once and submit the top-k unseen points together, which is much
         faster on batched objectives at the cost of a slightly less adaptive
         trajectory.  Each batch is additionally capped at the evaluations
@@ -115,9 +117,7 @@ class BayesianOptimizer:
         self,
         space: DiscreteSpace,
         warmup_evaluations: int = 100,
-        candidate_pool_size: int = 200,
         surrogate_factory: Optional[Callable[[], RandomForestRegressor]] = None,
-        acquisition: Optional[AcquisitionFunction] = None,
         seed_points: Optional[Sequence[Sequence[int]]] = None,
         refit_interval: int = 1,
         proposal_batch: int = 1,
@@ -126,15 +126,11 @@ class BayesianOptimizer:
     ):
         if warmup_evaluations < 1:
             raise OptimizationError("need at least one warm-up evaluation")
-        if candidate_pool_size < 1:
-            raise OptimizationError("candidate pool must contain at least one point")
         if proposal_batch < 1:
             raise OptimizationError("proposal_batch must be at least one")
         self._space = space
         self._warmup = int(warmup_evaluations)
-        self._pool_size = int(candidate_pool_size)
         self._surrogate_factory = surrogate_factory
-        self._acquisition = acquisition or GreedyAcquisition()
         self._seed_points = [tuple(int(v) for v in p) for p in (seed_points or [])]
         self._refit_interval = max(1, int(refit_interval))
         self._proposal_batch = int(proposal_batch)
@@ -236,8 +232,8 @@ class BayesianOptimizer:
         for position, candidate in enumerate(planned):
             record(candidate, "warmup", None if values is None else values[position])
 
-        # Model-guided phase: score the candidate pool once per round and
-        # submit the top proposals as one batch.
+        # Model-guided phase: predict the candidate pool once per round and
+        # submit the lowest-predicted proposals as one batch.
         surrogate = None
         rounds_since_fit = self._refit_interval
         while len(observations) < max_evaluations:
@@ -252,9 +248,7 @@ class BayesianOptimizer:
                 max_evaluations - len(observations),
                 self._refit_interval - rounds_since_fit,
             )
-            candidates = self._propose_batch(
-                surrogate, best_value, seen_keys, best_point, count
-            )
+            candidates = self._propose_batch(surrogate, seen_keys, best_point, count)
             if not candidates:
                 break
             values = (
@@ -313,24 +307,24 @@ class BayesianOptimizer:
     def _propose_batch(
         self,
         surrogate: RandomForestRegressor,
-        best_value: float,
         seen_keys: set[bytes],
         best_point: Optional[Point],
         count: int,
     ) -> List[Point]:
-        """The ``count`` best-scoring unseen candidates from one scored pool.
+        """The ``count`` unseen pool candidates with the lowest predicted values.
 
-        The pool lives as one ``(pool_size, d)`` integer array from sampling
-        through scoring; points become tuples only for the returned winners.
+        The pool lives as one ``(CANDIDATE_POOL_SIZE, d)`` integer array from
+        sampling through prediction; points become tuples only for the
+        returned winners.
         """
-        half = self._pool_size // 2
+        half = CANDIDATE_POOL_SIZE // 2
         pool = self._space.sample_array(half, self._rng)
         if best_point is not None:
             pool = np.concatenate(
                 [
                     pool,
                     self._space.neighbors_array(
-                        best_point, self._rng, count=self._pool_size - half
+                        best_point, self._rng, count=CANDIDATE_POOL_SIZE - half
                     ),
                 ]
             )
@@ -351,7 +345,8 @@ class BayesianOptimizer:
                         return [tuple(row)]
             return []
         unseen = pool[unseen_rows]
-        mean, std = surrogate.predict_with_uncertainty(unseen.astype(float))
-        scores = self._acquisition.score(mean, std, best_value, self._rng)
-        order = np.argsort(scores, kind="stable")[:count]
+        # Only the mean ranks; the spread is unused, but perfbench's tracer
+        # times this method by name as ``bayesopt.predict``.
+        mean, _ = surrogate.predict_with_uncertainty(unseen.astype(float))
+        order = np.argsort(mean, kind="stable")[:count]
         return [tuple(row) for row in unseen[order].tolist()]

@@ -8,11 +8,14 @@ also be unit-tested on synthetic combinatorial problems.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import OptimizationError
+
+# Per-coordinate flip probability of a :meth:`DiscreteSpace.neighbors_array` mutant.
+MUTATION_RATE = 0.15
 
 
 class DiscreteSpace:
@@ -41,10 +44,6 @@ class DiscreteSpace:
         return len(self._cardinalities)
 
     @property
-    def cardinalities(self) -> Tuple[int, ...]:
-        return self._cardinalities
-
-    @property
     def size(self) -> int:
         """Total number of points in the space."""
         total = 1
@@ -71,21 +70,13 @@ class DiscreteSpace:
         """
         return rng.integers(0, self._cards, size=(int(count), len(self._cards)))
 
-    def sample(self, count: int, rng: np.random.Generator) -> List[Tuple[int, ...]]:
-        """Uniform random samples (with replacement) as tuples."""
-        return [tuple(row) for row in self.sample_array(count, rng).tolist()]
-
     def neighbors_array(
-        self,
-        point: Sequence[int],
-        rng: np.random.Generator,
-        count: int,
-        mutation_rate: float = 0.15,
+        self, point: Sequence[int], rng: np.random.Generator, count: int
     ) -> np.ndarray:
         """Random mutations of ``point`` as a ``(count, d)`` array.
 
         Each coordinate of each mutant flips with probability
-        ``mutation_rate`` to a uniformly random *different* value (via a
+        :data:`MUTATION_RATE` to a uniformly random *different* value (via a
         uniform non-zero offset modulo the cardinality).  A mutant with no
         flips gets one uniformly chosen coordinate flipped instead — like
         the per-point loop this replaces, that fallback draws over *all*
@@ -97,7 +88,7 @@ class DiscreteSpace:
         point = np.asarray(self.validate(point), dtype=np.int64)
         count = int(count)
         dims = len(self._cards)
-        flip = rng.random((count, dims)) < mutation_rate
+        flip = rng.random((count, dims)) < MUTATION_RATE
         flip &= self._mutable
         # A uniform offset in [1, cardinality) modulo the cardinality is a
         # uniform draw over the values different from the current one.
@@ -116,25 +107,6 @@ class DiscreteSpace:
                 self._mutable[dimensions], forced, mutated[stuck, dimensions]
             )
         return mutated
-
-    def neighbors(
-        self,
-        point: Sequence[int],
-        rng: np.random.Generator,
-        count: int,
-        mutation_rate: float = 0.15,
-    ) -> List[Tuple[int, ...]]:
-        """Random mutations of ``point`` (at least one coordinate changes)."""
-        return [
-            tuple(row)
-            for row in self.neighbors_array(point, rng, count, mutation_rate).tolist()
-        ]
-
-    def to_array(self, points) -> np.ndarray:
-        """Stack points into a float feature matrix for the surrogate model."""
-        if isinstance(points, np.ndarray):
-            return points.astype(float, copy=False)
-        return np.asarray([list(point) for point in points], dtype=float)
 
     def __repr__(self) -> str:
         if len(set(self._cardinalities)) == 1:

@@ -250,12 +250,12 @@ def options_digest(options: Dict[str, object]) -> str:
     """Stable hex digest of search-loop options for checkpoint validation.
 
     Values with a value-stable ``repr`` are rendered directly; arbitrary
-    objects (e.g. acquisition instances, whose default repr embeds a memory
-    address) are rendered as their type plus instance dict, so two runs
-    configured the same way digest the same.  Numpy scalars, at any depth
-    of a plain dict/list/tuple, are rendered as the Python values they
-    hold, so ``np.float64(0.75)`` digests like ``0.75`` (and like its own
-    JSON round-trip).
+    objects (e.g. a callable ``surrogate_factory`` instance, whose default
+    repr embeds a memory address) are rendered as their type plus instance
+    dict, so two runs configured the same way digest the same.  Numpy
+    scalars, at any depth of a plain dict/list/tuple, are rendered as the
+    Python values they hold, so ``np.float64(0.75)`` digests like ``0.75``
+    (and like its own JSON round-trip).
     """
     digest = hashlib.sha256()
     for key in sorted(options):
@@ -771,6 +771,18 @@ class SearchOrchestrator:
             problem, self._ansatz, **self._objective_options
         )
         self._objective_fp = objective_fingerprint(self._objective)
+        # Build one search here so a bad search option fails before any
+        # restart is scheduled, not inside every restart.
+        try:
+            CafqaSearch(
+                problem,
+                ansatz=self._ansatz,
+                objective=self._objective,
+                seed=seed,
+                **self._search_options,
+            )
+        except TypeError as error:
+            raise OptimizationError(f"invalid search option: {error}") from error
 
     # ------------------------------------------------------------------ #
     @property
@@ -852,8 +864,7 @@ class SearchOrchestrator:
             partial = self._merge(traces, failures) if traces else None
             detail = "; ".join(repr(failure) for failure in failures)
             raise IncompleteRunError(
-                f"{len(failures)} of {self._num_restarts} restarts failed after "
-                f"{policy.max_attempts} attempt(s) each: {detail}",
+                f"{len(failures)} of {self._num_restarts} restarts failed: {detail}",
                 failures=failures,
                 result=partial,
             )

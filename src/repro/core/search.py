@@ -3,9 +3,10 @@
 ``CafqaSearch`` wires together the pieces the paper describes in Sections 3
 and 5: a hardware-efficient ansatz whose tunable rotations are restricted to
 multiples of pi/2, exact stabilizer-simulator evaluation of the constrained
-objective, and a random-forest / greedy-acquisition Bayesian optimizer with a
-random warm-up phase.  The Hartree–Fock Clifford point is seeded so the
-search result is never worse than the Hartree–Fock baseline.
+objective, and a random-forest Bayesian optimizer that greedily evaluates the
+lowest-predicted candidates after a random warm-up phase.  The Hartree–Fock
+Clifford point is seeded so the search result is never worse than the
+Hartree–Fock baseline.
 """
 
 from __future__ import annotations
@@ -13,9 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
-import numpy as np
-
-from repro.bayesopt.acquisition import AcquisitionFunction
 from repro.bayesopt.optimizer import BayesianOptimizationResult, BayesianOptimizer, Observation
 from repro.bayesopt.space import DiscreteSpace
 from repro.circuits.ansatz import EfficientSU2Ansatz
@@ -80,22 +78,24 @@ class CafqaResult:
         )
 
 
+# Evaluations between surrogate refits in every discrete search.
+REFIT_INTERVAL = 5
+
+
 @dataclass
 class SearchLoopOptions:
     """The Bayesian-optimization loop knobs shared by every discrete search.
 
     Both :class:`CafqaSearch` (pi/2 Clifford space) and
     :class:`~repro.core.tgates.CliffordTSearch` (pi/4 Clifford+T space) run
-    the same warm-up / surrogate / greedy-acquisition loop; this dataclass is
-    the single place their kwarg names and defaults are defined, so the two
-    searches cannot drift apart again.
+    the same warm-up / surrogate / greedy-pick loop; this dataclass is the
+    single place their kwarg names and defaults are defined, so the two
+    searches cannot drift apart again.  The surrogate is refitted every
+    :data:`REFIT_INTERVAL` evaluations.
     """
 
     warmup_fraction: float = 0.5
-    candidate_pool_size: int = 200
     surrogate_factory: Optional[Callable] = None
-    acquisition: Optional[AcquisitionFunction] = None
-    refit_interval: int = 5
     proposal_batch: int = 1
 
     def __post_init__(self):
@@ -110,21 +110,17 @@ class SearchLoopOptions:
         max_evaluations: int,
         seed_points: Sequence[Sequence[int]],
         seed: Optional[int] = None,
-        rng: Optional[np.random.Generator] = None,
     ) -> BayesianOptimizer:
         """The configured optimizer for one search run (shared scaffolding)."""
         warmup = max(1, int(round(self.warmup_fraction * max_evaluations)))
         return BayesianOptimizer(
             space,
             warmup_evaluations=warmup,
-            candidate_pool_size=int(self.candidate_pool_size),
             surrogate_factory=self.surrogate_factory,
-            acquisition=self.acquisition,
             seed_points=list(seed_points),
-            refit_interval=int(self.refit_interval),
+            refit_interval=REFIT_INTERVAL,
             proposal_batch=int(self.proposal_batch),
             seed=seed,
-            rng=rng,
         )
 
 
@@ -132,8 +128,9 @@ class CafqaSearch:
     """Runs the discrete Clifford-space search for a :class:`ProblemSpec`.
 
     The search follows the paper's recipe — random warm-up, random-forest
-    surrogate, greedy acquisition — and adds an optional greedy coordinate-
-    descent refinement of the incumbent (``local_refinement``).  The paper
+    surrogate, greedy pick of the lowest-predicted candidate — and adds an
+    optional greedy coordinate-descent refinement of the incumbent
+    (``local_refinement``, ``refinement_sweeps``).  The paper
     compensates for the purely model-guided search with budgets in the
     thousands of evaluations (Fig. 15); the refinement stage reaches
     comparable Clifford points with laptop-scale budgets and is counted in
@@ -141,13 +138,17 @@ class CafqaSearch:
 
     Any problem satisfying :class:`~repro.problems.base.ProblemSpec` works —
     molecular problems, the registry's spin/graph workloads, or custom ones.
-    The search is seeded with the problem's classical reference state
+    The search is always seeded with the problem's classical reference state
     (Hartree–Fock for molecules) so the result is never worse than the
-    classical baseline; ``seed_point`` / ``seed_points`` add caller-chosen
-    warm-up starts, and ``refine_seed_points`` additionally runs the
+    classical baseline; ``seed_points`` adds caller-chosen warm-up starts,
+    and ``refine_seed_points`` additionally runs the
     coordinate-descent refinement from each of them — the knob deflated
     excited-state searches use to walk off previously found (penalized)
     optima (see :mod:`repro.core.excited`).
+
+    The loop itself takes ``warmup_fraction``, ``proposal_batch`` and
+    ``surrogate_factory`` (see :class:`SearchLoopOptions`); ``seed`` makes
+    the whole trajectory reproducible.
     """
 
     def __init__(
@@ -160,19 +161,13 @@ class CafqaSearch:
         spin_z_target: Optional[float] = None,
         penalty_weight: Optional[float] = None,
         warmup_fraction: float = 0.5,
-        candidate_pool_size: int = 200,
         surrogate_factory: Optional[Callable] = None,
-        acquisition: Optional[AcquisitionFunction] = None,
-        seed_hartree_fock: bool = True,
-        seed_point: Optional[Sequence[int]] = None,
         seed_points: Optional[Sequence[Sequence[int]]] = None,
         refine_seed_points: bool = False,
         local_refinement: bool = True,
         refinement_sweeps: int = 4,
-        refit_interval: int = 5,
         proposal_batch: int = 1,
         seed: Optional[int] = None,
-        rng: Optional[np.random.Generator] = None,
         objective: Optional[CliffordObjective] = None,
     ):
         self._problem = problem
@@ -201,15 +196,8 @@ class CafqaSearch:
         # default forest.
         self._options = SearchLoopOptions(
             warmup_fraction=float(warmup_fraction),
-            candidate_pool_size=int(candidate_pool_size),
             surrogate_factory=surrogate_factory,
-            acquisition=acquisition,
-            refit_interval=int(refit_interval),
             proposal_batch=int(proposal_batch),
-        )
-        self._seed_hf = bool(seed_hartree_fock)
-        self._seed_point = (
-            [int(v) for v in seed_point] if seed_point is not None else None
         )
         self._seed_points = [
             [int(v) for v in point] for point in (seed_points or [])
@@ -218,7 +206,6 @@ class CafqaSearch:
         self._local_refinement = bool(local_refinement)
         self._refinement_sweeps = int(refinement_sweeps)
         self._seed = seed
-        self._rng = rng
 
     # ------------------------------------------------------------------ #
     @property
@@ -252,11 +239,7 @@ class CafqaSearch:
         space = DiscreteSpace.clifford(self._ansatz.num_parameters)
         seeds = self._warmup_seeds()
         optimizer = self._options.build_optimizer(
-            space,
-            max_evaluations=max_evaluations,
-            seed_points=seeds,
-            seed=self._seed,
-            rng=self._rng,
+            space, max_evaluations=max_evaluations, seed_points=seeds, seed=self._seed
         )
         search_result = optimizer.minimize(
             self._objective, max_evaluations=max_evaluations, callback=callback
@@ -285,13 +268,7 @@ class CafqaSearch:
     # ------------------------------------------------------------------ #
     def _warmup_seeds(self) -> List[Sequence[int]]:
         """The warm-up points every restart evaluates, in deterministic order."""
-        seeds: List[Sequence[int]] = []
-        if self._seed_hf:
-            seeds.append(self.reference_indices())
-        seeds.extend(self._seed_points)
-        if self._seed_point is not None:
-            seeds.append(self._seed_point)
-        return seeds
+        return [self.reference_indices(), *self._seed_points]
 
     def _refine(
         self,

@@ -13,11 +13,10 @@ is evaluated exactly with the low-rank Clifford+T simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.bayesopt.acquisition import AcquisitionFunction
 from repro.bayesopt.optimizer import BayesianOptimizationResult
 from repro.bayesopt.space import DiscreteSpace
 from repro.circuits.ansatz import EfficientSU2Ansatz
@@ -91,26 +90,19 @@ class CliffordTObjective:
         self._operator = constrained_hamiltonian(problem, constraint=constraint)
         self._simulator = CliffordTSimulator(max_non_clifford=max(1, max_t_gates))
         self._infeasible_penalty = float(infeasible_penalty)
-        self._cache: Dict[Tuple[int, ...], float] = {}
 
     @property
     def operator(self):
         return self._operator
 
     def __call__(self, indices: Sequence[int]) -> float:
-        key = tuple(int(v) for v in indices)
-        if key in self._cache:
-            return self._cache[key]
-        num_t = count_t_gates(key)
+        num_t = count_t_gates(indices)
         if num_t > self._max_t:
             # Infeasible: too many non-Clifford gates.  Penalize proportionally
             # so the surrogate learns a gradient back toward feasibility.
-            value = self._infeasible_penalty * (1 + num_t - self._max_t)
-        else:
-            circuit = self._ansatz.bind(indices_to_pi4_angles(key))
-            value = self._simulator.expectation(circuit, self._operator)
-        self._cache[key] = value
-        return value
+            return self._infeasible_penalty * (1 + num_t - self._max_t)
+        circuit = self._ansatz.bind(indices_to_pi4_angles(indices))
+        return self._simulator.expectation(circuit, self._operator)
 
     def energy(self, indices: Sequence[int]) -> float:
         """Unconstrained Hamiltonian energy at a feasible index vector."""
@@ -121,14 +113,14 @@ class CliffordTObjective:
 class CliffordTSearch:
     """Bayesian search over the Clifford + <=k T-gate space.
 
-    The loop kwargs (``warmup_fraction``, ``candidate_pool_size``,
-    ``refit_interval``, ``proposal_batch``, ``seed``/``rng``) are the same
-    names and defaults as :class:`~repro.core.search.CafqaSearch` — both
-    searches share :class:`~repro.core.search.SearchLoopOptions`.  Like
-    the Clifford search, the problem's classical reference state is seeded
-    by default (``seed_reference``; even pi/4 indices, i.e. zero T gates),
-    and ``seed_point`` adds one more start — e.g. the doubled indices of a
-    finished Clifford search, the paper's Section 8 recipe.
+    The loop kwargs (``warmup_fraction``, ``proposal_batch``, ``seed``) are
+    the same names and defaults as :class:`~repro.core.search.CafqaSearch` —
+    both searches share :class:`~repro.core.search.SearchLoopOptions` and
+    always use the default random-forest surrogate here.  Like the Clifford
+    search, the problem's classical reference state is always seeded (even
+    pi/4 indices, i.e. zero T gates), and ``seed_point`` adds one more start
+    — e.g. the doubled indices of a finished Clifford search, the paper's
+    Section 8 recipe.
     """
 
     def __init__(
@@ -140,15 +132,9 @@ class CliffordTSearch:
         *,
         constraint=None,
         warmup_fraction: float = 0.5,
-        candidate_pool_size: int = 200,
-        surrogate_factory=None,
-        acquisition: Optional[AcquisitionFunction] = None,
-        seed_reference: bool = True,
         seed_point: Optional[Sequence[int]] = None,
-        refit_interval: int = 5,
         proposal_batch: int = 1,
         seed: Optional[int] = None,
-        rng: Optional[np.random.Generator] = None,
     ):
         self._problem = problem
         self._ansatz = ansatz if ansatz is not None else EfficientSU2Ansatz(
@@ -159,17 +145,10 @@ class CliffordTSearch:
         )
         self._max_t = int(max_t_gates)
         self._options = SearchLoopOptions(
-            warmup_fraction=float(warmup_fraction),
-            candidate_pool_size=int(candidate_pool_size),
-            surrogate_factory=surrogate_factory,
-            acquisition=acquisition,
-            refit_interval=int(refit_interval),
-            proposal_batch=int(proposal_batch),
+            warmup_fraction=float(warmup_fraction), proposal_batch=int(proposal_batch)
         )
-        self._seed_reference = bool(seed_reference)
         self._seed_point = list(seed_point) if seed_point is not None else None
         self._seed = seed
-        self._rng = rng
 
     @property
     def objective(self) -> CliffordTObjective:
@@ -184,17 +163,11 @@ class CliffordTSearch:
 
     def run(self, max_evaluations: int = 500) -> CliffordTResult:
         space = DiscreteSpace([NUM_ANGLES] * self._ansatz.num_parameters)
-        seeds = []
-        if self._seed_reference:
-            seeds.append(self.reference_indices())
+        seeds = [self.reference_indices()]
         if self._seed_point is not None:
             seeds.append(self._seed_point)
         optimizer = self._options.build_optimizer(
-            space,
-            max_evaluations=max_evaluations,
-            seed_points=seeds,
-            seed=self._seed,
-            rng=self._rng,
+            space, max_evaluations=max_evaluations, seed_points=seeds, seed=self._seed
         )
         result = optimizer.minimize(self._objective, max_evaluations=max_evaluations)
         best = list(result.best_point)

@@ -140,12 +140,6 @@ class LeaseLostError(ServiceError):
     transient = True
 
 
-class ResultCorruptError(ServiceError):
-    """A stored result record failed validation and the job was requeued."""
-
-    transient = True
-
-
 # Non-library exception types that still warrant a retry: infrastructure
 # errors (file systems, sockets, memory pressure) rather than logic errors.
 _TRANSIENT_BUILTIN_TYPES = (

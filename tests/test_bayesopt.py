@@ -9,12 +9,7 @@ from repro.bayesopt import (
     BayesianOptimizer,
     DecisionTreeRegressor,
     DiscreteSpace,
-    EpsilonGreedyAcquisition,
-    ExpectedImprovement,
-    GreedyAcquisition,
-    LowerConfidenceBound,
     RandomForestRegressor,
-    make_acquisition,
 )
 from repro.exceptions import OptimizationError
 
@@ -35,25 +30,24 @@ class TestDiscreteSpace:
     def test_sampling_stays_inside(self):
         space = DiscreteSpace([4, 3, 2, 5])
         rng = np.random.default_rng(0)
-        for point in space.sample(50, rng):
+        samples = space.sample_array(50, rng)
+        assert samples.shape == (50, 4)
+        for point in samples.tolist():
             assert space.contains(point)
 
     def test_neighbors_differ_and_stay_inside(self):
         space = DiscreteSpace.clifford(6)
         rng = np.random.default_rng(1)
         origin = (0, 1, 2, 3, 0, 1)
-        for neighbor in space.neighbors(origin, rng, count=20):
+        neighbors = space.neighbors_array(origin, rng, count=20)
+        assert neighbors.shape == (20, 6)
+        for neighbor in neighbors.tolist():
             assert space.contains(neighbor)
-            assert neighbor != origin
+            assert tuple(neighbor) != origin
 
     def test_empty_space_rejected(self):
         with pytest.raises(OptimizationError):
             DiscreteSpace([])
-
-    def test_to_array_shape(self):
-        space = DiscreteSpace([4, 4])
-        array = space.to_array([(0, 1), (2, 3)])
-        assert array.shape == (2, 2)
 
 
 class TestForest:
@@ -92,36 +86,6 @@ class TestForest:
             RandomForestRegressor(num_trees=0)
         with pytest.raises(OptimizationError):
             RandomForestRegressor(feature_fraction=0.0)
-
-
-class TestAcquisitions:
-    def test_greedy_prefers_lowest_mean(self):
-        scores = GreedyAcquisition().score(
-            np.array([1.0, -2.0, 0.5]), np.zeros(3), 0.0, np.random.default_rng(0)
-        )
-        assert int(np.argmin(scores)) == 1
-
-    def test_expected_improvement_prefers_low_mean_high_std(self):
-        acquisition = ExpectedImprovement()
-        scores = acquisition.score(
-            np.array([0.0, 0.0]), np.array([0.1, 2.0]), 0.0, np.random.default_rng(0)
-        )
-        assert scores[1] < scores[0]
-
-    def test_lcb_tradeoff(self):
-        scores = LowerConfidenceBound(kappa=2.0).score(
-            np.array([0.0, 0.5]), np.array([0.0, 1.0]), 0.0, np.random.default_rng(0)
-        )
-        assert scores[1] < scores[0]
-
-    def test_epsilon_bounds(self):
-        with pytest.raises(OptimizationError):
-            EpsilonGreedyAcquisition(epsilon=2.0)
-
-    def test_factory(self):
-        assert isinstance(make_acquisition("greedy"), GreedyAcquisition)
-        with pytest.raises(OptimizationError):
-            make_acquisition("magic")
 
 
 class TestBayesianOptimizer:

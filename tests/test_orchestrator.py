@@ -161,14 +161,6 @@ class TestRngInjection:
             second.fit(features, targets).predict(features),
         )
 
-    def test_search_with_injected_generator_matches_seed(self, h2_far_problem):
-        by_seed = CafqaSearch(h2_far_problem, seed=5).run(max_evaluations=40)
-        by_rng = CafqaSearch(h2_far_problem, rng=np.random.default_rng(5)).run(
-            max_evaluations=40
-        )
-        assert by_seed.best_indices == by_rng.best_indices
-        assert by_seed.energy == by_rng.energy
-
 
 # --------------------------------------------------------------------------- #
 # orchestrator

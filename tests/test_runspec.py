@@ -15,7 +15,7 @@ import pytest
 import repro
 from repro.core import CafqaSearch
 from repro.core.orchestrator import _OBJECTIVE_OPTIONS, options_digest
-from repro.exceptions import ReproError
+from repro.exceptions import IncompleteRunError, OptimizationError, ReproError
 from repro.problems import ising_chain
 from repro.runspec import RunSpec, run
 
@@ -263,6 +263,44 @@ class TestRunFrontDoor:
         ).run_from_reference(max_iterations=6)
         default = VQERunner(h2_problem).run_from_reference(max_iterations=6)
         assert default.history == legacy.history
+
+    @pytest.mark.parametrize(
+        "search_options",
+        [{"warmup_fraction": 1.0}, {"warmup_fractoin": 0.4}],
+        ids=["bad-value", "misspelt-name"],
+    )
+    def test_bad_search_option_fails_before_any_restart(
+        self, tmp_path, search_options
+    ):
+        spec = RunSpec(
+            problem="ising_chain",
+            problem_options={"num_sites": 3},
+            max_workers=1,
+            max_evaluations=20,
+            checkpoint_dir=str(tmp_path / "ckpt"),
+            search_options=search_options,
+        )
+        with pytest.raises(OptimizationError):
+            repro.run(spec)
+        assert not list(tmp_path.rglob("restart_*.json"))
+
+    def test_incomplete_run_reports_attempts_actually_made(self):
+        """A deterministic failure stops after one attempt; the message must
+        not claim the policy's whole retry budget was spent."""
+        spec = RunSpec(
+            problem="ising_chain",
+            problem_options={"num_sites": 3},
+            max_workers=1,
+            max_evaluations=20,
+            search_options={"proposal_batch": 0},
+        )
+        with pytest.raises(IncompleteRunError) as excinfo:
+            repro.run(spec)
+        (failure,) = excinfo.value.failures
+        assert failure.attempts == 1
+        message = str(excinfo.value)
+        assert "3 attempt" not in message
+        assert "attempts=1" in message
 
     def test_pinned_8_seed_h2_energy_reproduces(self):
         """Acceptance pin: the PR-2/PR-3 best-of-8-seeds H2 search through
