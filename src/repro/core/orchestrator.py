@@ -11,12 +11,13 @@ traces into a :class:`MultiSeedResult`.
 
 Checkpoint/resume works by replay-from-cache: every evaluated point is
 appended to an on-disk shard (one file per worker process, so concurrent
-writers never interleave), and each restart writes a JSON checkpoint after
-every BO round.  Because the search trajectory is a pure function of the
-restart seed and the observed values, re-running an interrupted restart with
-its evaluation shard loaded reproduces the identical trajectory while paying
-nothing for the already-simulated points; finished restarts are loaded
-straight from their checkpoint and not re-run at all.
+writers never interleave), flushed every ``checkpoint_interval``
+observations, and each finished restart writes a JSON checkpoint.  Because
+the search trajectory is a pure function of the restart seed and the
+observed values, re-running an interrupted restart with its evaluation shard
+loaded reproduces the identical trajectory while paying nothing for the
+already-simulated points; finished restarts are loaded straight from their
+checkpoint and not re-run at all.
 """
 
 from __future__ import annotations
@@ -549,10 +550,10 @@ def _load_finished_checkpoint(task: RestartTask) -> Optional[SeedTrace]:
         return None
 
 
-def _checkpoint_payload(task: RestartTask, status: str, **extra) -> dict:
+def _checkpoint_payload(task: RestartTask, **extra) -> dict:
     payload = {
         "format": CHECKPOINT_FORMAT,
-        "status": status,
+        "status": "done",
         "restart_index": task.restart_index,
         "seed": task.seed,
         "max_evaluations": task.max_evaluations,
@@ -624,37 +625,16 @@ def run_restart(task: RestartTask) -> SeedTrace:
         **task.search_options,
     )
 
-    # Running progress state, updated in O(1) per observation: re-scanning
-    # the observation list at every checkpoint flush would make the callback
-    # path O(n^2 / interval) over a long search.
+    # Crash resume replays the search from the evaluation shard, so the
+    # shard is flushed every ``checkpoint_interval`` observations; only a
+    # finished restart writes a checkpoint file.
     observed_count = 0
-    best_observation: Optional[Observation] = None
 
     def on_observation(observation: Observation) -> None:
-        nonlocal observed_count, best_observation
+        nonlocal observed_count
         observed_count += 1
-        # Strict comparison keeps the earliest of tied values, matching
-        # ``min(..., key=value)`` over the full history.
-        if best_observation is None or observation.value < best_observation.value:
-            best_observation = observation
-        if observed_count % max(1, task.checkpoint_interval) != 0:
-            return
-        objective.flush()
-        if task.checkpoint_dir is not None:
-            # Progress-only payload: resume replays from the evaluation
-            # shards, so re-serializing the whole observation list here
-            # would be O(n^2) dead weight over a long search.
-            write_json_atomic(
-                _checkpoint_path(task),
-                _checkpoint_payload(
-                    task,
-                    "running",
-                    evaluations_done=observed_count,
-                    phase=observation.phase,
-                    best_value_so_far=best_observation.value,
-                    best_point_so_far=[int(v) for v in best_observation.point],
-                ),
-            )
+        if observed_count % max(1, task.checkpoint_interval) == 0:
+            objective.flush()
 
     try:
         with telemetry.span(
@@ -686,7 +666,6 @@ def run_restart(task: RestartTask) -> SeedTrace:
             _checkpoint_path(task),
             _checkpoint_payload(
                 task,
-                "done",
                 best_indices=trace.best_indices,
                 energy=trace.energy,
                 constrained_energy=trace.constrained_energy,
@@ -710,7 +689,9 @@ class SearchOrchestrator:
     process when there is only one worker.  With
     ``cache_dir`` (or a ``checkpoint_dir`` at :meth:`run` time) the
     stabilizer evaluations are persisted, so repeated or interrupted runs
-    resume instead of recomputing.
+    resume instead of recomputing.  ``checkpoint_interval`` is the number of
+    observations between flushes of a restart's evaluation shard to disk:
+    an interrupted restart resumes from what was flushed.
 
     ``max_workers=None`` uses ``min(num_restarts, cpu count)``;
     ``max_workers=1`` (or a single restart) runs the restarts one at a time

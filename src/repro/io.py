@@ -1,12 +1,10 @@
 """Shared durable small-file I/O helpers.
 
-Every subsystem that persists JSON state — restart checkpoints
-(:mod:`repro.core.orchestrator`), campaign memo records
-(:mod:`repro.core.campaign`), the search service's spill files — needs the
-same property: after a crash at any instant, a reader finds either the old
+The finished-restart checkpoints of :mod:`repro.core.orchestrator` need one
+property: after a crash at any instant, a reader finds either the old
 complete payload or the new complete payload, never a torn one.
-:func:`write_json_atomic` is that primitive, promoted out of the
-orchestrator so it is no longer imported as a private helper across modules.
+:func:`write_json_atomic` is that primitive.  (Whole-run results live in the
+service's sqlite ``JobStore``, whose transactions give the same guarantee.)
 """
 
 from __future__ import annotations

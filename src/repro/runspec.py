@@ -74,7 +74,10 @@ class RunSpec:
     JSON-round-trippable).  ``vqe_timeout_seconds`` bounds the optional VQE
     stage's wall-clock; past it the stage returns its best-so-far partial
     result.  Neither knob affects the search trajectory, so they are not
-    part of :meth:`options_digest`.
+    part of :meth:`options_digest`.  Nor does ``checkpoint_interval``, the
+    evaluation-cache flush interval: each restart flushes its evaluation
+    shard every ``checkpoint_interval`` observations, which is what an
+    interrupted run resumes from.
     """
 
     problem: Union[str, ProblemSpec]

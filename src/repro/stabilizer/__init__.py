@@ -1,9 +1,9 @@
 """Polynomial-time Clifford circuit simulation (Aaronson–Gottesman tableau).
 
-The tableau is bit-packed (uint64 words, 64 qubits per word) and comes in a
-batched flavour — :class:`BatchedCliffordTableau` evolves many candidate
-Clifford points through a shared gate skeleton at once, which is what the
-CAFQA search loop runs on.
+The tableau is bit-packed (uint64 words, 64 qubits per word) and batched:
+:class:`BatchedCliffordTableau` runs many Clifford points through one compiled
+gate program and :class:`PauliSumEvaluator` sums a Hamiltonian over them — the
+CAFQA search loop, and :class:`StabilizerSimulator` for a single circuit.
 """
 
 from repro.stabilizer.expectation import PauliSumEvaluator
@@ -12,7 +12,7 @@ from repro.stabilizer.overlap import (
     stabilizer_overlap_matrix,
     stabilizer_state_overlaps,
 )
-from repro.stabilizer.simulator import StabilizerSimulator, expectation_from_tableau
+from repro.stabilizer.simulator import StabilizerSimulator
 from repro.stabilizer.symplectic import (
     bit_counts,
     num_words,
@@ -34,7 +34,6 @@ __all__ = [
     "StabilizerSimulator",
     "SymplecticView",
     "bit_counts",
-    "expectation_from_tableau",
     "num_words",
     "overlap_squared",
     "pack_bits",

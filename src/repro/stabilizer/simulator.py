@@ -2,24 +2,22 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.clifford_points import CliffordGateProgram
 from repro.exceptions import SimulationError
-from repro.operators.pauli import Pauli
 from repro.operators.pauli_sum import PauliSum
+from repro.stabilizer.expectation import PauliSumEvaluator
 from repro.stabilizer.tableau import BatchedCliffordTableau, CliffordTableau
 
 
 class StabilizerSimulator:
     """Simulates Clifford circuits in polynomial time via the CHP tableau.
 
-    This is the backend CAFQA uses for every search iteration: the circuit is
-    Clifford (fixed CX ladder plus rotations at multiples of pi/2), so each
-    Pauli term of the Hamiltonian has an exact expectation of -1, 0, or +1
+    A circuit is compiled to a ``CliffordGateProgram`` and run as a batch of
+    one, through the same gate kernel and :class:`PauliSumEvaluator` as the
+    CAFQA search: each Pauli term has an exact expectation of -1, 0, or +1
     computable without sampling (the paper's "one-shot" observation).
     """
 
@@ -32,82 +30,10 @@ class StabilizerSimulator:
                 "circuit contains non-Clifford gates; use the statevector or "
                 "clifford+T backends instead"
             )
-        tableau = CliffordTableau(circuit.num_qubits)
-        for gate in circuit:
-            tableau.apply_gate(gate)
-        return tableau
+        return BatchedCliffordTableau.from_program(
+            CliffordGateProgram.compile(circuit), np.zeros((1, 0), dtype=np.int64)
+        )[0]
 
-    def run_program(self, program: CliffordGateProgram, indices) -> BatchedCliffordTableau:
-        """Evolve a whole batch of Clifford points through a compiled program.
-
-        ``indices`` is a ``(batch, num_parameters)`` matrix of Clifford
-        rotation indices (one row per candidate point; a single vector is a
-        batch of one).  This is the CAFQA hot path: the gate skeleton is
-        compiled once and every batch element differs only in its rotation
-        indices.
-        """
-        return BatchedCliffordTableau.from_program(program, indices)
-
-    def pauli_expectation(self, circuit: QuantumCircuit, pauli: Pauli) -> int:
-        """Expectation of a single Pauli string; exactly -1, 0, or +1."""
-        return self.run(circuit).expectation(pauli)
-
-    def expectation(
-        self,
-        circuit: QuantumCircuit,
-        hamiltonian: PauliSum,
-        tableau: Optional[CliffordTableau] = None,
-    ) -> float:
-        """Expectation of a Pauli-sum Hamiltonian for the circuit's stabilizer state."""
-        if tableau is None:
-            tableau = self.run(circuit)
-        return expectation_from_tableau(tableau, hamiltonian)
-
-    def term_expectations(
-        self, circuit: QuantumCircuit, hamiltonian: PauliSum
-    ) -> dict[str, int]:
-        """Per-term expectations, keyed by Pauli label (used by the Fig. 6 breakdown)."""
-        tableau = self.run(circuit)
-        return {
-            term.label: tableau.expectation(term.pauli) for term in hamiltonian.terms()
-        }
-
-    def sampled_expectation(
-        self,
-        circuit: QuantumCircuit,
-        hamiltonian: PauliSum,
-        shots_per_term: int,
-        rng: np.random.Generator,
-    ) -> float:
-        """Shot-noise-corrupted expectation (for studying finite-shot effects).
-
-        Each Pauli term's exact +/-1/0 expectation is replaced by the mean of
-        ``shots_per_term`` Bernoulli +/-1 samples with the exact expectation
-        as bias.  With exact values in {-1, 0, +1} the sampling is trivial,
-        but the helper lets experiments quantify how much CAFQA benefits from
-        noise-free evaluation relative to a shot-based evaluation.
-        """
-        tableau = self.run(circuit)
-        total = 0.0
-        for term in hamiltonian.terms():
-            exact = tableau.expectation(term.pauli)
-            if term.pauli.is_identity():
-                total += float(np.real(term.coefficient))
-                continue
-            probability_plus = (1.0 + exact) / 2.0
-            samples = rng.random(shots_per_term) < probability_plus
-            estimate = 2.0 * samples.mean() - 1.0
-            total += float(np.real(term.coefficient)) * estimate
-        return total
-
-
-def expectation_from_tableau(tableau: CliffordTableau, hamiltonian: PauliSum) -> float:
-    """Sum of coefficient-weighted Pauli expectations for a stabilizer state."""
-    if hamiltonian.num_qubits != tableau.num_qubits:
-        raise SimulationError("Hamiltonian and tableau act on different qubit counts")
-    total = 0.0
-    for term in hamiltonian.terms():
-        value = tableau.expectation(term.pauli)
-        if value:
-            total += float(np.real(term.coefficient)) * value
-    return total
+    def expectation(self, circuit: QuantumCircuit, hamiltonian: PauliSum) -> float:
+        """Expectation of a Hermitian Pauli-sum for the circuit's stabilizer state."""
+        return PauliSumEvaluator(hamiltonian).expectation(self.run(circuit))

@@ -14,11 +14,12 @@ including rotation gates at multiples of pi/2 — is decomposed into those
 generators, which is exact up to an irrelevant global phase.
 
 :class:`BatchedCliffordTableau` evolves a whole batch of states at once
-through a shared gate skeleton: every update is vectorized over
-``(batch, 2n)`` and rotation gates take a per-batch-element Clifford index,
-which is exactly the structure of CAFQA's search (one EfficientSU2 skeleton,
-many candidate index vectors).  :class:`CliffordTableau` is the single-state
-view (a batch of one) that the rest of the code base uses.
+through a compiled gate program (:meth:`~BatchedCliffordTableau.apply_program`,
+the one gate dispatcher, also behind ``StabilizerSimulator``): every update is
+vectorized over ``(batch, 2n)`` and parameterized rotations take a
+per-batch-element Clifford index — the structure of CAFQA's search (one
+EfficientSU2 skeleton, many candidate index vectors).  :class:`CliffordTableau`
+is a read-only single-state view (a batch of one).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
-from repro.circuits.gates import Gate, clifford_index_from_angle
 from repro.exceptions import SimulationError
 from repro.operators.pauli import Pauli
 from repro.stabilizer.symplectic import (
@@ -74,11 +74,12 @@ def _readonly(array: np.ndarray) -> np.ndarray:
 class BatchedCliffordTableau:
     """A batch of stabilizer tableaux evolved in lockstep, all ``|0...0>``.
 
-    All gate methods accept an optional boolean ``mask`` of shape
+    The primitive gate methods accept an optional boolean ``mask`` of shape
     ``(batch,)`` restricting the update to a subset of the batch; masked
     updates are expressed as XOR deltas so they cost the same as unmasked
-    ones.  :meth:`apply_rotation` uses masks to give every batch element its
-    own Clifford rotation index while sharing the gate skeleton.
+    ones.  :meth:`apply_rotation` gives every batch element its own Clifford
+    rotation index through a fused closed-form truth table per rotation
+    family, so the batch shares one gate skeleton without masking.
     """
 
     def __init__(self, batch_size: int, num_qubits: int):
@@ -162,11 +163,6 @@ class BatchedCliffordTableau:
         n = self._n
         return SymplecticView(
             _readonly(self._x[:, :n]), _readonly(self._z[:, :n]), _readonly(self._r[:, :n])
-        )
-
-    def copy(self) -> "BatchedCliffordTableau":
-        return BatchedCliffordTableau._from_arrays(
-            self._x.copy(), self._z.copy(), self._r.copy(), self._n
         )
 
     def extract(self, index: int) -> "CliffordTableau":
@@ -312,34 +308,8 @@ class BatchedCliffordTableau:
         self.apply_cx(qubit_a, qubit_b, mask)
 
     # ------------------------------------------------------------------ #
-    # generic gate / rotation / program dispatch
+    # rotation / program dispatch
     # ------------------------------------------------------------------ #
-    def apply_gate(self, gate: Gate, mask=None) -> None:
-        """Apply any Clifford gate to the whole batch; raises for non-Clifford."""
-        name = gate.name
-        if name == "id":
-            return
-        if name in ("t", "tdg"):
-            raise SimulationError("T gates are not Clifford; use repro.cliffordt")
-        if name in ("rx", "ry", "rz"):
-            theta = float(gate.parameter)
-            try:
-                index = clifford_index_from_angle(theta)
-            except Exception as error:
-                raise SimulationError(
-                    f"{name}({theta}) is not a Clifford rotation; CAFQA only searches "
-                    "multiples of pi/2"
-                ) from error
-            self._apply_rotation_index(name, index, gate.qubits[0], mask)
-            return
-        if name in ("cx", "cz", "swap"):
-            getattr(self, f"apply_{name}")(*gate.qubits, mask=mask)
-            return
-        if name in ("x", "y", "z", "h", "s", "sdg", "sx", "sxdg"):
-            getattr(self, f"apply_{name}")(gate.qubits[0], mask=mask)
-            return
-        raise SimulationError(f"gate {name!r} is not supported by the stabilizer backend")
-
     def _apply_rotation_index(self, name: str, index: int, qubit: int, mask=None) -> None:
         if index == 0:
             return
@@ -434,26 +404,37 @@ class BatchedCliffordTableau:
     # expectation values
     # ------------------------------------------------------------------ #
     def expectations(self, pauli: Pauli) -> np.ndarray:
-        """Per-batch-element expectation of a Pauli string: ``(batch,)`` int8."""
+        """Per-batch-element expectation of a Hermitian Pauli: ``(batch,)`` int8.
+
+        A ``-1`` phase negates the values; an anti-Hermitian ``±i`` Pauli has
+        an imaginary expectation and raises :class:`SimulationError`.
+        """
         if pauli.num_qubits != self._n:
             raise SimulationError("Pauli and tableau act on different qubit counts")
+        phase = pauli.phase
+        if phase not in (1, -1):
+            raise SimulationError(
+                f"Pauli {pauli!r} is anti-Hermitian (phase {phase}); its "
+                "expectation is imaginary"
+            )
         if pauli.is_identity():
-            return np.ones(self._batch, dtype=np.int8)
-        term_x = pack_bits(pauli.x)[None]
-        term_z = pack_bits(pauli.z)[None]
-        stab = self.stabilizer_block()
-        destab = self.destabilizer_block()
-        return stabilizer_expectations(
-            stab.x, stab.z, stab.r, destab.x, destab.z, term_x, term_z
-        )[:, 0]
+            values = np.ones(self._batch, dtype=np.int8)
+        else:
+            stab = self.stabilizer_block()
+            destab = self.destabilizer_block()
+            values = stabilizer_expectations(
+                stab.x, stab.z, stab.r, destab.x, destab.z,
+                pack_bits(pauli.x)[None], pack_bits(pauli.z)[None],
+            )[:, 0]
+        return -values if phase == -1 else values
 
 
 class CliffordTableau:
-    """Stabilizer tableau for an ``n``-qubit state, initialized to ``|0...0>``.
+    """Read-only stabilizer tableau of one ``n``-qubit state (``|0...0>`` if built).
 
-    A thin single-state wrapper over :class:`BatchedCliffordTableau` (a batch
-    of one) so that the gate update and expectation kernels exist exactly
-    once, in packed-word form.
+    A single-state view of a :class:`BatchedCliffordTableau` (a batch of one),
+    as returned by :meth:`BatchedCliffordTableau.extract` and
+    :meth:`StabilizerSimulator.run`; states evolve only in the batched engine.
     """
 
     def __init__(self, num_qubits: int):
@@ -513,54 +494,11 @@ class CliffordTableau:
             labels.append(prefix + pauli.label)
         return labels
 
-    def copy(self) -> "CliffordTableau":
-        return CliffordTableau._wrap(self._batched.copy())
-
-    # ------------------------------------------------------------------ #
-    # gate updates (delegated to the batched engine)
-    # ------------------------------------------------------------------ #
-    def apply_h(self, qubit: int) -> None:
-        self._batched.apply_h(qubit)
-
-    def apply_s(self, qubit: int) -> None:
-        self._batched.apply_s(qubit)
-
-    def apply_cx(self, control: int, target: int) -> None:
-        self._batched.apply_cx(control, target)
-
-    def apply_x(self, qubit: int) -> None:
-        self._batched.apply_x(qubit)
-
-    def apply_y(self, qubit: int) -> None:
-        self._batched.apply_y(qubit)
-
-    def apply_z(self, qubit: int) -> None:
-        self._batched.apply_z(qubit)
-
-    def apply_sdg(self, qubit: int) -> None:
-        self._batched.apply_sdg(qubit)
-
-    def apply_sx(self, qubit: int) -> None:
-        self._batched.apply_sx(qubit)
-
-    def apply_sxdg(self, qubit: int) -> None:
-        self._batched.apply_sxdg(qubit)
-
-    def apply_cz(self, control: int, target: int) -> None:
-        self._batched.apply_cz(control, target)
-
-    def apply_swap(self, qubit_a: int, qubit_b: int) -> None:
-        self._batched.apply_swap(qubit_a, qubit_b)
-
-    def apply_gate(self, gate: Gate) -> None:
-        """Apply any Clifford gate; raises for non-Clifford gates."""
-        self._batched.apply_gate(gate)
-
     # ------------------------------------------------------------------ #
     # expectation values
     # ------------------------------------------------------------------ #
     def expectation(self, pauli: Pauli) -> int:
-        """Exact expectation of a (phase-free) Pauli string: always -1, 0, or +1."""
+        """Exact expectation of a Hermitian Pauli string: always -1, 0, or +1."""
         return int(self._batched.expectations(pauli)[0])
 
     def __repr__(self) -> str:

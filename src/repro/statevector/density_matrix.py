@@ -61,7 +61,7 @@ class DensityMatrix:
 
     def expectation(self, operator: "PauliSum | Pauli") -> complex:
         if isinstance(operator, Pauli):
-            operator = PauliSum({operator.label: 1.0})
+            operator = PauliSum({operator.label: operator.phase})
         if operator.num_qubits != self._num_qubits:
             raise SimulationError("operator and state act on different qubit counts")
         return complex(np.trace(operator.to_matrix() @ self._matrix))
@@ -147,7 +147,7 @@ class DensityMatrixSimulator:
         ideal expectation by the readout damping factor of its support.
         """
         if isinstance(operator, Pauli):
-            operator = PauliSum({operator.label: 1.0})
+            operator = PauliSum({operator.label: operator.phase})
         total = 0.0 + 0.0j
         for term in operator.terms():
             ideal = rho.expectation(term.pauli)

@@ -81,7 +81,7 @@ class Statevector:
     def expectation(self, operator: "PauliSum | Pauli") -> complex:
         """Expectation value ``<psi|O|psi>``."""
         if isinstance(operator, Pauli):
-            operator = PauliSum({operator.label: 1.0})
+            operator = PauliSum({operator.label: operator.phase})
         if operator.num_qubits != self._num_qubits:
             raise SimulationError("operator and state act on different qubit counts")
         total = 0.0 + 0.0j

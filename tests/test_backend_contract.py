@@ -6,7 +6,9 @@ zero-noise model), the per-circuit stabilizer simulator, and the packed /
 batched stabilizer engine must all report the same expectation for every
 Hamiltonian term.  This pins the invariant every higher layer (objective,
 search, orchestrator) silently relies on: backends are interchangeable on the
-Clifford subset.
+Clifford subset.  A single Pauli's phase is part of the operator on every
+backend: a ``-1`` sign negates the expectation, and the tableau rejects the
+imaginary expectation of an anti-Hermitian ``±i`` Pauli.
 """
 
 import numpy as np
@@ -16,8 +18,9 @@ from repro.circuits import EfficientSU2Ansatz
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.clifford_points import CliffordGateProgram, bind_clifford_point
 from repro.circuits.gates import angle_from_clifford_index
+from repro.exceptions import SimulationError
 from repro.noise import ideal_noise_model
-from repro.operators import PauliSum, random_pauli
+from repro.operators import Pauli, PauliSum, random_pauli
 from repro.stabilizer import (
     BatchedCliffordTableau,
     PauliSumEvaluator,
@@ -120,3 +123,22 @@ def test_batched_ansatz_points_match_statevector(num_qubits, reps):
         circuit = bind_clifford_point(ansatz, [int(v) for v in point])
         dense = simulator.expectation(circuit, hamiltonian)
         assert float(packed[position]) == pytest.approx(dense, abs=1e-9)
+
+
+def test_single_pauli_expectation_keeps_its_phase():
+    """A Pauli's sign (and an anti-Hermitian ±i phase) is part of the operator."""
+    minus_zi = Pauli("-ZI")
+    zero = QuantumCircuit(2)
+    assert StatevectorSimulator().run(zero).expectation(minus_zi) == -1
+    assert DensityMatrixSimulator().run(zero).expectation(minus_zi) == -1
+    assert StabilizerSimulator().run(zero).expectation(minus_zi) == -1
+
+    product = Pauli("X") @ Pauli("Z")  # -iY: anti-Hermitian
+    circuit = QuantumCircuit(1).h(0).s(0)
+    psi = StatevectorSimulator().run(circuit).vector
+    exact = np.vdot(psi, product.to_matrix() @ psi)
+    assert abs(exact.imag) == pytest.approx(1.0)
+    assert StatevectorSimulator().run(circuit).expectation(product) == pytest.approx(exact)
+    assert DensityMatrixSimulator().run(circuit).expectation(product) == pytest.approx(exact)
+    with pytest.raises(SimulationError, match="anti-Hermitian"):
+        StabilizerSimulator().run(circuit).expectation(product)

@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 
 from repro.circuits.ansatz import EfficientSU2Ansatz
+from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.clifford_points import CliffordGateProgram, bind_clifford_point
 from repro.exceptions import SimulationError
 from repro.stabilizer import (
     BatchedCliffordTableau,
     CliffordTableau,
+    StabilizerSimulator,
     overlap_squared,
     stabilizer_state_overlaps,
 )
@@ -26,6 +28,10 @@ def _random_states(num_qubits, count, rng, reps=2):
     program = CliffordGateProgram.from_ansatz(ansatz)
     points = rng.integers(0, 4, size=(count, ansatz.num_parameters))
     return ansatz, points, BatchedCliffordTableau.from_program(program, points)
+
+
+def _state(circuit):
+    return StabilizerSimulator().run(circuit)
 
 
 class TestAgainstStatevector:
@@ -66,39 +72,26 @@ class TestAgainstStatevector:
 class TestSpecialCases:
     def test_basis_states(self):
         zero = CliffordTableau(3)
-        flipped = CliffordTableau(3)
-        flipped.apply_x(1)
+        flipped = _state(QuantumCircuit(3).x(1))
         assert overlap_squared(zero, zero) == 1.0
         assert overlap_squared(zero, flipped) == 0.0
 
     def test_bell_pair_against_basis_state(self):
-        bell = CliffordTableau(2)
-        bell.apply_h(0)
-        bell.apply_cx(0, 1)
+        bell = _state(QuantumCircuit(2).h(0).cx(0, 1))
         zero = CliffordTableau(2)
-        one_one = CliffordTableau(2)
-        one_one.apply_x(0)
-        one_one.apply_x(1)
+        one_one = _state(QuantumCircuit(2).x(0).x(1))
         assert overlap_squared(bell, zero) == 0.5
         assert overlap_squared(bell, one_one) == 0.5
 
     def test_orthogonal_bell_pairs(self):
-        plus = CliffordTableau(2)
-        plus.apply_h(0)
-        plus.apply_cx(0, 1)
-        minus = plus.copy()
-        minus.apply_z(0)  # |00> + |11>  ->  |00> - |11>
+        plus = _state(QuantumCircuit(2).h(0).cx(0, 1))
+        minus = _state(QuantumCircuit(2).h(0).cx(0, 1).z(0))  # |00> - |11>
         assert overlap_squared(plus, minus) == 0.0
 
     def test_ghz_against_uniform_superposition(self):
         n = 3
-        ghz = CliffordTableau(n)
-        ghz.apply_h(0)
-        for qubit in range(n - 1):
-            ghz.apply_cx(qubit, qubit + 1)
-        plus = CliffordTableau(n)
-        for qubit in range(n):
-            plus.apply_h(qubit)
+        ghz = _state(QuantumCircuit(n).h(0).cx(0, 1).cx(1, 2))
+        plus = _state(QuantumCircuit(n).h(0).h(1).h(2))
         # <GHZ|+++> = (1 + 1) / (sqrt(2) * sqrt(8))
         assert overlap_squared(ghz, plus) == 0.25
 
@@ -106,11 +99,8 @@ class TestSpecialCases:
         # 70 qubits: two uint64 words per row; Bell pair across the word seam.
         n = 70
         zero = CliffordTableau(n)
-        bell = CliffordTableau(n)
-        bell.apply_h(63)
-        bell.apply_cx(63, 64)
-        flipped = CliffordTableau(n)
-        flipped.apply_x(69)
+        bell = _state(QuantumCircuit(n).h(63).cx(63, 64))
+        flipped = _state(QuantumCircuit(n).x(69))
         assert overlap_squared(zero, bell) == 0.5
         assert overlap_squared(zero, flipped) == 0.0
         assert overlap_squared(bell, bell) == 1.0
