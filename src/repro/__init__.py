@@ -5,16 +5,16 @@ The package layers three groups of subsystems:
 * quantum substrates — Pauli algebra (:mod:`repro.operators`), circuits and the
   hardware-efficient ansatz (:mod:`repro.circuits`), stabilizer simulation
   (:mod:`repro.stabilizer`), statevector / density-matrix simulation
-  (:mod:`repro.statevector`), noise models (:mod:`repro.noise`), and the
-  Clifford+T extension (:mod:`repro.cliffordt`);
+  (:mod:`repro.statevector`), and noise models (:mod:`repro.noise`);
 * a quantum-chemistry substrate (:mod:`repro.chemistry`) producing molecular
   qubit Hamiltonians from scratch (STO-3G integrals, Hartree–Fock, fermionic
   mappings);
 * the paper's contribution (:mod:`repro.core`): the Clifford ansatz, the
   Bayesian-optimization search over the discrete Clifford space
-  (:mod:`repro.bayesopt`), post-CAFQA VQE tuning (:mod:`repro.optim`), and the
-  accuracy metrics, plus per-figure experiment drivers
-  (:mod:`repro.experiments`);
+  (:mod:`repro.bayesopt`) — or, with the search option ``max_t_gates``, over
+  the pi/4 grid of the Clifford+T extension, priced on the same stabilizer
+  kernels — post-CAFQA VQE tuning (:mod:`repro.optim`), and the accuracy
+  metrics, plus per-figure experiment drivers (:mod:`repro.experiments`);
 * the problem-agnostic front door: the problem registry
   (:mod:`repro.problems` — molecules, Ising chains/lattices, Heisenberg XXZ,
   MaxCut, plus user-registered workloads) and the declarative

@@ -1,7 +1,8 @@
 """Discrete search spaces for Bayesian optimization.
 
 CAFQA's search space is one categorical variable per ansatz parameter, each
-taking one of the four Clifford rotation indices {0, 1, 2, 3}.  The space
+taking one of the four Clifford rotation indices {0, 1, 2, 3} (or one of the
+eight pi/4 indices {0..7} with ``max_t_gates``).  The space
 abstraction is kept generic (per-dimension cardinality) so the optimizer can
 also be unit-tested on synthetic combinatorial problems.
 """
@@ -30,13 +31,6 @@ class DiscreteSpace:
         self._cardinalities = tuple(cards)
         self._cards = np.array(cards, dtype=np.int64)
         self._mutable = self._cards > 1
-
-    @classmethod
-    def clifford(cls, num_parameters: int) -> "DiscreteSpace":
-        """The CAFQA space: ``num_parameters`` dimensions of cardinality 4."""
-        if num_parameters < 1:
-            raise OptimizationError("need at least one tunable parameter")
-        return cls([4] * num_parameters)
 
     # ------------------------------------------------------------------ #
     @property

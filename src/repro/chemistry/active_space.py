@@ -43,21 +43,6 @@ class ActiveSpaceHamiltonian:
     def num_spin_orbitals(self) -> int:
         return 2 * self.num_active_orbitals
 
-    def hartree_fock_energy_check(self) -> float:
-        """HF energy recomputed from the active-space integrals.
-
-        Equals the SCF energy whenever the HF determinant lies inside the
-        active space; used as an internal consistency test.
-        """
-        occupied = range(self.num_beta)
-        energy = self.core_energy
-        for i in occupied:
-            energy += 2.0 * self.one_body[i, i]
-        for i in occupied:
-            for j in occupied:
-                energy += 2.0 * self.two_body[i, i, j, j] - self.two_body[i, j, j, i]
-        return float(energy)
-
 
 def select_sigma_active_orbitals(
     scf_result: SCFResult,

@@ -62,10 +62,6 @@ class BasisFunction:
     atom_index: int
     shell_label: str
 
-    @property
-    def total_angular_momentum(self) -> int:
-        return sum(self.angular)
-
 
 def supported_elements() -> List[str]:
     """Element symbols with STO-3G data in this library."""

@@ -103,13 +103,6 @@ class MolecularProblem:
 
         return hamiltonian_exact_spectrum(self, num_states)
 
-    @property
-    def correlation_energy(self) -> Optional[float]:
-        """Exact minus Hartree–Fock energy (negative), if exact is known."""
-        if self.exact_energy is None:
-            return None
-        return self.exact_energy - self.hf_energy
-
     def __repr__(self) -> str:
         return (
             f"MolecularProblem({self.name!r}, {self.num_qubits} qubits, "

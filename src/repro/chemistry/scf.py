@@ -55,10 +55,6 @@ class SCFResult:
     def num_orbitals(self) -> int:
         return self.mo_coefficients.shape[1]
 
-    @property
-    def num_doubly_occupied(self) -> int:
-        return self.molecule.num_beta
-
     def __repr__(self) -> str:
         return (
             f"SCFResult({self.molecule.name!r}, E={self.energy:.6f} Ha, "

@@ -28,9 +28,14 @@ CLIFFORD_ANGLES = tuple(angle_from_clifford_index(k) for k in range(4))
 NUM_CLIFFORD_POINTS = 4
 
 
-def indices_to_angles(indices: Sequence[int]) -> List[float]:
-    """Map a vector of Clifford indices {0..3} to rotation angles."""
-    return [angle_from_clifford_index(int(i)) for i in indices]
+def indices_to_angles(indices: Sequence[int], cardinality: int = 4) -> List[float]:
+    """Map grid indices to rotation angles ``index * 2pi / cardinality``.
+
+    The default is the Clifford grid (multiples of pi/2); ``cardinality=8``
+    is the pi/4 grid of the CAFQA+kT search.
+    """
+    step = 2.0 * np.pi / cardinality
+    return [(int(i) % cardinality) * step for i in indices]
 
 
 def angles_to_indices(angles: Sequence[float]) -> List[int]:
@@ -38,16 +43,23 @@ def angles_to_indices(angles: Sequence[float]) -> List[int]:
     return [clifford_index_from_angle(float(theta)) for theta in angles]
 
 
-def validate_clifford_point(indices: Sequence[int], num_parameters: int) -> Tuple[int, ...]:
-    """Check length and index range of a Clifford point; return it as a tuple."""
+def validate_clifford_point(
+    indices: Sequence[int], num_parameters: int, cardinality: int = 4
+) -> Tuple[int, ...]:
+    """Check length and index range of a grid point; return it as a tuple.
+
+    ``cardinality`` is 4 on the Clifford grid and 8 on the pi/4 grid.
+    """
     values = list(indices)
     if len(values) != num_parameters:
         raise CircuitError(
             f"expected {num_parameters} Clifford indices, got {len(values)}"
         )
     for index in values:
-        if int(index) not in (0, 1, 2, 3):
-            raise CircuitError(f"Clifford index {index!r} must be in 0..3")
+        if not 0 <= int(index) < cardinality:
+            raise CircuitError(
+                f"Clifford index {index!r} must be in 0..{cardinality - 1}"
+            )
     return tuple(int(index) for index in values)
 
 

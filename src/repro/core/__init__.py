@@ -64,13 +64,6 @@ from repro.core.search import (
     CafqaSearch,
     SearchLoopOptions,
 )
-from repro.core.tgates import (
-    CliffordTObjective,
-    CliffordTResult,
-    CliffordTSearch,
-    count_t_gates,
-    indices_to_pi4_angles,
-)
 from repro.core.vqe import VQEResult, VQERunner
 from repro.operators.fingerprints import hamiltonian_fingerprint
 
@@ -118,11 +111,6 @@ __all__ = [
     "restart_seed",
     "VQERunner",
     "VQEResult",
-    "CliffordTSearch",
-    "CliffordTResult",
-    "CliffordTObjective",
-    "count_t_gates",
-    "indices_to_pi4_angles",
     "MoleculeEvaluation",
     "evaluate_molecule",
     "SweepRun",

@@ -29,12 +29,26 @@ Excited-CAFQA — are charged through the batched stabilizer overlap kernel
 (:mod:`repro.stabilizer.overlap`), since a state projector has no
 polynomial Pauli expansion.  Both paths are batched and bit-for-bit
 identical to their pointwise counterparts.
+
+With ``max_t_gates = k >= 1`` the objective lives on the pi/4 grid of the
+paper's CAFQA+kT exploration (Section 8): index ``2c + t`` is Clifford index
+``c`` followed by a pi/4 turn when ``t = 1``.  A point with no odd index is
+the Clifford point ``index // 2`` and goes through the paths above
+unchanged.  A point with odd indices is priced in the Heisenberg picture:
+the operator's rows are carried back through the program, Clifford segments
+map each row to one signed row, and each pi/4 turn ``R_P(pi/4)`` splits the
+rows that anticommute with ``P`` into ``cos(pi/4) Q + sin(pi/4) (-i QP)`` —
+the Pauli form of the quadratic Clifford expansion (Mitarai et al.).  The
+energy is then the signed weight of the rows with no X bits.  No statevector
+is formed, so there is no qubit cap; a point with ``j`` turns costs at most
+``terms * 2^j`` rows.  Points with more than ``k`` odd indices get the
+constant penalty ``INFEASIBLE_PENALTY * (1 + excess)``.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,6 +64,7 @@ from repro.operators.pauli_sum import PauliSum
 from repro.problems.base import ProblemSpec
 from repro.stabilizer.expectation import PauliSumEvaluator
 from repro.stabilizer.overlap import stabilizer_state_overlaps
+from repro.stabilizer.symplectic import WORD_BITS
 from repro.stabilizer.tableau import (
     BatchedCliffordTableau,
     CliffordTableau,
@@ -57,6 +72,47 @@ from repro.stabilizer.tableau import (
 )
 
 Point = Tuple[int, ...]
+
+# Constrained value per odd index beyond ``max_t_gates`` (plus one), so the
+# surrogate learns a gradient back toward feasible pi/4 points.
+INFEASIBLE_PENALTY = 1.0e3
+
+# cos(pi/4) == sin(pi/4): the weight of both halves of a split row.
+_PI4_WEIGHT = np.sqrt(0.5)
+
+
+def _split_on_pi4_turn(x, z, r, weights, name: str, qubit: int):
+    """Signed weighted rows conjugated through ``R_P(pi/4)`` on ``qubit``.
+
+    ``P`` is the axis of the rotation ``name``.  A row ``Q`` that commutes
+    with ``P`` passes unchanged; an anticommuting one becomes
+    ``cos(pi/4) Q + sin(pi/4) (-i QP)``, where ``-i QP`` is the Hermitian
+    Pauli that differs from ``Q`` only on ``qubit`` — a one-qubit lookup:
+    Z turns X -> -Y, Y -> X; X turns Z -> Y, Y -> -Z; Y turns X -> Z, Z -> -X.
+    """
+    word, offset = divmod(qubit, WORD_BITS)
+    bit = np.uint64(1) << np.uint64(offset)
+    xq = (x[:, word] & bit) != 0
+    zq = (z[:, word] & bit) != 0
+    if name == "rz":
+        anti, flip_x, flip_z, negate = xq, False, True, ~zq
+    elif name == "rx":
+        anti, flip_x, flip_z, negate = zq, True, False, xq
+    else:  # ry
+        anti, flip_x, flip_z, negate = xq ^ zq, True, True, zq
+    weights = weights.copy()
+    weights[anti] *= _PI4_WEIGHT
+    new_x, new_z = x[anti], z[anti]
+    if flip_x:
+        new_x[:, word] ^= bit
+    if flip_z:
+        new_z[:, word] ^= bit
+    return (
+        np.concatenate([x, new_x]),
+        np.concatenate([z, new_z]),
+        np.concatenate([r, r[anti] ^ negate[anti]]),
+        np.concatenate([weights, weights[anti]]),
+    )
 
 
 def _identical_operators(left: PauliSum, right: PauliSum) -> bool:
@@ -103,14 +159,18 @@ class CliffordObjective:
         constraint=None,
         spin_z_target: Optional[float] = None,
         penalty_weight: Optional[float] = None,
+        max_t_gates: int = 0,
     ):
         if ansatz.num_qubits != problem.num_qubits:
             raise ValueError(
                 f"ansatz acts on {ansatz.num_qubits} qubits but the problem has "
                 f"{problem.num_qubits}"
             )
+        if int(max_t_gates) < 0:
+            raise ValueError("max_t_gates must be non-negative")
         self._problem = problem
         self._ansatz = ansatz
+        self._max_t_gates = int(max_t_gates)
         if constraint is None and penalty_weight is not None:
             if not hasattr(problem, "num_alpha"):
                 raise ValueError(
@@ -143,20 +203,25 @@ class CliffordObjective:
         # this objective's own compiled program) and every evaluation then
         # charges w_k * |<psi|psi_k>|^2 through the overlap kernel.
         pairs = overlap_penalties_of(constraint)
-        self._deflation_points: List[Point] = [
+        if pairs and self._max_t_gates:
+            raise ValueError(
+                "overlap (deflation) penalties target Clifford states; they "
+                "cannot be combined with max_t_gates > 0 (the pi/4 grid)"
+            )
+        deflation_points = [
             validate_clifford_point(point, self._ansatz.num_parameters)
             for point, _ in pairs
         ]
         self._deflation_weights = np.array([weight for _, weight in pairs], dtype=float)
         if pairs:
-            matrix = np.asarray(self._deflation_points, dtype=np.int64).reshape(
+            matrix = np.asarray(deflation_points, dtype=np.int64).reshape(
                 len(pairs), self._ansatz.num_parameters
             )
             self._deflation_targets: Optional[BatchedCliffordTableau] = (
                 BatchedCliffordTableau.from_program(self._program, matrix)
             )
             digest = hashlib.sha256()
-            for point, weight in zip(self._deflation_points, self._deflation_weights):
+            for point, weight in zip(deflation_points, self._deflation_weights):
                 digest.update(f"{point}:{float(weight)!r};".encode())
             self._deflation_digest: Optional[str] = digest.hexdigest()[:16]
         else:
@@ -205,9 +270,14 @@ class CliffordObjective:
         return self._evaluations
 
     @property
-    def deflation_points(self) -> List[Point]:
-        """Clifford points whose states carry overlap (deflation) penalties."""
-        return list(self._deflation_points)
+    def max_t_gates(self) -> int:
+        """Most odd (pi/4-turn) indices a feasible point holds; 0 is the Clifford grid."""
+        return self._max_t_gates
+
+    @property
+    def cardinality(self) -> int:
+        """Values per parameter slot: 4 on the Clifford grid, 8 on the pi/4 grid."""
+        return 8 if self._max_t_gates else 4
 
     @property
     def deflation_digest(self) -> Optional[str]:
@@ -240,7 +310,9 @@ class CliffordObjective:
 
     # ------------------------------------------------------------------ #
     def _key(self, indices: Sequence[int]) -> Point:
-        return validate_clifford_point(indices, self._ansatz.num_parameters)
+        return validate_clifford_point(
+            indices, self._ansatz.num_parameters, self.cardinality
+        )
 
     def _simulate(self, keys: Sequence[Point]) -> BatchedCliffordTableau:
         matrix = np.asarray(keys, dtype=np.int64).reshape(
@@ -249,15 +321,21 @@ class CliffordObjective:
         self._evaluations += len(keys)
         return BatchedCliffordTableau.from_program(self._program, matrix)
 
+    def _tableau(self, key: Point) -> CliffordTableau:
+        return self._simulate([key]).extract(0)
+
     def tableau(self, indices: Sequence[int]) -> CliffordTableau:
         """The stabilizer tableau of the ansatz at a Clifford point."""
-        return self._simulate([self._key(indices)]).extract(0)
+        if self._max_t_gates:
+            raise ValueError("a pi/4-grid objective has no single stabilizer tableau")
+        return self._tableau(self._key(indices))
 
     def __call__(self, indices: Sequence[int]) -> float:
-        return self._constrained_value(self.tableau(indices))
+        key = self._key(indices)
+        return self._on_grid([key], self._point_values, self._operator_evaluator, True)[0]
 
     def evaluate_batch(self, points: Sequence[Sequence[int]]) -> np.ndarray:
-        """Constrained energies of many Clifford points in one batched simulation.
+        """Constrained energies of many points in one batched simulation.
 
         Returns values in the order of ``points``; duplicates within the batch
         are simulated once.  Points that differ in a single slot are priced as
@@ -268,16 +346,91 @@ class CliffordObjective:
         distinct = list(dict.fromkeys(keys))
         if not distinct:
             return np.zeros(0, dtype=float)
-        slot = self._varying_slot(distinct)
-        if slot is None:
-            batched = self._simulate(distinct)
-            energies = self._operator_evaluator.expectation_batch(batched)
-            if self._deflation_targets is not None:
-                energies = energies + self._deflation_penalties(batched)
-        else:
-            energies = self._neighbourhood_values(distinct, slot)
+        energies = self._on_grid(
+            distinct, self._batch_values, self._operator_evaluator, True
+        )
         values = {key: float(value) for key, value in zip(distinct, energies)}
         return np.array([values[key] for key in keys], dtype=float)
+
+    def _point_values(self, keys: Sequence[Point]) -> List[float]:
+        return [self._constrained_value(self._tableau(key)) for key in keys]
+
+    def _batch_values(self, keys: Sequence[Point]) -> np.ndarray:
+        slot = self._varying_slot(keys)
+        if slot is not None:
+            return self._neighbourhood_values(keys, slot)
+        batched = self._simulate(keys)
+        energies = self._operator_evaluator.expectation_batch(batched)
+        if self._deflation_targets is not None:
+            energies = energies + self._deflation_penalties(batched)
+        return energies
+
+    # ------------------------------------------------------------------ #
+    # the pi/4 grid: Clifford points as they are, the rest in the Heisenberg picture
+    # ------------------------------------------------------------------ #
+    def _on_grid(
+        self, keys: Sequence[Point], clifford_values: Callable, evaluator, penalize: bool
+    ) -> List[float]:
+        """Values of the distinct ``keys`` on this objective's grid.
+
+        On the Clifford grid this is ``clifford_values(keys)``.  On the pi/4
+        grid, points with no odd index go through ``clifford_values`` on
+        ``index // 2``; the rest are priced by :meth:`_heisenberg_value`, or
+        get the infeasible penalty when ``penalize`` is set and they hold more
+        than ``max_t_gates`` odd indices.
+        """
+        if not self._max_t_gates:
+            return list(clifford_values(keys))
+        values = {}
+        even = [key for key in keys if not any(v & 1 for v in key)]
+        if even:
+            halves = [tuple(v >> 1 for v in key) for key in even]
+            values.update(zip(even, clifford_values(halves)))
+        for key in keys:
+            if key in values:
+                continue
+            excess = sum(v & 1 for v in key) - self._max_t_gates
+            if penalize and excess > 0:
+                values[key] = INFEASIBLE_PENALTY * (1 + excess)
+            else:
+                values[key] = self._heisenberg_value(key, evaluator)
+        return [values[key] for key in keys]
+
+    def _heisenberg_value(self, key: Point, evaluator: PauliSumEvaluator) -> float:
+        """``<0|U^dag H U|0>`` of a pi/4 point, carrying ``H`` back through ``U``.
+
+        The Clifford segments between pi/4 turns run as inverse programs on
+        the rows (each op at its Clifford index ``index // 2``); each turn
+        then splits the rows.  Rows with no X bits are Z strings, whose value
+        on ``|0...0>`` is their sign.
+        """
+        term_x, term_z = evaluator.packed_terms
+        x, z = term_x.copy(), term_z.copy()
+        r = np.zeros(len(x), dtype=bool)
+        weights = evaluator.coefficients
+        clifford = np.asarray([key], dtype=np.int64) >> 1
+        ops = self._program.ops
+
+        def conjugate(start: int, stop: int) -> None:
+            rows = BatchedCliffordTableau._from_arrays(
+                x[None], z[None], r[None], self._program.num_qubits
+            )
+            rows.apply_program(self._program, clifford, start, stop, inverse=True)
+
+        stop = len(ops)
+        for index in range(len(ops) - 1, -1, -1):
+            op = ops[index]
+            if op.parameter_index is None or not key[op.parameter_index] & 1:
+                continue
+            conjugate(index, stop)
+            x, z, r, weights = _split_on_pi4_turn(
+                x, z, r, weights, op.name, op.qubits[0]
+            )
+            stop = index
+        conjugate(0, stop)
+        self._evaluations += 1
+        diagonal = ~x.any(axis=1)
+        return float(np.where(r, -weights, weights)[diagonal].sum())
 
     # ------------------------------------------------------------------ #
     # neighbourhood evaluation: one rotation plus one expectation per point
@@ -390,21 +543,32 @@ class CliffordObjective:
         return energies
 
     def energy(self, indices: Sequence[int]) -> float:
-        """Unconstrained Hamiltonian energy (no penalty terms) at a Clifford point."""
-        return float(self._energy_evaluator.expectation(self.tableau(indices)))
+        """Unconstrained Hamiltonian energy (no penalty terms) at a point."""
+        key = self._key(indices)
+        return self._on_grid([key], self._point_energies, self._energy_evaluator, False)[0]
 
     def energy_batch(self, points: Sequence[Sequence[int]]) -> np.ndarray:
-        """Unconstrained Hamiltonian energies of many Clifford points at once.
+        """Unconstrained Hamiltonian energies of many points at once.
 
-        One batched simulation for all distinct points; values match
+        One batched simulation for all distinct Clifford points; values match
         :meth:`energy` exactly (same kernel, same reduction order).
         """
         keys = [self._key(point) for point in points]
         distinct = list(dict.fromkeys(keys))
-        batched = self._simulate(distinct)
-        energies = self._energy_evaluator.expectation_batch(batched)
-        values = {key: float(energies[i]) for i, key in enumerate(distinct)}
+        energies = self._on_grid(
+            distinct, self._batch_energies, self._energy_evaluator, False
+        )
+        values = {key: float(value) for key, value in zip(distinct, energies)}
         return np.array([values[key] for key in keys], dtype=float)
+
+    def _point_energies(self, keys: Sequence[Point]) -> List[float]:
+        return [
+            float(self._energy_evaluator.expectation(self._tableau(key)))
+            for key in keys
+        ]
+
+    def _batch_energies(self, keys: Sequence[Point]) -> np.ndarray:
+        return self._energy_evaluator.expectation_batch(self._simulate(keys))
 
     def term_expectations(self, indices: Sequence[int]) -> Dict[str, int]:
         """Per-Pauli-term expectations at a Clifford point (used by Fig. 6)."""

@@ -75,7 +75,7 @@ CHECKPOINT_FORMAT = 1
 
 # CafqaSearch keywords that configure the objective (consumed when the
 # orchestrator builds the objective itself) vs. the search loop (forwarded).
-_OBJECTIVE_OPTIONS = ("constraint", "spin_z_target", "penalty_weight")
+_OBJECTIVE_OPTIONS = ("constraint", "spin_z_target", "penalty_weight", "max_t_gates")
 
 __all__ = [
     "SearchOrchestrator",
@@ -117,22 +117,32 @@ def objective_fingerprint(objective: CliffordObjective) -> str:
     Overlap (deflation) penalties are not part of the constrained Pauli
     operator, so their digest is appended explicitly — each excited-state
     level gets its own cache/checkpoint namespace, while plain energies
-    (:func:`energy_fingerprint`) stay shared across levels.
+    (:func:`energy_fingerprint`) stay shared across levels.  A pi/4-grid
+    objective appends ``-t{max_t_gates}``: its keys index another grid, and
+    its infeasible penalty depends on the T-gate budget.
     """
     base = (
         f"{hamiltonian_fingerprint(objective.operator)}"
         f"-{ansatz_fingerprint(objective.ansatz)}"
     )
+    max_t_gates = getattr(objective, "max_t_gates", 0)
+    if max_t_gates:
+        base = f"{base}-t{max_t_gates}"
     deflation = getattr(objective, "deflation_digest", None)
     return base if deflation is None else f"{base}-d{deflation}"
 
 
 def energy_fingerprint(objective: CliffordObjective) -> str:
-    """Cache key prefix for plain (unconstrained) Hamiltonian energies."""
-    return (
+    """Cache key prefix for plain (unconstrained) Hamiltonian energies.
+
+    Plain energies do not depend on the T-gate budget, so every pi/4-grid
+    objective shares the ``-pi4`` namespace, apart from the Clifford one.
+    """
+    base = (
         f"{hamiltonian_fingerprint(objective.problem.hamiltonian)}"
         f"-{ansatz_fingerprint(objective.ansatz)}"
     )
+    return f"{base}-pi4" if getattr(objective, "max_t_gates", 0) else base
 
 
 # --------------------------------------------------------------------------- #
@@ -177,13 +187,19 @@ class CachedObjective:
         return getattr(self._objective, name)
 
     # ------------------------------------------------------------------ #
+    def _point(self, indices: Sequence[int]) -> Point:
+        objective = self._objective
+        return validate_clifford_point(
+            indices, objective.num_parameters, objective.cardinality
+        )
+
     def _store(self, fingerprint: str, point: Point, value: float) -> None:
         self._cache.put(fingerprint, point, value)
         if self._writer is not None:
             self._writer.record(fingerprint, point, value)
 
     def __call__(self, indices: Sequence[int]) -> float:
-        point = validate_clifford_point(indices, self._objective.num_parameters)
+        point = self._point(indices)
         cached = self._cache.get(self._fingerprint, point)
         if cached is not None:
             return cached
@@ -192,9 +208,7 @@ class CachedObjective:
         return value
 
     def evaluate_batch(self, points: Sequence[Sequence[int]]) -> np.ndarray:
-        keys = [
-            validate_clifford_point(p, self._objective.num_parameters) for p in points
-        ]
+        keys = [self._point(p) for p in points]
         values: Dict[Point, float] = {}
         for key in dict.fromkeys(keys):
             cached = self._cache.get(self._fingerprint, key)
@@ -210,7 +224,7 @@ class CachedObjective:
         return np.array([values[key] for key in keys], dtype=float)
 
     def energy(self, indices: Sequence[int]) -> float:
-        point = validate_clifford_point(indices, self._objective.num_parameters)
+        point = self._point(indices)
         cached = self._cache.get(self._energy_fingerprint, point)
         if cached is not None:
             return cached
@@ -1062,7 +1076,9 @@ class SearchOrchestrator:
         best = CafqaResult(
             problem_name=self._problem.name,
             best_indices=list(best_trace.best_indices),
-            best_angles=indices_to_angles(best_trace.best_indices),
+            best_angles=indices_to_angles(
+                best_trace.best_indices, self._objective.cardinality
+            ),
             energy=best_trace.energy,
             constrained_energy=best_trace.constrained_energy,
             hf_energy=reference_energy_of(self._problem),

@@ -6,7 +6,9 @@ multiples of pi/2, exact stabilizer-simulator evaluation of the constrained
 objective, and a random-forest Bayesian optimizer that greedily evaluates the
 lowest-predicted candidates after a random warm-up phase.  The Hartree–Fock
 Clifford point is seeded so the search result is never worse than the
-Hartree–Fock baseline.
+Hartree–Fock baseline.  ``max_t_gates = k >= 1`` runs the same search on the
+pi/4 grid of the paper's CAFQA+kT exploration (Section 8), allowing at most
+``k`` pi/4 turns (see :mod:`repro.core.objective`).
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from repro.bayesopt.space import DiscreteSpace
 from repro.circuits.ansatz import EfficientSU2Ansatz
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.clifford_points import (
-    bind_clifford_point,
     hartree_fock_clifford_point,
     indices_to_angles,
 )
@@ -52,8 +53,8 @@ class CafqaResult:
 
     @property
     def circuit(self) -> QuantumCircuit:
-        """The Clifford-initialized ansatz circuit ready for VQE tuning."""
-        return bind_clifford_point(self.ansatz, self.best_indices)
+        """The ansatz bound at ``best_angles``, ready for VQE tuning."""
+        return self.ansatz.bind(self.best_angles)
 
     @property
     def reference_energy(self) -> float:
@@ -84,14 +85,12 @@ REFIT_INTERVAL = 5
 
 @dataclass
 class SearchLoopOptions:
-    """The Bayesian-optimization loop knobs shared by every discrete search.
+    """The Bayesian-optimization loop knobs of :class:`CafqaSearch`.
 
-    Both :class:`CafqaSearch` (pi/2 Clifford space) and
-    :class:`~repro.core.tgates.CliffordTSearch` (pi/4 Clifford+T space) run
-    the same warm-up / surrogate / greedy-pick loop; this dataclass is the
-    single place their kwarg names and defaults are defined, so the two
-    searches cannot drift apart again.  The surrogate is refitted every
-    :data:`REFIT_INTERVAL` evaluations.
+    One warm-up / surrogate / greedy-pick loop serves the Clifford grid and
+    the pi/4 grid (``max_t_gates``) alike; this dataclass is the single
+    place its kwarg names and defaults are defined.  The surrogate is
+    refitted every :data:`REFIT_INTERVAL` evaluations.
     """
 
     warmup_fraction: float = 0.5
@@ -149,6 +148,15 @@ class CafqaSearch:
     The loop itself takes ``warmup_fraction``, ``proposal_batch`` and
     ``surrogate_factory`` (see :class:`SearchLoopOptions`); ``seed`` makes
     the whole trajectory reproducible.
+
+    ``max_t_gates = k >= 1`` searches the pi/4 grid instead: each slot takes
+    a value in 0..7 (angle ``index * pi/4``), at most ``k`` of them odd, and
+    the objective prices the few non-Clifford points exactly on the
+    stabilizer kernels (see :class:`~repro.core.objective.CliffordObjective`).
+    The reference point is doubled onto that grid, ``seed_points`` are read
+    on it (double a Clifford solution to start from it, the paper's Section 8
+    recipe), and refinement sweeps all eight values.  An injected
+    ``objective`` brings its own grid.
     """
 
     def __init__(
@@ -169,6 +177,7 @@ class CafqaSearch:
         proposal_batch: int = 1,
         seed: Optional[int] = None,
         objective: Optional[CliffordObjective] = None,
+        max_t_gates: int = 0,
     ):
         self._problem = problem
         self._ansatz = ansatz if ansatz is not None else EfficientSU2Ansatz(
@@ -190,10 +199,10 @@ class CafqaSearch:
                 constraint=constraint,
                 spin_z_target=spin_z_target,
                 penalty_weight=penalty_weight,
+                max_t_gates=max_t_gates,
             )
-        # The loop knobs live in the shared options object (same defaults as
-        # CliffordTSearch); surrogate_factory=None selects the optimizer's
-        # default forest.
+        self._cardinality = self._objective.cardinality
+        # surrogate_factory=None selects the optimizer's default forest.
         self._options = SearchLoopOptions(
             warmup_fraction=float(warmup_fraction),
             surrogate_factory=surrogate_factory,
@@ -217,10 +226,11 @@ class CafqaSearch:
         return self._ansatz
 
     def reference_indices(self) -> List[int]:
-        """Clifford index vector preparing the problem's reference bitstring."""
-        return hartree_fock_clifford_point(
+        """Index vector preparing the problem's reference bitstring on the grid."""
+        clifford = hartree_fock_clifford_point(
             self._ansatz, reference_bits_of(self._problem)
         )
+        return [index * (self._cardinality // 4) for index in clifford]
 
     # ------------------------------------------------------------------ #
     def run(
@@ -236,7 +246,7 @@ class CafqaSearch:
         """
         if max_evaluations < 2:
             raise OptimizationError("the search needs at least two evaluations")
-        space = DiscreteSpace.clifford(self._ansatz.num_parameters)
+        space = DiscreteSpace([self._cardinality] * self._ansatz.num_parameters)
         seeds = self._warmup_seeds()
         optimizer = self._options.build_optimizer(
             space, max_evaluations=max_evaluations, seed_points=seeds, seed=self._seed
@@ -253,7 +263,7 @@ class CafqaSearch:
         return CafqaResult(
             problem_name=self._problem.name,
             best_indices=best_indices,
-            best_angles=indices_to_angles(best_indices),
+            best_angles=indices_to_angles(best_indices, self._cardinality),
             energy=float(plain_energy),
             constrained_energy=float(search_result.best_value),
             hf_energy=reference_energy_of(self._problem),
@@ -275,7 +285,7 @@ class CafqaSearch:
         search_result: BayesianOptimizationResult,
         callback: Optional[Callable[[Observation], None]] = None,
     ) -> BayesianOptimizationResult:
-        """Greedy coordinate descent over the Clifford indices.
+        """Greedy coordinate descent over the grid indices.
 
         Always descends from the incumbent; with ``refine_seed_points`` it
         additionally descends from every warm-up seed.  Deflated
@@ -301,7 +311,7 @@ class CafqaSearch:
             point, value, observations = coordinate_descent(
                 self._objective,
                 start,
-                cardinality=4,
+                cardinality=self._cardinality,
                 max_sweeps=self._refinement_sweeps,
                 start_iteration=iteration,
                 callback=callback,

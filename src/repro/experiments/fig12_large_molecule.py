@@ -39,10 +39,6 @@ class LargeMoleculeResult:
     def cafqa_never_worse_than_hf(self) -> bool:
         return all(point.improvement >= -1e-9 for point in self.points)
 
-    @property
-    def mean_improvement(self) -> float:
-        return sum(point.improvement for point in self.points) / len(self.points)
-
 
 def run_large_molecule(
     molecule: str = "H10",

@@ -44,14 +44,6 @@ class VQEConvergenceResult:
     cafqa_energy: float
     comparisons: Dict[str, ConvergenceComparison]
 
-    def convergence_speedup(self, backend: str = "ideal", margin: float = 0.5) -> Optional[float]:
-        """Speedup to reach HF-initialized tuning's final energy (plus a margin of its gain)."""
-        comparison = self.comparisons[backend]
-        hf_final = comparison.hartree_fock.final_energy
-        hf_initial = comparison.hartree_fock.initial_energy
-        threshold = hf_final + margin * max(hf_initial - hf_final, 0.0) * 0.0 + hf_final
-        return comparison.speedup_to_threshold(threshold)
-
 
 def run_vqe_convergence(
     molecule: str = "LiH",

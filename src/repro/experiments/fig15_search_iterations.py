@@ -34,10 +34,6 @@ class SearchIterationRow:
 class SearchIterationsResult:
     rows: List[SearchIterationRow]
 
-    @property
-    def mean_converged_iteration(self) -> float:
-        return sum(row.converged_iteration for row in self.rows) / len(self.rows)
-
     def as_table(self) -> List[Dict[str, object]]:
         return [
             {

@@ -4,13 +4,15 @@ Runs the Clifford-only search and the Clifford+<=kT search (k=1 for H2, k=4
 for LiH in the paper) at a set of bond lengths.  The qualitative result to
 reproduce: allowing a handful of T gates recovers additional correlation
 energy at the bond lengths where Clifford-only CAFQA is limited, while the
-circuits stay classically simulable (the branch count is 2^k).
+circuits stay classically simulable.
 
-The Clifford stage runs as a campaign sweep (:func:`repro.run_sweep`), so it
-honors ``num_seeds`` / ``max_workers`` and shares the sweep's evaluation
-cache and memo directory; the Clifford+T refinement stays a direct
-:class:`~repro.core.tgates.CliffordTSearch` seeded from each point's Clifford
-solution.  :func:`run_clifford_t_sweep` stacks curves over a list of
+Both stages run through :func:`repro.run`.  The Clifford stage is a campaign
+sweep (:func:`repro.run_sweep`), so it honors ``num_seeds`` / ``max_workers``
+and shares the sweep's evaluation cache and memo directory.  The Clifford+T
+stage is the same search with the search option ``max_t_gates`` (the pi/4
+grid, priced on the stabilizer kernels with no qubit cap), seeded from each
+point's doubled Clifford solution and sharing the same cache and checkpoint
+directories.  :func:`run_clifford_t_sweep` stacks curves over a list of
 t-budgets against one shared directory pair — the Clifford baselines are
 identical across budgets, so every budget after the first replays them as
 whole-run cache hits.
@@ -22,11 +24,10 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from repro.chemistry.molecules import get_preset
-from repro.circuits.ansatz import EfficientSU2Ansatz
 from repro.core.metrics import correlation_energy_recovered
-from repro.core.tgates import CliffordTSearch
 from repro.experiments.config import ExperimentScale, QUICK, spread_bond_lengths
 from repro.experiments.dissociation import curve_sweepspec
+from repro.runspec import RunSpec, run
 from repro.sweepspec import run_sweep
 
 
@@ -84,20 +85,6 @@ class CliffordTSweepResult:
     t_budgets: List[int]
     curves: List[CliffordTCurveResult]
 
-    def curve_for(self, max_t_gates: int) -> Optional[CliffordTCurveResult]:
-        for curve in self.curves:
-            if curve.max_t_gates == max_t_gates:
-                return curve
-        return None
-
-    def more_t_never_hurts(self) -> bool:
-        """At each point, a larger t-budget should not do worse than a smaller one."""
-        for previous, current in zip(self.curves, self.curves[1:]):
-            for before, after in zip(previous.points, current.points):
-                if after.clifford_t_energy > before.clifford_t_energy + 1e-9:
-                    return False
-        return True
-
 
 def run_clifford_t_curve(
     molecule: str = "H2",
@@ -140,36 +127,37 @@ def run_clifford_t_curve(
     for row in clifford_report.runs:
         if row.report is not None:
             problem = row.report.problem
-            ansatz = row.report.best.ansatz
             best_indices = row.report.best_indices
         else:
             # Memoized Clifford point: the search objects were never
-            # materialized, so rebuild the problem and the (deterministic)
-            # default ansatz, and take the winning point from the record.
+            # materialized, so rebuild the problem and take the winning point
+            # from the record.
             problem = row.spec.resolve_problem()
-            ansatz = EfficientSU2Ansatz(problem.num_qubits, reps=ansatz_reps)
             best_indices = [int(value) for value in row.summary["best_indices"]]
         clifford_energy = row.energy
         # Seed the Clifford+T search with the Clifford solution (doubled indices
         # map pi/2 multiples into the pi/4 grid), so it can only improve on it.
-        seed_point = [2 * value for value in best_indices]
-        t_search = CliffordTSearch(
-            problem,
-            max_t_gates=max_t_gates,
-            ansatz=ansatz,
+        t_spec = RunSpec(
+            problem=problem,
+            ansatz_reps=ansatz_reps,
+            max_evaluations=t_budget,
             seed=row.spec.seed,
-            seed_point=seed_point,
+            cache_dir=cache_dir,
+            checkpoint_dir=checkpoint_dir,
+            search_options={
+                "max_t_gates": int(max_t_gates),
+                "seed_points": [[2 * value for value in best_indices]],
+            },
         )
-        clifford_t = t_search.run(max_evaluations=t_budget)
-        best_t_energy = min(clifford_t.energy, clifford_energy)
+        clifford_t = run(t_spec).best
         points.append(
             CliffordTPoint(
                 bond_length=float(row.coords["problem_options.bond_length"]),
                 hf_energy=problem.hf_energy,
                 exact_energy=problem.exact_energy,
                 clifford_energy=clifford_energy,
-                clifford_t_energy=best_t_energy,
-                num_t_gates_used=clifford_t.num_t_gates,
+                clifford_t_energy=min(clifford_t.energy, clifford_energy),
+                num_t_gates_used=sum(index % 2 for index in clifford_t.best_indices),
             )
         )
     return CliffordTCurveResult(molecule=molecule, max_t_gates=max_t_gates, points=points)

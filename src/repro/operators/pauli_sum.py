@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Mapping, Sequence
+from typing import Dict, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from repro.exceptions import OperatorError
+from repro.exceptions import OperatorError, SimulationError
 from repro.operators.pauli import Pauli
+
+# Large enough to absorb the ~1e-16 imaginary dust left by fermionic
+# mappings, small enough to catch a genuinely non-Hermitian operator.
+HERMITICITY_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -83,15 +87,6 @@ class PauliSum:
     def identity(cls, num_qubits: int, coefficient: complex = 1.0) -> "PauliSum":
         return cls({"I" * num_qubits: coefficient})
 
-    @classmethod
-    def from_terms(
-        cls, terms: Sequence[PauliTerm], num_qubits: int | None = None
-    ) -> "PauliSum":
-        return cls(
-            [(term.pauli.label, term.coefficient) for term in terms],
-            num_qubits=num_qubits,
-        )
-
     # ------------------------------------------------------------------ #
     # accessors
     # ------------------------------------------------------------------ #
@@ -119,13 +114,29 @@ class PauliSum:
     def to_dict(self) -> Dict[str, complex]:
         return dict(self._terms)
 
-    @property
-    def identity_coefficient(self) -> complex:
-        return self._terms.get("I" * self._num_qubits, 0.0)
-
-    def is_hermitian(self, tolerance: float = 1e-9) -> bool:
+    def is_hermitian(self, tolerance: float = HERMITICITY_TOLERANCE) -> bool:
         """True if all coefficients are (numerically) real."""
         return all(abs(c.imag) <= tolerance for c in self._terms.values())
+
+    def real_coefficients(self) -> np.ndarray:
+        """The coefficients in label order as real floats, for expectation values.
+
+        The one Hermiticity rule every simulator backend applies: an
+        imaginary part above :data:`HERMITICITY_TOLERANCE` raises
+        :class:`~repro.exceptions.SimulationError`, since the expectation of
+        a non-Hermitian operator is not a real energy.
+        """
+        labels = self.labels
+        coefficients = np.array([self._terms[label] for label in labels], dtype=complex)
+        if coefficients.size:
+            worst = int(np.argmax(np.abs(coefficients.imag)))
+            if abs(coefficients.imag[worst]) > HERMITICITY_TOLERANCE:
+                raise SimulationError(
+                    "expectation values require a Hermitian operator, but term "
+                    f"{labels[worst]!r} has non-real coefficient "
+                    f"{complex(coefficients[worst])!r}"
+                )
+        return np.ascontiguousarray(coefficients.real, dtype=float)
 
     def diagonal_part(self) -> "PauliSum":
         """The sub-sum containing only I/Z (computational-basis) terms."""

@@ -1,8 +1,6 @@
 """Continuous classical optimizers for post-CAFQA VQE tuning."""
 
 from repro.optim.base import ContinuousOptimizer, OptimizationTrace
-from repro.optim.nelder_mead import NelderMead
-from repro.optim.rotosolve import Rotosolve
 from repro.optim.spsa import SPSA
 
-__all__ = ["ContinuousOptimizer", "OptimizationTrace", "SPSA", "NelderMead", "Rotosolve"]
+__all__ = ["ContinuousOptimizer", "OptimizationTrace", "SPSA"]

@@ -57,7 +57,8 @@ class RunSpec:
     (programmatic use only — such a spec is not JSON-serializable).
     ``search_options`` is forwarded to :class:`~repro.core.search
     .CafqaSearch` (e.g. ``warmup_fraction``, ``local_refinement``,
-    ``spin_z_target``); keep it JSON-typed if the spec must round-trip.
+    ``spin_z_target``, or ``max_t_gates`` for the pi/4 grid of CAFQA+kT);
+    keep it JSON-typed if the spec must round-trip.
 
     ``num_states > 1`` turns the run into an Excited-CAFQA spectrum search:
     the lowest ``num_states`` states are found by sequential deflation

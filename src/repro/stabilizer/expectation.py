@@ -47,11 +47,6 @@ _CHUNK_ELEMENTS = 1 << 22
 # dispatch, and both kernels are exact so the choice is invisible.
 _GROUPED_MIN_BATCH = 2
 
-# Matches ``PauliSum.is_hermitian``'s default: large enough to absorb the
-# ~1e-16 imaginary dust left by fermionic mappings, small enough to catch a
-# genuinely non-Hermitian operator.
-_HERMITICITY_TOLERANCE = 1e-9
-
 
 class PauliSumEvaluator:
     """Pre-compiled Pauli-sum expectation evaluator for stabilizer states.
@@ -68,20 +63,9 @@ class PauliSumEvaluator:
     def __init__(self, hamiltonian: PauliSum, grouped: Optional[bool] = None):
         self._num_qubits = hamiltonian.num_qubits
         labels = hamiltonian.labels
-        coefficients = np.array(
-            [hamiltonian.coefficient(label) for label in labels], dtype=complex
-        )
-        if coefficients.size:
-            worst = int(np.argmax(np.abs(coefficients.imag)))
-            if abs(coefficients.imag[worst]) > _HERMITICITY_TOLERANCE:
-                raise SimulationError(
-                    "stabilizer expectations require a Hermitian operator, but "
-                    f"term {labels[worst]!r} has non-real coefficient "
-                    f"{complex(coefficients[worst])!r}"
-                )
+        self._coefficients = hamiltonian.real_coefficients()
         x_bits, z_bits = label_bit_matrix(labels, self._num_qubits)
         self._labels = labels
-        self._coefficients = np.ascontiguousarray(coefficients.real, dtype=float)
         self._term_x = pack_bits(x_bits)
         self._term_z = pack_bits(z_bits)
 
@@ -171,6 +155,11 @@ class PauliSumEvaluator:
     def packed_terms(self) -> tuple[np.ndarray, np.ndarray]:
         """Packed ``(x, z)`` bit rows of the terms in label order: ``(terms, words)``."""
         return self._term_x, self._term_z
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        """The terms' real weights in label order (a copy): ``(terms,)``."""
+        return self._coefficients.copy()
 
     def conjugated_expectation_batch(
         self,

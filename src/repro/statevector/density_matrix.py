@@ -16,7 +16,7 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.exceptions import SimulationError
 from repro.operators.pauli import Pauli
 from repro.operators.pauli_sum import PauliSum
-from repro.statevector.simulator import Statevector, _apply_single_qubit, _apply_two_qubit
+from repro.statevector.simulator import Statevector, _apply_two_qubit, _as_pauli_sum
 
 
 class DensityMatrix:
@@ -60,8 +60,7 @@ class DensityMatrix:
         return float(np.real(np.trace(self._matrix @ self._matrix)))
 
     def expectation(self, operator: "PauliSum | Pauli") -> complex:
-        if isinstance(operator, Pauli):
-            operator = PauliSum({operator.label: operator.phase})
+        operator = _as_pauli_sum(operator)
         if operator.num_qubits != self._num_qubits:
             raise SimulationError("operator and state act on different qubit counts")
         return complex(np.trace(operator.to_matrix() @ self._matrix))
@@ -108,7 +107,13 @@ class DensityMatrixSimulator:
         operator: "PauliSum | Pauli",
         initial_state: Optional[DensityMatrix] = None,
     ) -> float:
-        """Noisy expectation value including readout error on diagonal terms."""
+        """Noisy expectation value including readout error on diagonal terms.
+
+        A non-Hermitian operator raises :class:`SimulationError` (see
+        :meth:`PauliSum.real_coefficients`).
+        """
+        operator = _as_pauli_sum(operator)
+        operator.real_coefficients()
         rho = self.run(circuit, initial_state)
         if self._noise_model is None or not self._noise_model.has_readout_error:
             return float(np.real(rho.expectation(operator)))
@@ -137,7 +142,7 @@ class DensityMatrixSimulator:
         return counts
 
     def _readout_adjusted_expectation(
-        self, rho: DensityMatrix, operator: "PauliSum | Pauli"
+        self, rho: DensityMatrix, operator: PauliSum
     ) -> complex:
         """Expectation where each Pauli term is measured in its own basis.
 
@@ -146,8 +151,6 @@ class DensityMatrixSimulator:
         diagonal ones.  We model this by scaling each non-identity term's
         ideal expectation by the readout damping factor of its support.
         """
-        if isinstance(operator, Pauli):
-            operator = PauliSum({operator.label: operator.phase})
         total = 0.0 + 0.0j
         for term in operator.terms():
             ideal = rho.expectation(term.pauli)

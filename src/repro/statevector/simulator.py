@@ -80,8 +80,7 @@ class Statevector:
 
     def expectation(self, operator: "PauliSum | Pauli") -> complex:
         """Expectation value ``<psi|O|psi>``."""
-        if isinstance(operator, Pauli):
-            operator = PauliSum({operator.label: operator.phase})
+        operator = _as_pauli_sum(operator)
         if operator.num_qubits != self._num_qubits:
             raise SimulationError("operator and state act on different qubit counts")
         total = 0.0 + 0.0j
@@ -133,9 +132,21 @@ class StatevectorSimulator:
         operator: "PauliSum | Pauli",
         initial_state: Optional[Statevector] = None,
     ) -> float:
-        """Real part of the expectation value of ``operator`` after ``circuit``."""
+        """Expectation value of a Hermitian ``operator`` after ``circuit``.
+
+        A non-Hermitian operator raises :class:`SimulationError` (see
+        :meth:`PauliSum.real_coefficients`).
+        """
+        _as_pauli_sum(operator).real_coefficients()
         state = self.run(circuit, initial_state)
         return float(np.real(state.expectation(operator)))
+
+
+def _as_pauli_sum(operator: "PauliSum | Pauli") -> PauliSum:
+    """``operator`` as a Pauli sum; a single Pauli keeps its phase."""
+    if isinstance(operator, Pauli):
+        return PauliSum({operator.label: operator.phase})
+    return operator
 
 
 def _apply_gate(state: np.ndarray, gate: Gate, num_qubits: int) -> np.ndarray:

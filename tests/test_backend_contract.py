@@ -142,3 +142,23 @@ def test_single_pauli_expectation_keeps_its_phase():
     assert DensityMatrixSimulator().run(circuit).expectation(product) == pytest.approx(exact)
     with pytest.raises(SimulationError, match="anti-Hermitian"):
         StabilizerSimulator().run(circuit).expectation(product)
+
+
+def test_one_hermiticity_rule_across_backends():
+    """Every backend rejects a non-Hermitian operator and absorbs 1e-9 dust."""
+    bell = QuantumCircuit(2).h(0).cx(0, 1)
+    backends = (
+        StatevectorSimulator(),
+        DensityMatrixSimulator(),
+        DensityMatrixSimulator(noise_model=ideal_noise_model()),
+        StabilizerSimulator(),
+    )
+    non_hermitian = PauliSum({"XX": 1 + 0.5j, "ZZ": 0.5})
+    for backend in backends:
+        with pytest.raises(SimulationError, match="Hermitian"):
+            backend.expectation(bell, non_hermitian)
+    with pytest.raises(SimulationError, match="Hermitian"):
+        PauliSumEvaluator(non_hermitian)
+    dusty = PauliSum({"XX": 1 + 1e-12j, "ZZ": 0.5})
+    for backend in backends:
+        assert backend.expectation(bell, dusty) == pytest.approx(1.5, abs=1e-9)

@@ -16,7 +16,7 @@ from repro.exceptions import OptimizationError
 
 class TestDiscreteSpace:
     def test_clifford_space(self):
-        space = DiscreteSpace.clifford(5)
+        space = DiscreteSpace([4] * 5)
         assert space.num_dimensions == 5
         assert space.size == 4**5
 
@@ -36,7 +36,7 @@ class TestDiscreteSpace:
             assert space.contains(point)
 
     def test_neighbors_differ_and_stay_inside(self):
-        space = DiscreteSpace.clifford(6)
+        space = DiscreteSpace([4] * 6)
         rng = np.random.default_rng(1)
         origin = (0, 1, 2, 3, 0, 1)
         neighbors = space.neighbors_array(origin, rng, count=20)
@@ -95,14 +95,14 @@ class TestBayesianOptimizer:
         return sum((a - b) ** 2 for a, b in zip(point, target))
 
     def test_finds_optimum_of_small_problem(self):
-        space = DiscreteSpace.clifford(4)
+        space = DiscreteSpace([4] * 4)
         optimizer = BayesianOptimizer(space, warmup_evaluations=30, seed=0)
         result = optimizer.minimize(self._quadratic, max_evaluations=120)
         assert result.best_value == pytest.approx(0.0)
         assert result.best_point == (1, 2, 3, 0)
 
     def test_seed_points_evaluated_first(self):
-        space = DiscreteSpace.clifford(4)
+        space = DiscreteSpace([4] * 4)
         optimizer = BayesianOptimizer(
             space, warmup_evaluations=5, seed_points=[(1, 2, 3, 0)], seed=0
         )
@@ -111,20 +111,20 @@ class TestBayesianOptimizer:
         assert result.best_value == pytest.approx(0.0)
 
     def test_best_so_far_is_monotone(self):
-        space = DiscreteSpace.clifford(5)
+        space = DiscreteSpace([4] * 5)
         optimizer = BayesianOptimizer(space, warmup_evaluations=10, seed=1)
         result = optimizer.minimize(self._quadratic, max_evaluations=40)
         trace = result.best_so_far
         assert all(later <= earlier + 1e-12 for earlier, later in zip(trace, trace[1:]))
 
     def test_respects_budget(self):
-        space = DiscreteSpace.clifford(5)
+        space = DiscreteSpace([4] * 5)
         optimizer = BayesianOptimizer(space, warmup_evaluations=10, seed=2)
         result = optimizer.minimize(self._quadratic, max_evaluations=25)
         assert result.num_iterations <= 25
 
     def test_iterations_to_reach(self):
-        space = DiscreteSpace.clifford(3)
+        space = DiscreteSpace([4] * 3)
         optimizer = BayesianOptimizer(space, warmup_evaluations=10, seed=4)
         result = optimizer.minimize(self._quadratic, max_evaluations=64)
         threshold_iteration = result.iterations_to_reach(result.best_value)
@@ -132,7 +132,7 @@ class TestBayesianOptimizer:
         assert threshold_iteration <= result.num_iterations
 
     def test_invalid_budget(self):
-        space = DiscreteSpace.clifford(2)
+        space = DiscreteSpace([4] * 2)
         with pytest.raises(OptimizationError):
             BayesianOptimizer(space).minimize(self._quadratic, max_evaluations=0)
 
@@ -164,7 +164,7 @@ class _BatchedQuadratic:
 class TestBatchedObjectiveProtocol:
     def test_batched_trajectory_matches_sequential(self):
         """Warm-up/proposal batching must not change which points are visited."""
-        space = DiscreteSpace.clifford(4)
+        space = DiscreteSpace([4] * 4)
         sequential = BayesianOptimizer(
             space, warmup_evaluations=20, seed_points=[(0, 0, 1, 0)], seed=5
         ).minimize(TestBayesianOptimizer._quadratic, max_evaluations=60)
@@ -180,7 +180,7 @@ class TestBatchedObjectiveProtocol:
         ]
 
     def test_proposal_batch_finds_optimum(self):
-        space = DiscreteSpace.clifford(4)
+        space = DiscreteSpace([4] * 4)
         optimizer = BayesianOptimizer(
             space, warmup_evaluations=30, proposal_batch=5, refit_interval=5, seed=0
         )
@@ -190,4 +190,4 @@ class TestBatchedObjectiveProtocol:
 
     def test_proposal_batch_validation(self):
         with pytest.raises(OptimizationError):
-            BayesianOptimizer(DiscreteSpace.clifford(2), proposal_batch=0)
+            BayesianOptimizer(DiscreteSpace([4] * 2), proposal_batch=0)

@@ -1,4 +1,4 @@
-"""Tests for the CAFQA core: constraints, metrics, objective, search, VQE, and T-gate search."""
+"""Tests for the CAFQA core: constraints, metrics, objective, search, VQE, and the pi/4 grid."""
 
 import numpy as np
 import pytest
@@ -9,20 +9,18 @@ from repro.core import (
     CHEMICAL_ACCURACY,
     CafqaSearch,
     CliffordObjective,
-    CliffordTSearch,
     ParticleConstraint,
     VQERunner,
     constrained_hamiltonian,
     correlation_energy_recovered,
-    count_t_gates,
     energy_error,
     evaluate_molecule,
     geometric_mean,
-    indices_to_pi4_angles,
     is_chemically_accurate,
     quadratic_penalty,
     relative_accuracy,
 )
+from repro.circuits.clifford_points import indices_to_angles
 from repro.core.search import coordinate_descent
 from repro.operators import PauliSum
 from repro.optim import SPSA
@@ -186,28 +184,33 @@ class TestVQE:
 
 
 class TestCliffordTSearch:
+    """CAFQA+kT: the same search with ``max_t_gates`` (the pi/4 grid)."""
+
     def test_indices_to_angles(self):
-        assert indices_to_pi4_angles([0, 1, 4]) == pytest.approx([0.0, np.pi / 4, np.pi])
-        assert count_t_gates([0, 1, 4, 3]) == 2
+        assert indices_to_angles([0, 1, 4], 8) == pytest.approx([0.0, np.pi / 4, np.pi])
+        assert indices_to_angles([0, 1, 3]) == pytest.approx([0.0, np.pi / 2, 3 * np.pi / 2])
 
     def test_t_gates_improve_on_clifford_when_seeded(self, h2_problem):
         clifford_search = CafqaSearch(h2_problem, seed=0)
         clifford = clifford_search.run(max_evaluations=60)
-        t_search = CliffordTSearch(
+        t_search = CafqaSearch(
             h2_problem,
-            max_t_gates=1,
             ansatz=clifford_search.ansatz,
             seed=0,
-            seed_point=[2 * i for i in clifford.best_indices],
+            max_t_gates=1,
+            seed_points=[[2 * i for i in clifford.best_indices]],
         )
         result = t_search.run(max_evaluations=80)
-        assert min(result.energy, clifford.energy) <= clifford.energy + 1e-9
-        assert result.num_t_gates <= 1
+        assert result.energy <= clifford.energy + 1e-9
+        assert sum(i % 2 for i in result.best_indices) <= 1
+        assert result.best_angles == indices_to_angles(result.best_indices, 8)
+        assert t_search.reference_indices() == [2 * i for i in clifford_search.reference_indices()]
 
     def test_respects_t_gate_budget(self, h2_problem):
-        search = CliffordTSearch(h2_problem, max_t_gates=2, seed=1)
+        search = CafqaSearch(h2_problem, max_t_gates=2, seed=1)
         result = search.run(max_evaluations=60)
-        assert result.num_t_gates <= 2
+        assert sum(i % 2 for i in result.best_indices) <= 2
+        assert all(0 <= i < 8 for o in result.search_result.observations for i in o.point)
 
 
 class TestPipeline:

@@ -229,7 +229,7 @@ class TestGoldenTraces:
             target = (1, 2, 3, 0)
             return float(sum((a - b) ** 2 for a, b in zip(point, target)))
 
-        space = DiscreteSpace.clifford(4)
+        space = DiscreteSpace([4] * 4)
         result = BayesianOptimizer(
             space, warmup_evaluations=12, seed=5, seed_points=[(0, 0, 1, 0)]
         ).minimize(quadratic, max_evaluations=30)

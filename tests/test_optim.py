@@ -1,20 +1,15 @@
-"""Tests for the continuous optimizers (SPSA, Nelder-Mead, Rotosolve)."""
+"""Tests for the continuous optimizer (SPSA)."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import OptimizationError
-from repro.optim import SPSA, NelderMead, Rotosolve
+from repro.optim import SPSA
 
 
 def quadratic(parameters: np.ndarray) -> float:
     target = np.array([0.5, -1.0, 2.0])[: len(parameters)]
     return float(np.sum((parameters - target) ** 2))
-
-
-def sinusoidal(parameters: np.ndarray) -> float:
-    """Energy-like landscape: sum of sinusoids, minimum value -len(parameters)."""
-    return float(np.sum(np.sin(parameters)))
 
 
 class TestSPSA:
@@ -51,47 +46,3 @@ class TestSPSA:
         trace = optimizer.minimize(quadratic, np.zeros(3), max_iterations=200)
         assert trace.iterations_to_reach(1e9) == 1
         assert trace.iterations_to_reach(-1e9) is None
-
-
-class TestNelderMead:
-    def test_minimizes_quadratic(self):
-        trace = NelderMead().minimize(quadratic, np.zeros(3), max_iterations=500)
-        assert trace.best_value < 1e-6
-
-    def test_best_so_far_monotone(self):
-        trace = NelderMead().minimize(quadratic, np.ones(2), max_iterations=200)
-        best = trace.best_so_far
-        assert all(b <= a + 1e-12 for a, b in zip(best, best[1:]))
-
-
-class TestRotosolve:
-    def test_minimizes_sinusoidal_landscape(self):
-        trace = Rotosolve().minimize(sinusoidal, np.zeros(4), max_iterations=5)
-        assert trace.best_value == pytest.approx(-4.0, abs=1e-6)
-
-    def test_converges_quickly_on_single_parameter(self):
-        trace = Rotosolve().minimize(sinusoidal, np.array([0.3]), max_iterations=3)
-        assert trace.best_value == pytest.approx(-1.0, abs=1e-8)
-        assert trace.converged
-
-    def test_vqe_like_objective(self, h2_problem):
-        from repro.circuits import (
-            EfficientSU2Ansatz,
-            hartree_fock_clifford_point,
-            indices_to_angles,
-        )
-        from repro.statevector import StatevectorSimulator
-
-        ansatz = EfficientSU2Ansatz(h2_problem.num_qubits, reps=1)
-        backend = StatevectorSimulator()
-
-        def energy(parameters):
-            return backend.expectation(ansatz.bind(list(parameters)), h2_problem.hamiltonian)
-
-        # Start from the Hartree-Fock angles; per-coordinate exact minimization
-        # can then only improve on the HF energy while respecting the
-        # variational bound.
-        start = indices_to_angles(hartree_fock_clifford_point(ansatz, h2_problem.hf_bits))
-        trace = Rotosolve().minimize(energy, np.array(start), max_iterations=8)
-        assert trace.best_value >= h2_problem.exact_energy - 1e-9
-        assert trace.best_value <= h2_problem.hf_energy + 1e-9

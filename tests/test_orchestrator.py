@@ -135,7 +135,7 @@ class TestRngInjection:
         assert restart_seed(8, 1) != restart_seed(7, 1)
 
     def test_optimizer_accepts_injected_generator(self):
-        space = DiscreteSpace.clifford(4)
+        space = DiscreteSpace([4] * 4)
 
         def objective(point):
             return float(sum(v * v for v in point))
