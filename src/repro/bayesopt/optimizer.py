@@ -3,7 +3,9 @@
 This mirrors the HyperMapper-style search the paper uses: a random warm-up
 phase maps the space, then each round fits the random-forest surrogate on all
 observations, predicts a candidate pool, and greedily evaluates the unseen
-candidate with the lowest predicted value.
+candidates with the lowest predicted values.  The objective is a batch
+function, ``evaluate(points) -> values``: every phase hands it whole blocks of
+points, so a batched simulator prices them together.
 """
 
 from __future__ import annotations
@@ -139,11 +141,17 @@ class BayesianOptimizer:
     # ------------------------------------------------------------------ #
     def minimize(
         self,
-        objective: Callable[[Point], float],
+        evaluate: Callable[[List[Point]], Sequence[float]],
         max_evaluations: int,
         callback: Optional[Callable[[Observation], None]] = None,
     ) -> BayesianOptimizationResult:
-        """Minimize ``objective`` with at most ``max_evaluations`` evaluations."""
+        """Minimize with at most ``max_evaluations`` evaluations.
+
+        ``evaluate(points)`` returns the objective values of a list of points,
+        in order (e.g. ``CliffordObjective.evaluate_batch``).  It is called
+        once for the seed points, once for the planned warm-up block and once
+        per proposal round; ``callback`` then sees each recorded observation.
+        """
         if max_evaluations < 1:
             raise OptimizationError("max_evaluations must be positive")
         observations: List[Observation] = []
@@ -158,32 +166,32 @@ class BayesianOptimizer:
         best_point: Optional[Point] = None
         best_value = np.inf
         converged_iteration = 0
-        # Objectives exposing ``evaluate_batch`` (e.g. CliffordObjective) get
-        # whole batches of points instead of one call per point; the recorded
-        # trajectory is identical because batch values match pointwise ones.
-        batch_evaluate = getattr(objective, "evaluate_batch", None)
 
-        def record(point: Point, phase: str, value: Optional[float] = None) -> None:
+        def record_block(points: List[Point], phase: str) -> None:
+            """Evaluate ``points`` in one call and record them in order."""
             nonlocal best_point, best_value, converged_iteration
             nonlocal feature_buffer, value_buffer
-            value = float(objective(point)) if value is None else float(value)
-            observation = Observation(
-                point=point, value=value, iteration=len(observations) + 1, phase=phase
-            )
-            count = len(observations)
-            if count >= len(feature_buffer):
-                feature_buffer = np.concatenate([feature_buffer, np.empty_like(feature_buffer)])
-                value_buffer = np.concatenate([value_buffer, np.empty_like(value_buffer)])
-            feature_buffer[count] = point
-            value_buffer[count] = value
-            observations.append(observation)
-            seen_keys.add(_point_key(point))
-            if value < best_value - 1e-12:
-                best_value = value
-                best_point = point
-                converged_iteration = observation.iteration
-            if callback is not None:
-                callback(observation)
+            if not points:
+                return
+            for point, value in zip(points, evaluate(points)):
+                value = float(value)
+                count = len(observations)
+                observation = Observation(
+                    point=point, value=value, iteration=count + 1, phase=phase
+                )
+                if count >= len(feature_buffer):
+                    feature_buffer = np.concatenate([feature_buffer, np.empty_like(feature_buffer)])
+                    value_buffer = np.concatenate([value_buffer, np.empty_like(value_buffer)])
+                feature_buffer[count] = point
+                value_buffer[count] = value
+                observations.append(observation)
+                seen_keys.add(_point_key(point))
+                if value < best_value - 1e-12:
+                    best_value = value
+                    best_point = point
+                    converged_iteration = observation.iteration
+                if callback is not None:
+                    callback(observation)
 
         # Seed points (e.g. the Hartree-Fock Clifford point) come first.
         pending_seeds: List[Point] = []
@@ -193,20 +201,14 @@ class BayesianOptimizer:
             point = self._space.validate(point)
             if point not in pending_seeds:
                 pending_seeds.append(point)
-        seed_values = (
-            batch_evaluate(pending_seeds)
-            if batch_evaluate is not None and len(pending_seeds) > 1
-            else None
-        )
-        for position, point in enumerate(pending_seeds):
-            record(point, "seed", None if seed_values is None else seed_values[position])
+        record_block(pending_seeds, "seed")
 
         # Warm-up phase: uniform random exploration, planned in whole-block
         # vector samples (budget, attempts cap, dedup against everything
         # already tracked, duplicates allowed once the space is exhausted)
-        # and then evaluated in order — as one batch when the objective is
-        # batched.  A block of k draws consumes the generator exactly like k
-        # single draws, so the planned points do not depend on the block size.
+        # and then evaluated as one block.  A block of k draws consumes the
+        # generator exactly like k single draws, so the planned points do not
+        # depend on the block size.
         warmup_budget = min(self._warmup, max_evaluations - len(observations))
         attempts_cap = 50 * self._warmup
         attempts = 0
@@ -224,16 +226,10 @@ class BayesianOptimizer:
                 planned_keys.add(key)
                 if len(planned) >= warmup_budget:
                     break
-        values = (
-            batch_evaluate(planned)
-            if batch_evaluate is not None and len(planned) > 1
-            else None
-        )
-        for position, candidate in enumerate(planned):
-            record(candidate, "warmup", None if values is None else values[position])
+        record_block(planned, "warmup")
 
         # Model-guided phase: predict the candidate pool once per round and
-        # submit the lowest-predicted proposals as one batch.
+        # evaluate the lowest-predicted proposals as one block.
         surrogate = None
         rounds_since_fit = self._refit_interval
         while len(observations) < max_evaluations:
@@ -251,16 +247,8 @@ class BayesianOptimizer:
             candidates = self._propose_batch(surrogate, seen_keys, best_point, count)
             if not candidates:
                 break
-            values = (
-                batch_evaluate(candidates)
-                if batch_evaluate is not None and len(candidates) > 1
-                else None
-            )
-            for position, candidate in enumerate(candidates):
-                record(
-                    candidate, "search", None if values is None else values[position]
-                )
-                rounds_since_fit += 1
+            record_block(candidates, "search")
+            rounds_since_fit += len(candidates)
 
         if best_point is None:
             raise OptimizationError("no evaluations were performed")

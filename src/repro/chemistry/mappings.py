@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-import numpy as np
-
 from repro.chemistry.fermion import FermionTerm
 from repro.exceptions import ChemistryError
 from repro.operators.pauli_sum import PauliSum

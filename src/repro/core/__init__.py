@@ -59,11 +59,7 @@ from repro.core.pipeline import (
     MoleculeEvaluation,
     evaluate_molecule,
 )
-from repro.core.search import (
-    CafqaResult,
-    CafqaSearch,
-    SearchLoopOptions,
-)
+from repro.core.search import CafqaResult, CafqaSearch
 from repro.core.vqe import VQEResult, VQERunner
 from repro.operators.fingerprints import hamiltonian_fingerprint
 
@@ -81,7 +77,6 @@ __all__ = [
     "ExcitedStateLevel",
     "ExcitedStatesResult",
     "find_lowest_states",
-    "SearchLoopOptions",
     "CHEMICAL_ACCURACY",
     "AccuracySummary",
     "energy_error",

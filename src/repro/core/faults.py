@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -352,13 +352,14 @@ def maybe_fire_service_fault(
 class FaultInjectingObjective:
     """Wraps an objective and fires prescribed faults at exact eval counts.
 
-    The wrapper counts constrained evaluations (scalar calls and batch
-    elements alike) *including cache hits*: the count is a pure function of
-    the search trajectory, so a retried restart — which replays cached
-    evaluations — reaches the same count at the same trajectory position and
-    re-arms exactly the faults the marker files say are still due.  All other
-    attribute access falls through to the wrapped objective, so the wrapper
-    composes with :class:`~repro.core.orchestrator.CachedObjective`.
+    The wrapper counts constrained evaluations (one per point of every
+    batch, a scalar call being a batch of one) *including cache hits*: the
+    count is a pure function of the search trajectory, so a retried restart —
+    which replays cached evaluations — reaches the same count at the same
+    trajectory position and re-arms exactly the faults the marker files say
+    are still due.  All other attribute access falls through to the wrapped
+    objective, so the wrapper composes with
+    :class:`~repro.core.orchestrator.CachedObjective`.
     """
 
     def __init__(
@@ -454,9 +455,7 @@ class FaultInjectingObjective:
 
     # ------------------------------------------------------------------ #
     def __call__(self, indices) -> float:
-        value = self._objective(indices)
-        self._advance(1)
-        return value
+        return float(self.evaluate_batch([indices])[0])
 
     def evaluate_batch(self, points):
         values = self._objective.evaluate_batch(points)

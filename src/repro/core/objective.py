@@ -27,8 +27,8 @@ the constrained operator (one Pauli-sum expectation covers them), while
 *overlap* penalties — the ``w * |<psi|psi_k>|^2`` deflation terms of
 Excited-CAFQA — are charged through the batched stabilizer overlap kernel
 (:mod:`repro.stabilizer.overlap`), since a state projector has no
-polynomial Pauli expansion.  Both paths are batched and bit-for-bit
-identical to their pointwise counterparts.
+polynomial Pauli expansion.  Both paths are batched: every evaluation,
+one point or many, goes through :meth:`CliffordObjective.evaluate_batch`.
 
 With ``max_t_gates = k >= 1`` the objective lives on the pi/4 grid of the
 paper's CAFQA+kT exploration (Section 8): index ``2c + t`` is Clifford index
@@ -296,18 +296,6 @@ class CliffordObjective:
         overlaps = stabilizer_state_overlaps(tableaux, targets)
         return (overlaps * self._deflation_weights).sum(axis=-1)
 
-    def _constrained_value(self, tableau: CliffordTableau) -> float:
-        """Operator expectation plus deflation penalty for one tableau.
-
-        The scalar counterpart of the batch path in :meth:`evaluate_batch`;
-        both add the penalty with the same float operations, which is what
-        keeps batch and pointwise values bit-for-bit identical.
-        """
-        value = float(self._operator_evaluator.expectation(tableau))
-        if self._deflation_targets is not None:
-            value = value + float(self._deflation_penalties(tableau)[0])
-        return value
-
     # ------------------------------------------------------------------ #
     def _key(self, indices: Sequence[int]) -> Point:
         return validate_clifford_point(
@@ -321,26 +309,22 @@ class CliffordObjective:
         self._evaluations += len(keys)
         return BatchedCliffordTableau.from_program(self._program, matrix)
 
-    def _tableau(self, key: Point) -> CliffordTableau:
-        return self._simulate([key]).extract(0)
-
     def tableau(self, indices: Sequence[int]) -> CliffordTableau:
         """The stabilizer tableau of the ansatz at a Clifford point."""
         if self._max_t_gates:
             raise ValueError("a pi/4-grid objective has no single stabilizer tableau")
-        return self._tableau(self._key(indices))
+        return self._simulate([self._key(indices)]).extract(0)
 
     def __call__(self, indices: Sequence[int]) -> float:
-        key = self._key(indices)
-        return self._on_grid([key], self._point_values, self._operator_evaluator, True)[0]
+        return float(self.evaluate_batch([indices])[0])
 
     def evaluate_batch(self, points: Sequence[Sequence[int]]) -> np.ndarray:
         """Constrained energies of many points in one batched simulation.
 
         Returns values in the order of ``points``; duplicates within the batch
         are simulated once.  Points that differ in a single slot are priced as
-        a neighbourhood (see the class docstring).  Numerically identical to
-        calling the objective point by point.
+        a neighbourhood (see the class docstring), bit-identical to one-point
+        calls.  Calling the objective is the one-point case.
         """
         keys = [self._key(point) for point in points]
         distinct = list(dict.fromkeys(keys))
@@ -351,9 +335,6 @@ class CliffordObjective:
         )
         values = {key: float(value) for key, value in zip(distinct, energies)}
         return np.array([values[key] for key in keys], dtype=float)
-
-    def _point_values(self, keys: Sequence[Point]) -> List[float]:
-        return [self._constrained_value(self._tableau(key)) for key in keys]
 
     def _batch_values(self, keys: Sequence[Point]) -> np.ndarray:
         slot = self._varying_slot(keys)
@@ -544,14 +525,13 @@ class CliffordObjective:
 
     def energy(self, indices: Sequence[int]) -> float:
         """Unconstrained Hamiltonian energy (no penalty terms) at a point."""
-        key = self._key(indices)
-        return self._on_grid([key], self._point_energies, self._energy_evaluator, False)[0]
+        return float(self.energy_batch([indices])[0])
 
     def energy_batch(self, points: Sequence[Sequence[int]]) -> np.ndarray:
         """Unconstrained Hamiltonian energies of many points at once.
 
-        One batched simulation for all distinct Clifford points; values match
-        :meth:`energy` exactly (same kernel, same reduction order).
+        One batched simulation for all distinct Clifford points; :meth:`energy`
+        is its one-point case.
         """
         keys = [self._key(point) for point in points]
         distinct = list(dict.fromkeys(keys))
@@ -560,12 +540,6 @@ class CliffordObjective:
         )
         values = {key: float(value) for key, value in zip(distinct, energies)}
         return np.array([values[key] for key in keys], dtype=float)
-
-    def _point_energies(self, keys: Sequence[Point]) -> List[float]:
-        return [
-            float(self._energy_evaluator.expectation(self._tableau(key)))
-            for key in keys
-        ]
 
     def _batch_energies(self, keys: Sequence[Point]) -> np.ndarray:
         return self._energy_evaluator.expectation_batch(self._simulate(keys))

@@ -199,13 +199,7 @@ class CachedObjective:
             self._writer.record(fingerprint, point, value)
 
     def __call__(self, indices: Sequence[int]) -> float:
-        point = self._point(indices)
-        cached = self._cache.get(self._fingerprint, point)
-        if cached is not None:
-            return cached
-        value = float(self._objective(point))
-        self._store(self._fingerprint, point, value)
-        return value
+        return float(self.evaluate_batch([indices])[0])
 
     def evaluate_batch(self, points: Sequence[Sequence[int]]) -> np.ndarray:
         keys = [self._point(p) for p in points]

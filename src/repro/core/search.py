@@ -83,46 +83,6 @@ class CafqaResult:
 REFIT_INTERVAL = 5
 
 
-@dataclass
-class SearchLoopOptions:
-    """The Bayesian-optimization loop knobs of :class:`CafqaSearch`.
-
-    One warm-up / surrogate / greedy-pick loop serves the Clifford grid and
-    the pi/4 grid (``max_t_gates``) alike; this dataclass is the single
-    place its kwarg names and defaults are defined.  The surrogate is
-    refitted every :data:`REFIT_INTERVAL` evaluations.
-    """
-
-    warmup_fraction: float = 0.5
-    surrogate_factory: Optional[Callable] = None
-    proposal_batch: int = 1
-
-    def __post_init__(self):
-        if not 0.0 < self.warmup_fraction < 1.0:
-            raise OptimizationError(
-                "warmup_fraction must be strictly between 0 and 1"
-            )
-
-    def build_optimizer(
-        self,
-        space: DiscreteSpace,
-        max_evaluations: int,
-        seed_points: Sequence[Sequence[int]],
-        seed: Optional[int] = None,
-    ) -> BayesianOptimizer:
-        """The configured optimizer for one search run (shared scaffolding)."""
-        warmup = max(1, int(round(self.warmup_fraction * max_evaluations)))
-        return BayesianOptimizer(
-            space,
-            warmup_evaluations=warmup,
-            surrogate_factory=self.surrogate_factory,
-            seed_points=list(seed_points),
-            refit_interval=REFIT_INTERVAL,
-            proposal_batch=int(self.proposal_batch),
-            seed=seed,
-        )
-
-
 class CafqaSearch:
     """Runs the discrete Clifford-space search for a :class:`ProblemSpec`.
 
@@ -145,9 +105,12 @@ class CafqaSearch:
     excited-state searches use to walk off previously found (penalized)
     optima (see :mod:`repro.core.excited`).
 
-    The loop itself takes ``warmup_fraction``, ``proposal_batch`` and
-    ``surrogate_factory`` (see :class:`SearchLoopOptions`); ``seed`` makes
-    the whole trajectory reproducible.
+    The Bayesian-optimization loop takes ``warmup_fraction`` (the share of
+    ``max_evaluations`` spent on random warm-up, strictly between 0 and 1),
+    ``proposal_batch`` and ``surrogate_factory`` (``None`` selects the
+    optimizer's default forest); the surrogate is refitted every
+    :data:`REFIT_INTERVAL` evaluations, and ``seed`` makes the whole
+    trajectory reproducible.
 
     ``max_t_gates = k >= 1`` searches the pi/4 grid instead: each slot takes
     a value in 0..7 (angle ``index * pi/4``), at most ``k`` of them odd, and
@@ -202,12 +165,11 @@ class CafqaSearch:
                 max_t_gates=max_t_gates,
             )
         self._cardinality = self._objective.cardinality
-        # surrogate_factory=None selects the optimizer's default forest.
-        self._options = SearchLoopOptions(
-            warmup_fraction=float(warmup_fraction),
-            surrogate_factory=surrogate_factory,
-            proposal_batch=int(proposal_batch),
-        )
+        if not 0.0 < float(warmup_fraction) < 1.0:
+            raise OptimizationError("warmup_fraction must be strictly between 0 and 1")
+        self._warmup_fraction = float(warmup_fraction)
+        self._surrogate_factory = surrogate_factory
+        self._proposal_batch = int(proposal_batch)
         self._seed_points = [
             [int(v) for v in point] for point in (seed_points or [])
         ]
@@ -247,12 +209,20 @@ class CafqaSearch:
         if max_evaluations < 2:
             raise OptimizationError("the search needs at least two evaluations")
         space = DiscreteSpace([self._cardinality] * self._ansatz.num_parameters)
-        seeds = self._warmup_seeds()
-        optimizer = self._options.build_optimizer(
-            space, max_evaluations=max_evaluations, seed_points=seeds, seed=self._seed
+        warmup = max(1, int(round(self._warmup_fraction * max_evaluations)))
+        optimizer = BayesianOptimizer(
+            space,
+            warmup_evaluations=warmup,
+            surrogate_factory=self._surrogate_factory,
+            seed_points=self._warmup_seeds(),
+            refit_interval=REFIT_INTERVAL,
+            proposal_batch=self._proposal_batch,
+            seed=self._seed,
         )
         search_result = optimizer.minimize(
-            self._objective, max_evaluations=max_evaluations, callback=callback
+            self._objective.evaluate_batch,
+            max_evaluations=max_evaluations,
+            callback=callback,
         )
 
         if self._local_refinement:
@@ -309,7 +279,7 @@ class CafqaSearch:
         iteration = search_result.num_iterations
         for start in starts:
             point, value, observations = coordinate_descent(
-                self._objective,
+                self._objective.evaluate_batch,
                 start,
                 cardinality=self._cardinality,
                 max_sweeps=self._refinement_sweeps,
@@ -333,7 +303,7 @@ class CafqaSearch:
 
 
 def coordinate_descent(
-    objective,
+    evaluate: Callable[[List[tuple]], Sequence[float]],
     start_point: Sequence[int],
     cardinality: int,
     max_sweeps: int = 4,
@@ -347,21 +317,16 @@ def coordinate_descent(
     sweep with no improvement or after ``max_sweeps`` sweeps.  Returns the
     best point, its value, and the evaluations performed (phase ``"refine"``).
 
-    Each dimension's alternates of the current incumbent are evaluated in one
-    ``evaluate_batch`` call (plain callables are called point by point); a
-    :class:`~repro.core.objective.CliffordObjective` prices such a
+    ``evaluate(points)`` returns the values of a list of points, in order.
+    Each dimension's alternates of the current incumbent go to it in one
+    call; a :class:`~repro.core.objective.CliffordObjective` prices such a
     neighbourhood at one rotation plus one expectation per point.  The greedy
     decisions then replay over those values: an improvement only changes the
     dimension being swept, so every later candidate of that dimension is
     either in the batch or the pre-improvement incumbent, which is re-tried
-    through an ordinary (cached) objective call.  A sweep therefore records
+    as a one-point call (as is the start point).  A sweep therefore records
     at most ``cardinality`` observations per dimension.
     """
-    batch_evaluate = getattr(objective, "evaluate_batch", None)
-    if batch_evaluate is None:
-
-        def batch_evaluate(points):
-            return [objective(point) for point in points]
 
     def substitute(point: tuple, dimension: int, value: int) -> tuple:
         candidate = list(point)
@@ -369,7 +334,7 @@ def coordinate_descent(
         return tuple(candidate)
 
     current = tuple(int(v) for v in start_point)
-    current_value = float(objective(current))
+    current_value = float(evaluate([current])[0])
     observations: List[Observation] = []
     iteration = start_iteration
     for _ in range(max_sweeps):
@@ -382,7 +347,7 @@ def coordinate_descent(
             ]
             batched = {}
             if alternates:
-                batched = dict(zip(alternates, batch_evaluate(alternates)))
+                batched = dict(zip(alternates, evaluate(alternates)))
             for candidate_value in range(cardinality):
                 if candidate_value == current[dimension]:
                     continue
@@ -390,7 +355,7 @@ def coordinate_descent(
                 if candidate in batched:
                     value = float(batched[candidate])
                 else:
-                    value = float(objective(candidate))
+                    value = float(evaluate([candidate])[0])
                 iteration += 1
                 observation = Observation(
                     point=candidate, value=value, iteration=iteration, phase="refine"
@@ -404,4 +369,3 @@ def coordinate_descent(
         if not improved:
             break
     return current, current_value, observations
-

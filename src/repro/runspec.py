@@ -234,9 +234,10 @@ class RunSpec:
         ``max_evaluations`` per restart, across ``num_seeds`` restarts and
         ``num_states`` deflation levels: the Bayesian-optimization budget
         only.  It is not a worst case.  Coordinate-descent refinement (on by
-        default) adds up to ``4 * num_parameters`` observations per sweep
-        and refinement start on top of it, and deduped cache hits make the
-        realized cost lower.
+        default) adds up to ``cardinality * num_parameters`` observations per
+        sweep and refinement start on top of it (``cardinality`` is 4 on the
+        Clifford grid and 8 on the pi/4 grid of ``max_t_gates``), and deduped
+        cache hits make the realized cost lower.
         """
         return (
             int(self.max_evaluations) * int(self.num_seeds) * int(self.num_states)

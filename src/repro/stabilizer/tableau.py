@@ -9,9 +9,10 @@ sign bit ``r`` so that the represented Pauli is ``(-1)^r * prod_j P_j`` with
 Rows are bit-packed into uint64 words (qubit ``q`` is bit ``q % 64`` of word
 ``q // 64``, see :mod:`repro.stabilizer.symplectic`), and the primitive
 H/S/CX/Pauli updates operate on packed words following the CHP rules
-(Aaronson & Gottesman, PRA 70, 052328).  Every other Clifford gate —
-including rotation gates at multiples of pi/2 — is decomposed into those
-generators, which is exact up to an irrelevant global phase.
+(Aaronson & Gottesman, PRA 70, 052328).  Every other Clifford gate is
+decomposed into those generators, which is exact up to an irrelevant global
+phase; rotation gates at multiples of pi/2 apply a closed-form truth table
+per rotation family.
 
 :class:`BatchedCliffordTableau` evolves a whole batch of states at once
 through a compiled gate program (:meth:`~BatchedCliffordTableau.apply_program`,
@@ -43,14 +44,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a hard dependency
 
 _ONE = np.uint64(1)
 
-# Decomposition of rotation gates at k * pi/2 into Clifford generators.  The
-# RY entries are exact up to a global phase: RY(pi/2) = X.H and
-# RY(3pi/2) = H.X, applied left-to-right.
-_ROTATION_SEQUENCES = {
-    "rz": {1: ("s",), 2: ("z",), 3: ("sdg",)},
-    "rx": {1: ("sx",), 2: ("x",), 3: ("sxdg",)},
-    "ry": {1: ("h", "x"), 2: ("y",), 3: ("x", "h")},
-}
+# Rotation gates that take a Clifford index k (angle k * pi/2).
+_ROTATIONS = ("rx", "ry", "rz")
 
 
 # Single-qubit gates that are not their own inverse (up to global phase).
@@ -74,12 +69,10 @@ def _readonly(array: np.ndarray) -> np.ndarray:
 class BatchedCliffordTableau:
     """A batch of stabilizer tableaux evolved in lockstep, all ``|0...0>``.
 
-    The primitive gate methods accept an optional boolean ``mask`` of shape
-    ``(batch,)`` restricting the update to a subset of the batch; masked
-    updates are expressed as XOR deltas so they cost the same as unmasked
-    ones.  :meth:`apply_rotation` gives every batch element its own Clifford
+    The primitive gate methods act on every batch element alike;
+    :meth:`apply_rotation` gives every batch element its own Clifford
     rotation index through a fused closed-form truth table per rotation
-    family, so the batch shares one gate skeleton without masking.
+    family, so the batch shares one gate skeleton.
     """
 
     def __init__(self, batch_size: int, num_qubits: int):
@@ -193,47 +186,29 @@ class BatchedCliffordTableau:
         if not 0 <= qubit < self._n:
             raise SimulationError(f"qubit {qubit} out of range for {self._n} qubits")
 
-    def _mask_bits(self, mask) -> Optional[np.ndarray]:
-        if mask is None:
-            return None
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (self._batch,):
-            raise SimulationError(
-                f"mask shape {mask.shape} does not match batch size {self._batch}"
-            )
-        return mask.astype(np.uint64)[:, None]
-
     def _column(self, array: np.ndarray, qubit: int) -> tuple[np.ndarray, np.uint64, int]:
         word, offset = divmod(qubit, WORD_BITS)
         return (array[:, :, word] >> np.uint64(offset)) & _ONE, np.uint64(offset), word
 
-    def apply_h(self, qubit: int, mask=None) -> None:
+    def apply_h(self, qubit: int) -> None:
         """Hadamard: X <-> Z, sign flips when the row carries Y on the qubit."""
         self._check_qubit(qubit)
         x, offset, word = self._column(self._x, qubit)
         z, _, _ = self._column(self._z, qubit)
-        flip = x & z
         swap = x ^ z
-        bits = self._mask_bits(mask)
-        if bits is not None:
-            flip &= bits
-            swap &= bits
-        self._r ^= flip.astype(bool)
+        self._r ^= (x & z).astype(bool)
         self._x[:, :, word] ^= swap << offset
         self._z[:, :, word] ^= swap << offset
 
-    def apply_s(self, qubit: int, mask=None) -> None:
+    def apply_s(self, qubit: int) -> None:
         """Phase gate: X -> Y, sign flips when the row carries Y on the qubit."""
         self._check_qubit(qubit)
         x, offset, word = self._column(self._x, qubit)
         z, _, _ = self._column(self._z, qubit)
-        bits = self._mask_bits(mask)
-        if bits is not None:
-            x = x & bits
         self._r ^= (x & z).astype(bool)
         self._z[:, :, word] ^= x << offset
 
-    def apply_cx(self, control: int, target: int, mask=None) -> None:
+    def apply_cx(self, control: int, target: int) -> None:
         """CNOT from ``control`` to ``target``."""
         self._check_qubit(control)
         self._check_qubit(target)
@@ -244,78 +219,57 @@ class BatchedCliffordTableau:
         xt, t_offset, t_word = self._column(self._x, target)
         zt, _, _ = self._column(self._z, target)
         flip = xc & zt & (xt ^ zc ^ _ONE)
-        bits = self._mask_bits(mask)
-        if bits is not None:
-            flip &= bits
-            xc = xc & bits
-            zt = zt & bits
         self._r ^= flip.astype(bool)
         self._x[:, :, t_word] ^= xc << t_offset
         self._z[:, :, c_word] ^= zt << c_offset
 
-    def apply_x(self, qubit: int, mask=None) -> None:
+    def apply_x(self, qubit: int) -> None:
         """Pauli X: flips the sign of rows carrying Z or Y on the qubit."""
         self._check_qubit(qubit)
         z, _, _ = self._column(self._z, qubit)
-        bits = self._mask_bits(mask)
-        if bits is not None:
-            z = z & bits
         self._r ^= z.astype(bool)
 
-    def apply_z(self, qubit: int, mask=None) -> None:
+    def apply_z(self, qubit: int) -> None:
         """Pauli Z: flips the sign of rows carrying X or Y on the qubit."""
         self._check_qubit(qubit)
         x, _, _ = self._column(self._x, qubit)
-        bits = self._mask_bits(mask)
-        if bits is not None:
-            x = x & bits
         self._r ^= x.astype(bool)
 
-    def apply_y(self, qubit: int, mask=None) -> None:
+    def apply_y(self, qubit: int) -> None:
         """Pauli Y: flips the sign of rows carrying X or Z (not Y) on the qubit."""
         self._check_qubit(qubit)
         x, _, _ = self._column(self._x, qubit)
         z, _, _ = self._column(self._z, qubit)
-        flip = x ^ z
-        bits = self._mask_bits(mask)
-        if bits is not None:
-            flip &= bits
-        self._r ^= flip.astype(bool)
+        self._r ^= (x ^ z).astype(bool)
 
-    def apply_sdg(self, qubit: int, mask=None) -> None:
-        self.apply_z(qubit, mask)
-        self.apply_s(qubit, mask)
+    def apply_sdg(self, qubit: int) -> None:
+        self.apply_z(qubit)
+        self.apply_s(qubit)
 
-    def apply_sx(self, qubit: int, mask=None) -> None:
+    def apply_sx(self, qubit: int) -> None:
         """sqrt(X) = H S H up to global phase."""
-        self.apply_h(qubit, mask)
-        self.apply_s(qubit, mask)
-        self.apply_h(qubit, mask)
+        self.apply_h(qubit)
+        self.apply_s(qubit)
+        self.apply_h(qubit)
 
-    def apply_sxdg(self, qubit: int, mask=None) -> None:
-        self.apply_h(qubit, mask)
-        self.apply_sdg(qubit, mask)
-        self.apply_h(qubit, mask)
+    def apply_sxdg(self, qubit: int) -> None:
+        self.apply_h(qubit)
+        self.apply_sdg(qubit)
+        self.apply_h(qubit)
 
-    def apply_cz(self, control: int, target: int, mask=None) -> None:
-        self.apply_h(target, mask)
-        self.apply_cx(control, target, mask)
-        self.apply_h(target, mask)
+    def apply_cz(self, control: int, target: int) -> None:
+        self.apply_h(target)
+        self.apply_cx(control, target)
+        self.apply_h(target)
 
-    def apply_swap(self, qubit_a: int, qubit_b: int, mask=None) -> None:
-        self.apply_cx(qubit_a, qubit_b, mask)
-        self.apply_cx(qubit_b, qubit_a, mask)
-        self.apply_cx(qubit_a, qubit_b, mask)
+    def apply_swap(self, qubit_a: int, qubit_b: int) -> None:
+        self.apply_cx(qubit_a, qubit_b)
+        self.apply_cx(qubit_b, qubit_a)
+        self.apply_cx(qubit_a, qubit_b)
 
     # ------------------------------------------------------------------ #
     # rotation / program dispatch
     # ------------------------------------------------------------------ #
-    def _apply_rotation_index(self, name: str, index: int, qubit: int, mask=None) -> None:
-        if index == 0:
-            return
-        for operation in _ROTATION_SEQUENCES[name][index]:
-            getattr(self, f"apply_{operation}")(qubit, mask=mask)
-
     def apply_rotation(self, name: str, qubit: int, indices) -> None:
         """Apply a rotation gate with a per-batch-element Clifford index.
 
@@ -323,9 +277,10 @@ class BatchedCliffordTableau:
         (index ``k`` meaning angle ``k * pi/2``).  The update is fused: each
         rotation family has a closed-form truth table over the qubit's
         ``(x, z)`` column bits, so all four index values are applied in one
-        vectorized pass instead of per-index masked gate decompositions.
+        vectorized pass.  Bound rotations (``fixed_index`` program ops) take
+        the same kernel with one index for the whole batch.
         """
-        if name not in _ROTATION_SEQUENCES:
+        if name not in _ROTATIONS:
             raise SimulationError(f"unknown rotation gate {name!r}")
         indices = np.asarray(indices, dtype=np.int64)
         if indices.shape != (self._batch,):
@@ -393,7 +348,7 @@ class BatchedCliffordTableau:
                 )
             elif op.fixed_index is not None:
                 index = (4 - op.fixed_index) % 4 if inverse else op.fixed_index
-                self._apply_rotation_index(op.name, index, op.qubits[0], None)
+                self.apply_rotation(op.name, op.qubits[0], np.full(self._batch, index))
             elif op.name in ("cx", "cz", "swap"):
                 getattr(self, f"apply_{op.name}")(*op.qubits)
             else:

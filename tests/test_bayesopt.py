@@ -14,6 +14,11 @@ from repro.bayesopt import (
 from repro.exceptions import OptimizationError
 
 
+def _pointwise(function):
+    """A batch function that calls ``function`` once per point."""
+    return lambda points: [function(point) for point in points]
+
+
 class TestDiscreteSpace:
     def test_clifford_space(self):
         space = DiscreteSpace([4] * 5)
@@ -97,7 +102,7 @@ class TestBayesianOptimizer:
     def test_finds_optimum_of_small_problem(self):
         space = DiscreteSpace([4] * 4)
         optimizer = BayesianOptimizer(space, warmup_evaluations=30, seed=0)
-        result = optimizer.minimize(self._quadratic, max_evaluations=120)
+        result = optimizer.minimize(_pointwise(self._quadratic), max_evaluations=120)
         assert result.best_value == pytest.approx(0.0)
         assert result.best_point == (1, 2, 3, 0)
 
@@ -106,27 +111,27 @@ class TestBayesianOptimizer:
         optimizer = BayesianOptimizer(
             space, warmup_evaluations=5, seed_points=[(1, 2, 3, 0)], seed=0
         )
-        result = optimizer.minimize(self._quadratic, max_evaluations=20)
+        result = optimizer.minimize(_pointwise(self._quadratic), max_evaluations=20)
         assert result.observations[0].phase == "seed"
         assert result.best_value == pytest.approx(0.0)
 
     def test_best_so_far_is_monotone(self):
         space = DiscreteSpace([4] * 5)
         optimizer = BayesianOptimizer(space, warmup_evaluations=10, seed=1)
-        result = optimizer.minimize(self._quadratic, max_evaluations=40)
+        result = optimizer.minimize(_pointwise(self._quadratic), max_evaluations=40)
         trace = result.best_so_far
         assert all(later <= earlier + 1e-12 for earlier, later in zip(trace, trace[1:]))
 
     def test_respects_budget(self):
         space = DiscreteSpace([4] * 5)
         optimizer = BayesianOptimizer(space, warmup_evaluations=10, seed=2)
-        result = optimizer.minimize(self._quadratic, max_evaluations=25)
+        result = optimizer.minimize(_pointwise(self._quadratic), max_evaluations=25)
         assert result.num_iterations <= 25
 
     def test_iterations_to_reach(self):
         space = DiscreteSpace([4] * 3)
         optimizer = BayesianOptimizer(space, warmup_evaluations=10, seed=4)
-        result = optimizer.minimize(self._quadratic, max_evaluations=64)
+        result = optimizer.minimize(_pointwise(self._quadratic), max_evaluations=64)
         threshold_iteration = result.iterations_to_reach(result.best_value)
         assert threshold_iteration is not None
         assert threshold_iteration <= result.num_iterations
@@ -134,57 +139,65 @@ class TestBayesianOptimizer:
     def test_invalid_budget(self):
         space = DiscreteSpace([4] * 2)
         with pytest.raises(OptimizationError):
-            BayesianOptimizer(space).minimize(self._quadratic, max_evaluations=0)
+            BayesianOptimizer(space).minimize(_pointwise(self._quadratic), max_evaluations=0)
 
     @given(st.integers(min_value=0, max_value=1000))
     @settings(max_examples=10, deadline=None)
     def test_never_returns_point_outside_space(self, seed):
         space = DiscreteSpace([3, 4, 2])
         optimizer = BayesianOptimizer(space, warmup_evaluations=5, seed=seed)
-        result = optimizer.minimize(lambda p: float(sum(p)), max_evaluations=15)
+        result = optimizer.minimize(_pointwise(lambda p: float(sum(p))), max_evaluations=15)
         assert space.contains(result.best_point)
         for observation in result.observations:
             assert space.contains(observation.point)
 
 
-class _BatchedQuadratic:
-    """Quadratic objective exposing the evaluate_batch protocol."""
-
-    def __init__(self):
-        self.batch_calls = 0
-
-    def __call__(self, point):
-        return TestBayesianOptimizer._quadratic(point)
-
-    def evaluate_batch(self, points):
-        self.batch_calls += 1
-        return np.array([self(point) for point in points], dtype=float)
-
-
 class TestBatchedObjectiveProtocol:
-    def test_batched_trajectory_matches_sequential(self):
-        """Warm-up/proposal batching must not change which points are visited."""
+    @pytest.mark.parametrize("proposal_batch", [1, 5])
+    def test_one_evaluate_call_per_block(self, proposal_batch):
+        """Seeds, the warm-up block and each proposal round are one call each."""
+        calls, returned = [], []
+
+        def evaluate(points):
+            calls.append(list(points))
+            # Distinct values, so the order they are recorded in is visible.
+            values = [
+                TestBayesianOptimizer._quadratic(point) + 1e-3 * len(returned) + 1e-6 * i
+                for i, point in enumerate(points)
+            ]
+            returned.extend(values)
+            return values
+
         space = DiscreteSpace([4] * 4)
-        sequential = BayesianOptimizer(
-            space, warmup_evaluations=20, seed_points=[(0, 0, 1, 0)], seed=5
-        ).minimize(TestBayesianOptimizer._quadratic, max_evaluations=60)
-        batched_objective = _BatchedQuadratic()
-        batched = BayesianOptimizer(
-            space, warmup_evaluations=20, seed_points=[(0, 0, 1, 0)], seed=5
-        ).minimize(batched_objective, max_evaluations=60)
-        assert batched_objective.batch_calls > 0
-        assert batched.best_point == sequential.best_point
-        assert batched.best_value == sequential.best_value
-        assert [(o.point, o.value, o.phase) for o in batched.observations] == [
-            (o.point, o.value, o.phase) for o in sequential.observations
-        ]
+        result = BayesianOptimizer(
+            space,
+            warmup_evaluations=20,
+            seed_points=[(0, 0, 1, 0)],
+            refit_interval=5,
+            proposal_batch=proposal_batch,
+            seed=5,
+        ).minimize(evaluate, max_evaluations=60)
+        assert calls[0] == [(0, 0, 1, 0)]
+        assert len(calls[1]) == 20
+        rounds = calls[2:]
+        assert len(rounds) == -(-(60 - 21) // proposal_batch)
+        assert all(1 <= len(block) <= proposal_batch for block in rounds)
+        assert [len(block) for block in rounds[:-1]] == [proposal_batch] * (len(rounds) - 1)
+        observations = result.observations
+        assert [o.point for o in observations] == [p for block in calls for p in block]
+        assert [o.value for o in observations] == returned
+        phases = ["seed"] + ["warmup"] * 20 + ["search"] * (60 - 21)
+        assert [o.phase for o in observations] == phases
+        assert [o.iteration for o in observations] == list(range(1, 61))
 
     def test_proposal_batch_finds_optimum(self):
         space = DiscreteSpace([4] * 4)
         optimizer = BayesianOptimizer(
             space, warmup_evaluations=30, proposal_batch=5, refit_interval=5, seed=0
         )
-        result = optimizer.minimize(_BatchedQuadratic(), max_evaluations=120)
+        result = optimizer.minimize(
+            _pointwise(TestBayesianOptimizer._quadratic), max_evaluations=120
+        )
         assert result.best_value == pytest.approx(0.0)
         assert result.num_iterations <= 120
 

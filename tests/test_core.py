@@ -146,7 +146,9 @@ class TestCafqaSearch:
         def objective(point):
             return float(sum(point))
 
-        best, value, observations = coordinate_descent(objective, (3, 3, 3), cardinality=4)
+        best, value, observations = coordinate_descent(
+            lambda points: [objective(p) for p in points], (3, 3, 3), cardinality=4
+        )
         assert best == (0, 0, 0)
         assert value == 0.0
         assert all(obs.phase == "refine" for obs in observations)

@@ -189,9 +189,11 @@ class TestFaultPlan:
     def test_marker_files_bound_firings_across_wrappers(self, tmp_path):
         fault = FaultSpec(restart=0, mode="raise", at=2, times=1)
 
-        def objective(point):
-            return 0.0
+        class Objective:
+            def evaluate_batch(self, points):
+                return np.zeros(len(points))
 
+        objective = Objective()
         first = FaultInjectingObjective(
             objective, [fault], restart_index=0, marker_dir=tmp_path
         )

@@ -232,7 +232,7 @@ class TestGoldenTraces:
         space = DiscreteSpace([4] * 4)
         result = BayesianOptimizer(
             space, warmup_evaluations=12, seed=5, seed_points=[(0, 0, 1, 0)]
-        ).minimize(quadratic, max_evaluations=30)
+        ).minimize(lambda points: [quadratic(p) for p in points], max_evaluations=30)
         assert result.best_point == (1, 2, 3, 0)
         assert result.best_value == 0.0
         assert [obs.point for obs in result.observations[:16]] == [

@@ -29,22 +29,20 @@ FAMILIES = {
 
 
 def _scrambled_states(num_qubits, batch, seed, depth=3):
-    """Deterministic per-element random stabilizer states via masked gates."""
+    """Deterministic per-element random stabilizer states.
+
+    Every layer gives each batch element its own ``ry`` and ``rz`` Clifford
+    index on every qubit, then entangles random qubit pairs with CX.
+    """
     rng = np.random.default_rng(seed)
     states = BatchedCliffordTableau(batch, num_qubits)
     for _ in range(depth):
         for qubit in range(num_qubits):
-            mask = rng.random(batch) < 0.5
-            if mask.any():
-                states.apply_h(qubit, mask=mask)
-            mask = rng.random(batch) < 0.5
-            if mask.any():
-                states.apply_s(qubit, mask=mask)
+            states.apply_rotation("ry", qubit, rng.integers(0, 4, batch))
+            states.apply_rotation("rz", qubit, rng.integers(0, 4, batch))
         order = rng.permutation(num_qubits)
         for control, target in zip(order[::2], order[1::2]):
-            mask = rng.random(batch) < 0.5
-            if mask.any():
-                states.apply_cx(int(control), int(target), mask=mask)
+            states.apply_cx(int(control), int(target))
     return states
 
 

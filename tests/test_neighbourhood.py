@@ -75,7 +75,11 @@ class TestAgainstPreviousCoordinateDescent:
                 previous, start, cardinality=4, max_sweeps=max_sweeps, start_iteration=7
             )
             actual = coordinate_descent(
-                current, start, cardinality=4, max_sweeps=max_sweeps, start_iteration=7
+                current.evaluate_batch,
+                start,
+                cardinality=4,
+                max_sweeps=max_sweeps,
+                start_iteration=7,
             )
             assert _observations(actual) == _observations(expected)
 
@@ -247,7 +251,7 @@ class TestRefinementBound:
         """One dimension can record ``cardinality`` observations, not one fewer."""
         values = {0: 0.0, 1: 1.0, 2: 0.5, 3: 1.0}
         _, value, observations = coordinate_descent(
-            lambda point: values[point[0]], (2,), cardinality=4, max_sweeps=1
+            lambda points: [values[p[0]] for p in points], (2,), cardinality=4, max_sweeps=1
         )
         assert value == 0.0
         assert [o.point for o in observations] == [(0,), (1,), (2,), (3,)]
@@ -259,12 +263,19 @@ class TestRefinementBound:
         for _ in range(6):
             start = tuple(int(v) for v in rng.integers(0, 4, ansatz.num_parameters))
             _, _, observations = coordinate_descent(
-                objective, start, cardinality=4, max_sweeps=1
+                objective.evaluate_batch, start, cardinality=4, max_sweeps=1
             )
             assert len(observations) <= 4 * ansatz.num_parameters
 
     def test_search_bounded_by_budget_plus_refinement(self, h2_problem):
-        search = CafqaSearch(h2_problem, seed=0, refinement_sweeps=2)
-        result = search.run(max_evaluations=30)
-        refinement = 2 * 4 * search.ansatz.num_parameters
-        assert result.num_iterations <= 30 + refinement
+        # On the pi/4 grid (max_t_gates >= 1) a sweep tries 8 values per slot:
+        # one sweep there records more than 4 * num_parameters observations.
+        for max_t_gates, sweeps in ((0, 2), (1, 1)):
+            search = CafqaSearch(
+                h2_problem, seed=0, refinement_sweeps=sweeps, max_t_gates=max_t_gates
+            )
+            result = search.run(max_evaluations=30)
+            cardinality = search.objective.cardinality
+            refinement = sweeps * cardinality * search.ansatz.num_parameters
+            assert result.num_iterations <= 30 + refinement
+        assert result.num_iterations > 30 + sweeps * 4 * search.ansatz.num_parameters

@@ -137,8 +137,8 @@ class TestRngInjection:
     def test_optimizer_accepts_injected_generator(self):
         space = DiscreteSpace([4] * 4)
 
-        def objective(point):
-            return float(sum(v * v for v in point))
+        def objective(points):
+            return [float(sum(v * v for v in point)) for point in points]
 
         seeded = BayesianOptimizer(space, warmup_evaluations=10, seed=11).minimize(
             objective, max_evaluations=40
