@@ -48,6 +48,7 @@ constant penalty ``INFEASIBLE_PENALTY * (1 + excess)``.
 from __future__ import annotations
 
 import hashlib
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -185,19 +186,9 @@ class CliffordObjective:
         self._operator = constrained_hamiltonian(
             problem, constraint=constraint, spin_z_target=spin_z_target
         )
+        if not self._operator.is_hermitian():
+            self._operator.real_coefficients()  # raises the evaluators' SimulationError
         self._program = CliffordGateProgram.from_ansatz(ansatz)
-        self._operator_evaluator = PauliSumEvaluator(self._operator)
-        # Constraint-free objectives (every registry spin/graph problem, and
-        # any explicit constraint=() call) end up with a constrained operator
-        # identical to the bare Hamiltonian — share one compiled evaluator
-        # instead of packing and grouping the same terms twice.  Equality must
-        # be *exact* (same labels, exactly equal coefficients): tolerance
-        # equality could alias two operators whose energies differ at the
-        # 1e-10 level and silently move pinned trajectories.
-        if _identical_operators(self._operator, problem.hamiltonian):
-            self._energy_evaluator = self._operator_evaluator
-        else:
-            self._energy_evaluator = PauliSumEvaluator(problem.hamiltonian)
         self._evaluations = 0
         # Non-Pauli penalty path: deflation targets are simulated once (on
         # this objective's own compiled program) and every evaluation then
@@ -242,6 +233,21 @@ class CliffordObjective:
         self._snapshots: Optional[SymplecticView] = None
 
     # ------------------------------------------------------------------ #
+    # Compiled on first use: an objective that is only fingerprinted compiles neither.
+    @cached_property
+    def _operator_evaluator(self) -> PauliSumEvaluator:
+        return PauliSumEvaluator(self._operator)
+
+    @cached_property
+    def _energy_evaluator(self) -> PauliSumEvaluator:
+        # A constraint-free objective's operator is the bare Hamiltonian: share
+        # one evaluator.  Equality must be *exact* (same labels and
+        # coefficients): tolerance equality could alias operators whose
+        # energies differ at the 1e-10 level and move pinned trajectories.
+        if _identical_operators(self._operator, self._problem.hamiltonian):
+            return self._operator_evaluator
+        return PauliSumEvaluator(self._problem.hamiltonian)
+
     @property
     def problem(self) -> ProblemSpec:
         return self._problem

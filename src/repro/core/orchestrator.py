@@ -18,6 +18,10 @@ observed values, re-running an interrupted restart with its evaluation shard
 loaded reproduces the identical trajectory while paying nothing for the
 already-simulated points; finished restarts are loaded straight from their
 checkpoint and not re-run at all.
+
+A checkpoint stores its observations as columns, each point one string of
+one digit per slot, decoded in one vectorized pass; a checkpoint of another
+:data:`CHECKPOINT_FORMAT`, or one that does not decode, is stale.
 """
 
 from __future__ import annotations
@@ -71,7 +75,7 @@ from repro.problems.base import ProblemSpec, reference_energy_of
 
 Point = Tuple[int, ...]
 
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
 
 # CafqaSearch keywords that configure the objective (consumed when the
 # orchestrator builds the objective itself) vs. the search loop (forwarded).
@@ -101,7 +105,10 @@ def ansatz_fingerprint(ansatz: EfficientSU2Ansatz) -> str:
     makes the fingerprint a function of the circuit the evaluations actually
     ran, so any ansatz producing the same program shares cache entries.
     """
-    program = CliffordGateProgram.from_ansatz(ansatz)
+    return _program_fingerprint(CliffordGateProgram.from_ansatz(ansatz))
+
+
+def _program_fingerprint(program: CliffordGateProgram) -> str:
     digest = hashlib.sha256()
     digest.update(f"{program.num_qubits}:{program.num_parameters};".encode())
     for op in program.ops:
@@ -123,7 +130,7 @@ def objective_fingerprint(objective: CliffordObjective) -> str:
     """
     base = (
         f"{hamiltonian_fingerprint(objective.operator)}"
-        f"-{ansatz_fingerprint(objective.ansatz)}"
+        f"-{_program_fingerprint(objective.program)}"
     )
     max_t_gates = getattr(objective, "max_t_gates", 0)
     if max_t_gates:
@@ -140,7 +147,7 @@ def energy_fingerprint(objective: CliffordObjective) -> str:
     """
     base = (
         f"{hamiltonian_fingerprint(objective.problem.hamiltonian)}"
-        f"-{ansatz_fingerprint(objective.ansatz)}"
+        f"-{_program_fingerprint(objective.program)}"
     )
     return f"{base}-pi4" if getattr(objective, "max_t_gates", 0) else base
 
@@ -491,23 +498,34 @@ def _checkpoint_path(task: RestartTask) -> Path:
     )
 
 
-def _observation_to_row(observation: Observation) -> list:
+def _encode_observations(observations: Sequence[Observation]) -> dict:
+    """Checkpoint columns; each point is a string of one digit per slot."""
+    return {
+        "points": ["".join(map(str, o.point)) for o in observations],
+        "values": [o.value for o in observations],
+        "iterations": [o.iteration for o in observations],
+        "phases": [o.phase for o in observations],
+    }
+
+
+def _decode_observations(columns: dict, width: int) -> List[Observation]:
+    """Observations from :func:`_encode_observations` columns of ``width``-slot points.
+
+    Ragged or non-list columns, points of another width and non-digit
+    characters raise ``ValueError``: the checkpoint is stale.
+    """
+    columns = [columns[name] for name in ("points", "values", "iterations", "phases")]
+    if any(not isinstance(c, list) for c in columns) or len(set(map(len, columns))) != 1:
+        raise ValueError("ragged or malformed observation columns")
+    points, values, iterations, phases = columns
+    digits = np.frombuffer("".join(points).encode("ascii"), dtype=np.uint8) - ord("0")
+    if any(len(point) != width for point in points) or (digits > 9).any():
+        raise ValueError(f"checkpoint points are not strings of {width} digits")
+    rows = digits.reshape(len(points), width).tolist()
     return [
-        [int(v) for v in observation.point],
-        observation.value,
-        observation.iteration,
-        observation.phase,
+        Observation(tuple(row), float(value), int(iteration), str(phase))
+        for row, value, iteration, phase in zip(rows, values, iterations, phases)
     ]
-
-
-def _observation_from_row(row: Sequence) -> Observation:
-    point, value, iteration, phase = row
-    return Observation(
-        point=tuple(int(v) for v in point),
-        value=float(value),
-        iteration=int(iteration),
-        phase=str(phase),
-    )
 
 
 def _load_finished_checkpoint(task: RestartTask) -> Optional[SeedTrace]:
@@ -549,9 +567,9 @@ def _load_finished_checkpoint(task: RestartTask) -> Optional[SeedTrace]:
             constrained_energy=float(payload["constrained_energy"]),
             num_iterations=int(payload["num_iterations"]),
             converged_iteration=int(payload["converged_iteration"]),
-            observations=[
-                _observation_from_row(row) for row in payload["observations"]
-            ],
+            observations=_decode_observations(
+                payload["observations"], task.ansatz.num_parameters
+            ),
             from_checkpoint=True,
         )
     except (KeyError, TypeError, ValueError):
@@ -679,7 +697,7 @@ def run_restart(task: RestartTask) -> SeedTrace:
                 constrained_energy=trace.constrained_energy,
                 num_iterations=trace.num_iterations,
                 converged_iteration=trace.converged_iteration,
-                observations=[_observation_to_row(o) for o in trace.observations],
+                observations=_encode_observations(trace.observations),
             ),
         )
     return trace

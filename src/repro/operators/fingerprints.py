@@ -30,11 +30,9 @@ def hamiltonian_fingerprint(operator: PauliSum) -> str:
     with grouping on.
     """
     digest = hashlib.sha256()
-    for term in sorted(operator.terms(), key=lambda t: t.label):
-        coefficient = complex(term.coefficient)
-        digest.update(
-            f"{term.label}:{coefficient.real!r}:{coefficient.imag!r};".encode()
-        )
+    for label, coefficient in sorted(operator.to_dict().items()):
+        coefficient = complex(coefficient)
+        digest.update(f"{label}:{coefficient.real!r}:{coefficient.imag!r};".encode())
     return digest.hexdigest()[:16]
 
 
@@ -43,17 +41,17 @@ def determinant_energy(hamiltonian: PauliSum, bits: Sequence[int]) -> float:
 
     Only I/Z terms contribute for a basis state; each Z factor contributes
     ``(-1)^bit``.  ``bits[q]`` is the occupation of qubit ``q`` (qubit 0 is
-    the rightmost character of a Pauli label).
+    the rightmost character of a Pauli label).  Terms are summed in sorted
+    label order.
     """
     energy = 0.0
     num_qubits = hamiltonian.num_qubits
-    for term in hamiltonian.terms():
-        label = term.label
+    for label, coefficient in sorted(hamiltonian.to_dict().items()):
         if not set(label) <= {"I", "Z"}:
             continue
         sign = 1.0
         for qubit in range(num_qubits):
             if label[num_qubits - 1 - qubit] == "Z" and bits[qubit]:
                 sign = -sign
-        energy += float(np.real(term.coefficient)) * sign
+        energy += float(np.real(coefficient)) * sign
     return energy

@@ -14,6 +14,8 @@ from repro.operators.pauli import Pauli
 # mappings, small enough to catch a genuinely non-Hermitian operator.
 HERMITICITY_TOLERANCE = 1e-9
 
+_PAULI_CHARS = frozenset("IXYZ")
+
 
 @dataclass(frozen=True)
 class PauliTerm:
@@ -63,7 +65,7 @@ class PauliSum:
                 raise OperatorError(
                     f"term {label!r} has {len(label)} qubits, expected {inferred}"
                 )
-            if any(char not in "IXYZ" for char in label):
+            if not _PAULI_CHARS.issuperset(label):
                 raise OperatorError(f"invalid Pauli label {label!r}")
             merged[label] = merged.get(label, 0.0) + complex(coefficient)
 
@@ -215,12 +217,8 @@ class PauliSum:
     # matrix representations
     # ------------------------------------------------------------------ #
     def to_matrix(self) -> np.ndarray:
-        """Dense matrix of the operator (2^n x 2^n)."""
-        dim = 2**self._num_qubits
-        matrix = np.zeros((dim, dim), dtype=complex)
-        for term in self.terms():
-            matrix += term.coefficient * term.pauli.to_matrix()
-        return matrix
+        """Dense matrix of the operator (2^n x 2^n), from the sparse builder."""
+        return self.to_sparse_matrix().toarray()
 
     def to_sparse_matrix(self):
         """Sparse CSR matrix of the operator (imported lazily from scipy).

@@ -43,6 +43,11 @@ def _observation_rows(trace):
     return [(o.point, o.value, o.iteration, o.phase) for o in trace.observations]
 
 
+def _format_1_rows(observations):
+    """Observations as the one-row-per-observation lists of checkpoint format 1."""
+    return [[list(o.point), o.value, o.iteration, o.phase] for o in observations]
+
+
 # --------------------------------------------------------------------------- #
 # fingerprints
 # --------------------------------------------------------------------------- #
@@ -501,18 +506,57 @@ class TestCheckpointCorruption:
         "content",
         [
             "",  # empty file
-            "{\"format\": 1, \"status\": \"do",  # truncated mid-write
+            "{\"format\": 2, \"status\": \"do",  # truncated mid-write
             "not json at all \x00\x01",  # garbage bytes
             "[1, 2, 3]",  # valid JSON, wrong shape
             "null",
             "\"a string\"",
+            # Format-2 observation columns, corrupted in an otherwise intact file.
+            lambda columns: columns["values"].pop(),
+            lambda columns: columns["points"].pop(),
+            lambda columns: columns["phases"].append("search"),
+            lambda columns: columns["points"].__setitem__(0, "x" + columns["points"][0][1:]),
+            lambda columns: columns["points"].__setitem__(0, "/" + columns["points"][0][1:]),
+            lambda columns: columns["points"].__setitem__(0, "\u00e9" + columns["points"][0][1:]),
+            lambda columns: columns["points"].__setitem__(0, columns["points"][0][:-1]),
+            lambda columns: columns.__setitem__("points", [p + "0" for p in columns["points"]]),
+            lambda columns: columns.__setitem__(
+                "points", [[int(v) for v in p] for p in columns["points"]]
+            ),
+            lambda columns: columns.__setitem__("points", "".join(columns["points"])),
+            lambda columns: columns.__setitem__("values", dict(enumerate(columns["values"]))),
+            lambda columns: columns.__setitem__("iterations", None),
+            lambda columns: columns.__setitem__("values", ["x"] * len(columns["values"])),
+            lambda columns: columns.pop("phases"),
         ],
-        ids=["empty", "truncated", "garbage", "array", "null", "string"],
+        ids=[
+            "empty", "truncated", "garbage", "array", "null", "string",
+            "ragged-values", "ragged-points", "ragged-phases",
+            "non-digit", "below-digit-zero", "non-ascii",
+            "short-point", "wide-points",
+            "points-not-strings", "points-one-string", "values-not-a-list",
+            "iterations-null", "values-not-numbers", "missing-column",
+        ],
     )
     def test_unreadable_payloads_are_treated_as_stale(self, finished_task, content):
         from repro.core.orchestrator import _load_finished_checkpoint
 
-        self._checkpoint_file(finished_task).write_text(content)
+        path = self._checkpoint_file(finished_task)
+        if callable(content):
+            payload = json.loads(path.read_text())
+            content(payload["observations"])
+            content = json.dumps(payload)
+        path.write_text(content)
+        assert _load_finished_checkpoint(finished_task) is None
+
+    def test_format_1_rows_under_a_format_2_header_are_stale(self, finished_task):
+        from repro.core.orchestrator import _load_finished_checkpoint
+
+        trace = _load_finished_checkpoint(finished_task)
+        path = self._checkpoint_file(finished_task)
+        payload = json.loads(path.read_text())
+        payload["observations"] = _format_1_rows(trace.observations)
+        path.write_text(json.dumps(payload))
         assert _load_finished_checkpoint(finished_task) is None
 
     def test_done_payload_with_missing_fields_is_treated_as_stale(
@@ -541,3 +585,79 @@ class TestCheckpointCorruption:
         assert not redone.traces[0].from_checkpoint
         assert redone.best.energy == first.best.energy
         assert redone.best.best_indices == first.best.best_indices
+
+    def test_format_1_checkpoint_recomputes_once_from_the_cache(self, tmp_path):
+        from repro.problems import ising_chain
+
+        def orchestrator():
+            return SearchOrchestrator(
+                ising_chain(num_sites=3, transverse_field=1.0),
+                num_restarts=2,
+                max_workers=1,
+                seed=4,
+            )
+
+        first = orchestrator().run(max_evaluations=30, checkpoint_dir=tmp_path)
+        paths = sorted(tmp_path.glob("restart_*.json"))
+        assert len(paths) == 2
+        for path, trace in zip(paths, first.traces):
+            payload = json.loads(path.read_text())
+            payload["format"] = 1
+            payload["observations"] = _format_1_rows(trace.observations)
+            path.write_text(json.dumps(payload))
+        redone = orchestrator().run(max_evaluations=30, checkpoint_dir=tmp_path)
+        for again, original in zip(redone.traces, first.traces):
+            assert not again.from_checkpoint
+            assert again.cache_misses == 0 and again.cache_hits > 0
+            assert _observation_rows(again) == _observation_rows(original)
+            assert again.best_indices == original.best_indices
+            assert again.energy == original.energy
+        # The recompute rewrote the checkpoints in the current format.
+        replayed = orchestrator().run(max_evaluations=30, checkpoint_dir=tmp_path)
+        assert all(trace.from_checkpoint for trace in replayed.traces)
+        assert [_observation_rows(t) for t in replayed.traces] == [
+            _observation_rows(t) for t in first.traces
+        ]
+
+
+class TestObservationCodec:
+    """The columnar checkpoint codec round-trips observations bit for bit."""
+
+    @staticmethod
+    def _observations(count, width, cardinality, seed):
+        from repro.bayesopt.optimizer import Observation
+
+        rng = np.random.default_rng(seed)
+        points = rng.integers(0, cardinality, size=(count, width))
+        points[0] = cardinality - 1  # every slot at the top digit
+        values = rng.normal(size=count) * 10.0 ** rng.integers(-300, 300, size=count)
+        values[:3] = (-0.0, 5e-324, -1.7976931348623157e308)[: min(3, count)]
+        return [
+            Observation(
+                point=tuple(int(v) for v in point),
+                value=float(value),
+                iteration=index,
+                phase=("seed", "warmup", "search", "refine")[index % 4],
+            )
+            for index, (point, value) in enumerate(zip(points, values))
+        ]
+
+    @pytest.mark.parametrize("width", [64, 65, 128, 129])
+    @pytest.mark.parametrize("cardinality", [4, 8])
+    def test_round_trip_through_json(self, width, cardinality):
+        from repro.core.orchestrator import _decode_observations, _encode_observations
+
+        observations = self._observations(40, width, cardinality, seed=width)
+        columns = json.loads(json.dumps(_encode_observations(observations)))
+        assert all(len(point) == width for point in columns["points"])
+        decoded = _decode_observations(columns, width)
+        assert decoded == observations
+        assert [o.value.hex() for o in decoded] == [o.value.hex() for o in observations]
+        assert all(type(v) is int for o in decoded for v in o.point)
+
+    def test_empty_observation_list(self):
+        from repro.core.orchestrator import _decode_observations, _encode_observations
+
+        columns = json.loads(json.dumps(_encode_observations([])))
+        assert columns == {"points": [], "values": [], "iterations": [], "phases": []}
+        assert _decode_observations(columns, 64) == []

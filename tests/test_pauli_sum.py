@@ -8,6 +8,29 @@ from repro.operators import PauliSum, group_commuting_terms, measurement_setting
 from repro.operators.pauli_sum import _bit_parity
 
 
+def kron_sum_matrix(total):
+    """Dense-matrix oracle: the per-term sum of Kronecker-product Pauli matrices."""
+    dim = 2**total.num_qubits
+    matrix = np.zeros((dim, dim), dtype=complex)
+    for term in total.terms():
+        matrix += term.coefficient * term.pauli.to_matrix()
+    return matrix
+
+
+def random_pauli_sum(num_qubits, seed):
+    """Random complex-weighted sum with shared X masks and an all-Y term."""
+    rng = np.random.default_rng(seed)
+    labels = ["".join(rng.choice(list("IXYZ"), num_qubits)) for _ in range(24)]
+    # Relabel Y <-> X and drop Z: new terms that share X masks with old ones.
+    labels += [label.translate(str.maketrans("XY", "YX")) for label in labels[:8]]
+    labels += [label.replace("Z", "I") for label in labels[8:16]]
+    labels.append("Y" * num_qubits)
+    return PauliSum(
+        [(label, complex(rng.normal(), rng.normal())) for label in labels],
+        num_qubits=num_qubits,
+    )
+
+
 class TestConstruction:
     def test_merges_duplicate_labels(self):
         total = PauliSum([("XX", 1.0), ("XX", 2.0)])
@@ -77,8 +100,9 @@ class TestAlgebra:
     def test_to_sparse_matches_dense(self):
         total = PauliSum({"XY": 0.5, "ZZ": -1.0, "II": 0.25})
         np.testing.assert_allclose(
-            total.to_sparse_matrix().toarray(), total.to_matrix(), atol=1e-12
+            total.to_sparse_matrix().toarray(), kron_sum_matrix(total), atol=1e-12
         )
+        np.testing.assert_allclose(total.to_matrix(), kron_sum_matrix(total), atol=1e-12)
 
     def test_equality(self):
         assert PauliSum({"XX": 1.0, "ZZ": 0.5}) == PauliSum({"ZZ": 0.5, "XX": 1.0})
@@ -87,19 +111,17 @@ class TestAlgebra:
 class TestSparseMatrix:
     @pytest.mark.parametrize("num_qubits", range(1, 9))
     def test_matches_dense_on_random_sums(self, num_qubits):
-        rng = np.random.default_rng(100 + num_qubits)
-        labels = ["".join(rng.choice(list("IXYZ"), num_qubits)) for _ in range(24)]
-        # Relabel Y <-> X and drop Z: new terms that share X masks with old ones.
-        labels += [label.translate(str.maketrans("XY", "YX")) for label in labels[:8]]
-        labels += [label.replace("Z", "I") for label in labels[8:16]]
-        labels.append("Y" * num_qubits)
-        total = PauliSum(
-            [(label, complex(rng.normal(), rng.normal())) for label in labels],
-            num_qubits=num_qubits,
-        )
+        total = random_pauli_sum(num_qubits, seed=100 + num_qubits)
         np.testing.assert_allclose(
-            total.to_sparse_matrix().toarray(), total.to_matrix(), rtol=0, atol=1e-12
+            total.to_sparse_matrix().toarray(), kron_sum_matrix(total), rtol=0, atol=1e-12
         )
+
+    @pytest.mark.parametrize("num_qubits", range(1, 7))
+    def test_dense_matrix_matches_kron_oracle(self, num_qubits):
+        total = random_pauli_sum(num_qubits, seed=200 + num_qubits)
+        dense = total.to_matrix()
+        assert dense.dtype == complex and dense.shape == (2**num_qubits,) * 2
+        np.testing.assert_allclose(dense, kron_sum_matrix(total), rtol=0, atol=1e-12)
 
     def test_first_label_character_is_the_most_significant_qubit(self):
         # Columns are input basis states, rows outputs; |q0 q1> = index 2*q0 + q1.
@@ -114,6 +136,7 @@ class TestSparseMatrix:
     def test_empty_sum(self):
         empty = PauliSum.zero(3).to_sparse_matrix()
         assert empty.shape == (8, 8) and empty.nnz == 0
+        assert np.array_equal(PauliSum.zero(3).to_matrix(), np.zeros((8, 8), dtype=complex))
 
     def test_bit_parity_without_bitwise_count(self):
         rng = np.random.default_rng(7)
