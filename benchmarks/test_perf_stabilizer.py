@@ -1,6 +1,6 @@
 """Perf benchmarks for the stabilizer engine, written to ``BENCH_stabilizer.json``.
 
-Four sections, each a test below (all skipped unless ``REPRO_BENCH=1``):
+Five sections, each a test below (all skipped unless ``REPRO_BENCH=1``):
 
 * ``results`` — the original hot-path comparison: seed-style per-point loop
   (rebuild the bound ``QuantumCircuit``, one tableau at a time) vs the
@@ -13,12 +13,15 @@ Four sections, each a test below (all skipped unless ``REPRO_BENCH=1``):
   (grouped vs dense, multi-word packed rows), the regime where no
   statevector can follow;
 * ``tableau_bandwidth`` — a memory-bandwidth profile of
-  ``BatchedCliffordTableau`` gate application at those sizes.
+  ``BatchedCliffordTableau`` gate application at those sizes;
+* ``program_evolve`` — milliseconds per ``from_program`` evolve (rotation
+  layers and CX ladders as word-wide segments) against the per-gate loop
+  it replaced, asserting the segments are at least 3x faster at n=50, B=1.
 
 Each test merges its section into the JSON so a full ``REPRO_BENCH=1`` run
 refreshes the whole file.  Timing only — correctness is covered by
 ``tests/test_batched_stabilizer.py``, ``tests/test_grouped_expectation.py``,
-and ``tests/test_large_n.py``.
+``tests/test_large_n.py`` and ``tests/test_program_segments.py``.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from repro.stabilizer import (
     PauliSumEvaluator,
     StabilizerSimulator,
 )
+from tests.test_program_segments import per_gate_apply_program
 
 pytestmark = pytest.mark.skipif(
     os.environ.get("REPRO_BENCH") != "1",
@@ -50,6 +54,8 @@ QUBIT_COUNTS = (4, 8, 12)
 LARGE_QUBIT_COUNTS = (50, 70, 100)
 BATCH_SIZE = 256
 LARGE_BATCH_SIZE = 64
+PROGRAM_QUBIT_COUNTS = (4, 12, 50, 100)
+PROGRAM_BATCH_SIZES = (1, 64)
 OUTPUT_PATH = Path(__file__).resolve().parents[1] / "BENCH_stabilizer.json"
 
 
@@ -329,3 +335,55 @@ def test_tableau_memory_bandwidth():
             f"CX {cx_rate:,.0f} gates/s ({cx_rate * cx_bytes / 1e9:.2f} GB/s)"
         )
     _update_output("tableau_bandwidth", {"results": results})
+
+
+def test_layered_evolve_vs_per_gate():
+    """Perf gate: segment evolves must beat the per-gate loop >= 3x at n=50, B=1.
+
+    ``from_program`` on an EfficientSU2 (reps=1) program runs each rotation
+    layer and each CX ladder as one word-wide update; the per-gate loop is
+    the dispatcher it replaced (the oracle of
+    ``tests/test_program_segments.py``).  Both must build the same tableau.
+    """
+    rng = np.random.default_rng(50)
+    results = []
+    gated_ratio = None
+    for num_qubits in PROGRAM_QUBIT_COUNTS:
+        program = CliffordGateProgram.from_ansatz(EfficientSU2Ansatz(num_qubits, reps=1))
+        for batch in PROGRAM_BATCH_SIZES:
+            indices = rng.integers(0, 4, size=(batch, program.num_parameters))
+
+            def layered():
+                return BatchedCliffordTableau.from_program(program, indices)
+
+            def per_gate():
+                tableau = BatchedCliffordTableau(batch, num_qubits)
+                per_gate_apply_program(tableau, program, indices)
+                return tableau
+
+            for got, want in zip(
+                layered().symplectic_view(), per_gate().symplectic_view()
+            ):
+                assert np.array_equal(got, want)
+            layered_seconds = _measure(layered)
+            per_gate_seconds = _measure(per_gate)
+            ratio = per_gate_seconds / layered_seconds
+            results.append(
+                {
+                    "num_qubits": num_qubits,
+                    "batch_size": batch,
+                    "num_ops": program.num_ops,
+                    "num_segments": len(program.segments),
+                    "segments_ms": round(layered_seconds * 1e3, 4),
+                    "per_gate_ms": round(per_gate_seconds * 1e3, 4),
+                    "speedup": round(ratio, 2),
+                }
+            )
+            print(
+                f"n={num_qubits} B={batch}: segments {layered_seconds * 1e3:.3f} ms, "
+                f"per gate {per_gate_seconds * 1e3:.3f} ms ({ratio:.1f}x)"
+            )
+            if num_qubits == 50 and batch == 1:
+                gated_ratio = ratio
+    _update_output("program_evolve", {"results": results})
+    assert gated_ratio is not None and gated_ratio >= 3.0

@@ -8,7 +8,6 @@ from repro.circuits.clifford_points import (
     ProgramOp,
     angles_to_indices,
     bind_clifford_point,
-    enumerate_clifford_points,
     hartree_fock_clifford_point,
     indices_to_angles,
     random_clifford_points,
@@ -51,7 +50,6 @@ __all__ = [
     "CliffordGateProgram",
     "ProgramOp",
     "search_space_size",
-    "enumerate_clifford_points",
     "random_clifford_points",
     "hartree_fock_clifford_point",
 ]

@@ -10,7 +10,8 @@ circuits, and provides helpers to enumerate / sample the discrete space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,17 +51,41 @@ def validate_clifford_point(
 
     ``cardinality`` is 4 on the Clifford grid and 8 on the pi/4 grid.
     """
-    values = list(indices)
-    if len(values) != num_parameters:
-        raise CircuitError(
-            f"expected {num_parameters} Clifford indices, got {len(values)}"
-        )
-    for index in values:
-        if not 0 <= int(index) < cardinality:
+    return validate_clifford_points([indices], num_parameters, cardinality)[0]
+
+
+def validate_clifford_points(
+    points: Sequence[Sequence[int]], num_parameters: int, cardinality: int = 4
+) -> List[Tuple[int, ...]]:
+    """Check a batch of grid points as one array; return them as tuples of ints.
+
+    Entries may be Python ints, numpy integers or floats (truncated like
+    ``int``).  A batch that fails is checked point by point, so the
+    :class:`CircuitError` names the first bad point's first problem.
+    """
+    points = list(points)
+    try:
+        matrix = np.asarray(points)
+    except (ValueError, OverflowError):  # ragged, or an int beyond int64
+        matrix = np.zeros(0)
+    if matrix.shape == (len(points), num_parameters) and matrix.dtype.kind in "biuf":
+        matrix = np.trunc(matrix) if matrix.dtype.kind == "f" else matrix
+        if np.all((matrix >= 0) & (matrix < cardinality)):
+            return [tuple(row) for row in matrix.astype(np.int64).tolist()]
+    checked = []
+    for indices in points:
+        values = list(indices)
+        if len(values) != num_parameters:
             raise CircuitError(
-                f"Clifford index {index!r} must be in 0..{cardinality - 1}"
+                f"expected {num_parameters} Clifford indices, got {len(values)}"
             )
-    return tuple(int(index) for index in values)
+        for index in values:
+            if not 0 <= int(index) < cardinality:
+                raise CircuitError(
+                    f"Clifford index {index!r} must be in 0..{cardinality - 1}"
+                )
+        checked.append(tuple(int(index) for index in values))
+    return checked
 
 
 def bind_clifford_point(ansatz: EfficientSU2Ansatz, indices: Sequence[int]) -> QuantumCircuit:
@@ -85,6 +110,23 @@ class ProgramOp:
     fixed_index: Optional[int] = None
 
 
+class ProgramSegment(NamedTuple):
+    """Ops ``ops[start:stop]`` that a tableau applies as one update, by ``kind``.
+
+    ``"rotation"``: family ``name`` on distinct ``qubits``, index of op ``i``
+    in column ``columns[i]`` of the index matrix extended by the constants
+    0..3 (bound index ``k`` is column ``num_parameters + k``).  ``"ladder"``:
+    ``cx(q, q + 1)`` for ``q`` in ``qubits``.  ``"op"``: the one op ``ops[start]``.
+    """
+
+    kind: str
+    start: int
+    stop: int
+    name: str
+    qubits: Tuple[int, ...]
+    columns: np.ndarray
+
+
 class CliffordGateProgram:
     """A Clifford circuit flattened to a gate list executable on tableaux.
 
@@ -95,6 +137,10 @@ class CliffordGateProgram:
     ``k`` corresponds to the ``k``-th circuit parameter in order of first
     appearance, matching the positional convention of
     :func:`bind_clifford_point`.
+
+    A tableau runs the ops as :attr:`segments` (rotation layers, linear CX
+    ladders, single ops), one word-wide update each; the table is built on
+    first use, so a program that is only fingerprinted never builds it.
     """
 
     def __init__(self, num_qubits: int, num_parameters: int, ops: Tuple[ProgramOp, ...]):
@@ -147,6 +193,34 @@ class CliffordGateProgram:
     def num_ops(self) -> int:
         return len(self._ops)
 
+    @cached_property
+    def segments(self) -> Tuple[ProgramSegment, ...]:
+        """The ops grouped into rotation layers, CX ladders and single ops, in order."""
+        runs: List[ProgramSegment] = []
+        for index, op in enumerate(self._ops):
+            last, head = runs[-1] if runs else None, op.qubits[0]
+            if op.parameter_index is not None or op.fixed_index is not None:
+                kind, qubits = "rotation", [head]
+                joins = last and (last.kind, last.name) == (kind, op.name)
+                joins = joins and head not in last.qubits
+            elif op.name == "cx" and op.qubits[1] == head + 1:
+                kind, qubits = "ladder", [head]
+                joins = last and last.kind == kind and last.qubits[-1] + 1 == head
+            else:
+                kind, qubits, joins = "op", list(op.qubits), False
+            if not joins:
+                runs.append(ProgramSegment(kind, index, index, op.name, [], []))
+            runs[-1].qubits.extend(qubits)
+            if kind == "rotation":
+                bound = op.fixed_index is not None
+                column = self._num_parameters + op.fixed_index if bound else op.parameter_index
+                runs[-1].columns.append(column)
+        stops = [run.start for run in runs[1:]] + [len(self._ops)]
+        return tuple(
+            run._replace(stop=stop, qubits=tuple(run.qubits), columns=np.array(run.columns))
+            for run, stop in zip(runs, stops)
+        )
+
     def __repr__(self) -> str:
         return (
             f"CliffordGateProgram({self._num_qubits} qubits, {len(self._ops)} ops, "
@@ -159,16 +233,6 @@ def search_space_size(num_parameters: int) -> int:
     if num_parameters < 0:
         raise CircuitError("num_parameters must be non-negative")
     return NUM_CLIFFORD_POINTS**num_parameters
-
-
-def enumerate_clifford_points(num_parameters: int) -> Iterator[tuple[int, ...]]:
-    """Yield every Clifford index vector (use only for small parameter counts)."""
-    if num_parameters == 0:
-        yield ()
-        return
-    for head in range(NUM_CLIFFORD_POINTS):
-        for tail in enumerate_clifford_points(num_parameters - 1):
-            yield (head, *tail)
 
 
 def random_clifford_points(

@@ -55,7 +55,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.circuits.ansatz import EfficientSU2Ansatz
-from repro.circuits.clifford_points import CliffordGateProgram, validate_clifford_point
+from repro.circuits.clifford_points import CliffordGateProgram, validate_clifford_points
 from repro.core.constraints import (
     ParticleConstraint,
     constrained_hamiltonian,
@@ -199,10 +199,9 @@ class CliffordObjective:
                 "overlap (deflation) penalties target Clifford states; they "
                 "cannot be combined with max_t_gates > 0 (the pi/4 grid)"
             )
-        deflation_points = [
-            validate_clifford_point(point, self._ansatz.num_parameters)
-            for point, _ in pairs
-        ]
+        deflation_points = validate_clifford_points(
+            [point for point, _ in pairs], self._ansatz.num_parameters
+        )
         self._deflation_weights = np.array([weight for _, weight in pairs], dtype=float)
         if pairs:
             matrix = np.asarray(deflation_points, dtype=np.int64).reshape(
@@ -303,9 +302,9 @@ class CliffordObjective:
         return (overlaps * self._deflation_weights).sum(axis=-1)
 
     # ------------------------------------------------------------------ #
-    def _key(self, indices: Sequence[int]) -> Point:
-        return validate_clifford_point(
-            indices, self._ansatz.num_parameters, self.cardinality
+    def _keys(self, points: Sequence[Sequence[int]]) -> List[Point]:
+        return validate_clifford_points(
+            points, self._ansatz.num_parameters, self.cardinality
         )
 
     def _simulate(self, keys: Sequence[Point]) -> BatchedCliffordTableau:
@@ -319,7 +318,7 @@ class CliffordObjective:
         """The stabilizer tableau of the ansatz at a Clifford point."""
         if self._max_t_gates:
             raise ValueError("a pi/4-grid objective has no single stabilizer tableau")
-        return self._simulate([self._key(indices)]).extract(0)
+        return self._simulate(self._keys([indices])).extract(0)
 
     def __call__(self, indices: Sequence[int]) -> float:
         return float(self.evaluate_batch([indices])[0])
@@ -332,7 +331,7 @@ class CliffordObjective:
         a neighbourhood (see the class docstring), bit-identical to one-point
         calls.  Calling the objective is the one-point case.
         """
-        keys = [self._key(point) for point in points]
+        keys = self._keys(points)
         distinct = list(dict.fromkeys(keys))
         if not distinct:
             return np.zeros(0, dtype=float)
@@ -539,7 +538,7 @@ class CliffordObjective:
         One batched simulation for all distinct Clifford points; :meth:`energy`
         is its one-point case.
         """
-        keys = [self._key(point) for point in points]
+        keys = self._keys(points)
         distinct = list(dict.fromkeys(keys))
         energies = self._on_grid(
             distinct, self._batch_energies, self._energy_evaluator, False

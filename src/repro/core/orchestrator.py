@@ -50,7 +50,7 @@ from repro.circuits.ansatz import EfficientSU2Ansatz
 from repro.circuits.clifford_points import (
     CliffordGateProgram,
     indices_to_angles,
-    validate_clifford_point,
+    validate_clifford_points,
 )
 from repro.core.constraints import overlap_penalties_of
 from repro.core.faults import (
@@ -194,10 +194,10 @@ class CachedObjective:
         return getattr(self._objective, name)
 
     # ------------------------------------------------------------------ #
-    def _point(self, indices: Sequence[int]) -> Point:
+    def _points(self, points: Sequence[Sequence[int]]) -> List[Point]:
         objective = self._objective
-        return validate_clifford_point(
-            indices, objective.num_parameters, objective.cardinality
+        return validate_clifford_points(
+            points, objective.num_parameters, objective.cardinality
         )
 
     def _store(self, fingerprint: str, point: Point, value: float) -> None:
@@ -209,7 +209,7 @@ class CachedObjective:
         return float(self.evaluate_batch([indices])[0])
 
     def evaluate_batch(self, points: Sequence[Sequence[int]]) -> np.ndarray:
-        keys = [self._point(p) for p in points]
+        keys = self._points(points)
         values: Dict[Point, float] = {}
         for key in dict.fromkeys(keys):
             cached = self._cache.get(self._fingerprint, key)
@@ -225,7 +225,7 @@ class CachedObjective:
         return np.array([values[key] for key in keys], dtype=float)
 
     def energy(self, indices: Sequence[int]) -> float:
-        point = self._point(indices)
+        (point,) = self._points([indices])
         cached = self._cache.get(self._energy_fingerprint, point)
         if cached is not None:
             return cached

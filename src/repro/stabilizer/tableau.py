@@ -21,10 +21,17 @@ vectorized over ``(batch, 2n)`` and parameterized rotations take a
 per-batch-element Clifford index — the structure of CAFQA's search (one
 EfficientSU2 skeleton, many candidate index vectors).  :class:`CliffordTableau`
 is a read-only single-state view (a batch of one).
+
+The dispatcher runs a program one segment at a time (rotation layers, CX
+ladders, single ops; see ``CliffordGateProgram.segments``), each as one
+update on whole words; a single rotation is the one-qubit layer.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from functools import lru_cache
+from operator import attrgetter
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
@@ -33,6 +40,7 @@ from repro.exceptions import SimulationError
 from repro.operators.pauli import Pauli
 from repro.stabilizer.symplectic import (
     WORD_BITS,
+    bit_counts,
     num_words,
     pack_bits,
     stabilizer_expectations,
@@ -43,6 +51,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a hard dependency
     from repro.circuits.clifford_points import CliffordGateProgram
 
 _ONE = np.uint64(1)
+_TOP = np.uint64(WORD_BITS - 1)
+_ALL = np.uint64(2**64 - 1)
 
 # Rotation gates that take a Clifford index k (angle k * pi/2).
 _ROTATIONS = ("rx", "ry", "rz")
@@ -50,6 +60,42 @@ _ROTATIONS = ("rx", "ry", "rz")
 
 # Single-qubit gates that are not their own inverse (up to global phase).
 _INVERSE_GATES = {"s": "sdg", "sdg": "s", "sx": "sxdg", "sxdg": "sx"}
+
+
+@lru_cache(maxsize=1024)
+def _scatter(qubits: tuple, words: int) -> np.ndarray:
+    """Row ``i`` is the packed bit of ``qubits[i]``; a range of a segment slices rows."""
+    matrix = np.zeros((len(qubits), words), dtype=np.uint64)
+    for row, qubit in enumerate(qubits):
+        matrix[row, qubit // WORD_BITS] = 1 << (qubit % WORD_BITS)
+    return _readonly(matrix)  # one cached array serves every caller
+
+
+def _index_planes(values: np.ndarray) -> np.ndarray:
+    """Bit 0 and bit 1 of Clifford indices in 0..3: ``(2, *values.shape)`` uint64."""
+    return np.stack((values & 1, values >> 1)).astype(np.uint64)
+
+
+def _shift(words: np.ndarray, up: bool) -> np.ndarray:
+    """Bit ``q`` of the result is bit ``q - 1`` (``up``) or ``q + 1`` of ``words``."""
+    out = words << _ONE if up else words >> _ONE
+    if words.shape[-1] > 1 and up:
+        out[..., 1:] |= words[..., :-1] >> _TOP
+    elif words.shape[-1] > 1:
+        out[..., :-1] |= words[..., 1:] << _TOP
+    return out
+
+
+def _scan_xor(out: np.ndarray, up: bool) -> np.ndarray:
+    """In place: bit ``q`` becomes the XOR of bits ``0 .. q`` (``up``) or ``q ..``."""
+    for step in (1, 2, 4, 8, 16, 32):
+        out ^= out << np.uint64(step) if up else out >> np.uint64(step)
+    if out.shape[-1] > 1:
+        # Carry in the parity (top or bottom bit) of every word scanned before.
+        ordered = out if up else out[..., ::-1]
+        parity = (ordered[..., :-1] >> (_TOP if up else np.uint64(0))) & _ONE
+        ordered[..., 1:] ^= np.bitwise_xor.accumulate(parity, axis=-1) * _ALL
+    return out
 
 
 class SymplecticView(NamedTuple):
@@ -268,17 +314,65 @@ class BatchedCliffordTableau:
         self.apply_cx(qubit_a, qubit_b)
 
     # ------------------------------------------------------------------ #
-    # rotation / program dispatch
+    # word-wide segment kernels and the program dispatcher
     # ------------------------------------------------------------------ #
+    def _rotate_layer(self, name: str, scatter: np.ndarray, planes: np.ndarray) -> None:
+        """Rotations of one family on distinct qubits, as one word-wide update.
+
+        ``planes`` (``(2, batch, m)``) holds bits 0 and 1 of each index ``k``;
+        a matmul with the qubits' ``scatter`` rows makes ``odd``/``high`` word
+        masks.  Truth tables (flip for ``k = 1, 2, 3``): ``rz`` (S/Z/Sdg)
+        ``z ^= x`` for odd ``k``, flip ``x&z``, ``x``, ``x&~z``; ``rx``
+        (SX/X/SXdg) ``x ^= z``, flip ``z&~x``, ``z``, ``z&x``; ``ry``
+        (H.X/Y/X.H) ``x <-> z``, flip ``x&~z``, ``x^z``, ``z&~x``.  The
+        rotations commute: a row's sign flips with the parity of its flips.
+        """
+        odd, high = (planes @ scatter)[:, :, None]
+        x, z = self._x, self._z
+        if name == "rz":
+            flip = x & (high ^ (odd & z))
+            z ^= x & odd
+        elif name == "rx":
+            flip = z & (high ^ (odd & ~x))
+            x ^= z & odd
+        else:  # ry
+            swap = x ^ z
+            flip = swap & (high ^ (odd & x))
+            swap &= odd
+            x ^= swap
+            z ^= swap
+        self._r ^= (bit_counts(flip) & 1).astype(bool)
+
+    def _cx_ladder(self, controls: np.ndarray, inverse: bool) -> None:
+        """``cx(q, q + 1)`` for each (consecutive) bit ``q`` of ``controls``, at once.
+
+        Forward: ``x`` becomes its prefix XOR ``P`` over the ladder's qubits,
+        ``z_q ^= z_{q+1}``, and gate ``q`` flips a row's sign on ``P_q &
+        z_{q+1} & ~(x_{q+1} ^ z_q)``.  Inverse (gates last to first):
+        ``x_{q+1} ^= x_q``, ``z`` becomes its suffix XOR ``S``, and gate ``q``
+        flips on ``x_q & S_{q+1} & ~(x_{q+1} ^ z_q)``.
+        """
+        span = controls | _shift(controls, up=True)
+        x, z = self._x, self._z
+        x_next, z_next = _shift(x, up=False), _shift(z, up=False)
+        if inverse:
+            suffix = _scan_xor(z & span, up=False)
+            flip = x & _shift(suffix, up=False) & ~(x_next ^ z) & controls
+            x ^= _shift(x & controls, up=True)
+            z ^= (z ^ suffix) & span
+        else:
+            prefix = _scan_xor(x & span, up=True)
+            flip = prefix & z_next & ~(x_next ^ z) & controls
+            x ^= (x ^ prefix) & span
+            z ^= z_next & controls
+        self._r ^= (bit_counts(flip) & 1).astype(bool)
+
     def apply_rotation(self, name: str, qubit: int, indices) -> None:
         """Apply a rotation gate with a per-batch-element Clifford index.
 
         ``indices`` has shape ``(batch,)`` with entries in ``{0, 1, 2, 3}``
-        (index ``k`` meaning angle ``k * pi/2``).  The update is fused: each
-        rotation family has a closed-form truth table over the qubit's
-        ``(x, z)`` column bits, so all four index values are applied in one
-        vectorized pass.  Bound rotations (``fixed_index`` program ops) take
-        the same kernel with one index for the whole batch.
+        (index ``k`` meaning angle ``k * pi/2``): the one-qubit case of a
+        rotation layer.
         """
         if name not in _ROTATIONS:
             raise SimulationError(f"unknown rotation gate {name!r}")
@@ -290,27 +384,8 @@ class BatchedCliffordTableau:
         if np.any((indices < 0) | (indices > 3)):
             raise SimulationError("Clifford rotation indices must be in 0..3")
         self._check_qubit(qubit)
-        x, offset, word = self._column(self._x, qubit)
-        z, _, _ = self._column(self._z, qubit)
-        # Per-batch-element selector bits for each quarter-turn count.
-        k1 = (indices == 1).astype(np.uint64)[:, None]
-        k2 = (indices == 2).astype(np.uint64)[:, None]
-        k3 = (indices == 3).astype(np.uint64)[:, None]
-        if name == "rz":
-            # S / Z / Sdg: z ^= x for odd k; flip = x&z, x, x&~z for k=1,2,3.
-            flip = (k1 & x & z) | (k2 & x) | (k3 & x & (z ^ _ONE))
-            self._z[:, :, word] ^= (x & (k1 | k3)) << offset
-        elif name == "rx":
-            # SX / X / SXdg: x ^= z for odd k; flip = z&~x, z, x&z for k=1,2,3.
-            flip = (k1 & z & (x ^ _ONE)) | (k2 & z) | (k3 & x & z)
-            self._x[:, :, word] ^= (z & (k1 | k3)) << offset
-        else:  # ry
-            # (H.X) / Y / (X.H): x <-> z for odd k; flip = x&~z, x^z, z&~x.
-            flip = (k1 & x & (z ^ _ONE)) | (k2 & (x ^ z)) | (k3 & z & (x ^ _ONE))
-            swap = (x ^ z) & (k1 | k3)
-            self._x[:, :, word] ^= swap << offset
-            self._z[:, :, word] ^= swap << offset
-        self._r ^= flip.astype(bool)
+        scatter = _scatter((qubit,), self._words)
+        self._rotate_layer(name, scatter, _index_planes(indices[:, None]))
 
     def apply_program(
         self,
@@ -322,9 +397,10 @@ class BatchedCliffordTableau:
     ) -> None:
         """Run a compiled Clifford program (or its ops ``[start, stop)``) on the batch.
 
-        With ``inverse`` the ops run last to first, each replaced by its
-        inverse (up to global phase): rotation index ``k`` becomes
-        ``(4 - k) % 4``, ``s``/``sx`` swap with ``sdg``/``sxdg``, and every
+        The ops run as the program's segments, each cut to the range.  With
+        ``inverse`` the ops run last to first, each replaced by its inverse
+        (up to global phase): rotation index ``k`` becomes ``(4 - k) % 4``,
+        ``s``/``sx`` swap with ``sdg``/``sxdg``, and every
         other supported gate is its own inverse.  On a stack of Pauli rows
         this is the Heisenberg picture: each row ``P`` becomes ``U^dag P U``
         for the program ``U`` of the range.
@@ -339,21 +415,33 @@ class BatchedCliffordTableau:
             )
         if program.num_parameters and np.any((indices < 0) | (indices > 3)):
             raise SimulationError("Clifford rotation indices must be in 0..3")
-        ops = program.ops[start:stop]
-        for op in reversed(ops) if inverse else ops:
-            if op.parameter_index is not None:
-                column = indices[:, op.parameter_index]
-                self.apply_rotation(
-                    op.name, op.qubits[0], (4 - column) % 4 if inverse else column
-                )
-            elif op.fixed_index is not None:
-                index = (4 - op.fixed_index) % 4 if inverse else op.fixed_index
-                self.apply_rotation(op.name, op.qubits[0], np.full(self._batch, index))
-            elif op.name in ("cx", "cz", "swap"):
-                getattr(self, f"apply_{op.name}")(*op.qubits)
+        start, stop, _ = slice(start, stop).indices(program.num_ops)
+        if start >= stop:
+            return
+        segments, key = program.segments, attrgetter("start")
+        chosen = segments[
+            bisect_right(segments, start, key=key) - 1 : bisect_left(segments, stop, key=key)
+        ]
+        planes = None
+        for segment in reversed(chosen) if inverse else chosen:
+            lo = max(start - segment.start, 0)
+            hi = min(stop, segment.stop) - segment.start
+            if segment.kind == "rotation":
+                if planes is None:
+                    # Bound rotations read the constant columns 0..3 after the slots.
+                    values = np.empty((self._batch, indices.shape[1] + 4), dtype=np.int64)
+                    values[:, : indices.shape[1]] = indices
+                    values[:, indices.shape[1] :] = np.arange(4)
+                    planes = _index_planes((4 - values) & 3 if inverse else values)
+                scatter = _scatter(segment.qubits, self._words)[lo:hi]
+                self._rotate_layer(segment.name, scatter, planes[:, :, segment.columns[lo:hi]])
+            elif segment.kind == "ladder" and hi - lo > 1:
+                controls = _scatter(segment.qubits, self._words)[lo:hi].sum(axis=0)
+                self._cx_ladder(controls, inverse)
             else:
+                op = program.ops[segment.start + lo]
                 name = _INVERSE_GATES.get(op.name, op.name) if inverse else op.name
-                getattr(self, f"apply_{name}")(op.qubits[0])
+                getattr(self, f"apply_{name}")(*op.qubits)
 
     # ------------------------------------------------------------------ #
     # expectation values

@@ -19,7 +19,9 @@ from repro.circuits import (
     indices_to_angles,
     is_clifford_angle,
     search_space_size,
+    validate_clifford_point,
 )
+from repro.circuits.clifford_points import validate_clifford_points
 from repro.exceptions import CircuitError
 from repro.statevector import StatevectorSimulator
 
@@ -192,3 +194,86 @@ class TestCliffordPoints:
         vector = ParameterVector("theta", 3)
         assert len(vector) == 3
         assert vector[1].name == "theta[1]"
+
+
+def oracle_validate_clifford_point(indices, num_parameters, cardinality=4):
+    """The point-by-point check that the batch validator replaced."""
+    values = list(indices)
+    if len(values) != num_parameters:
+        raise CircuitError(
+            f"expected {num_parameters} Clifford indices, got {len(values)}"
+        )
+    for index in values:
+        if not 0 <= int(index) < cardinality:
+            raise CircuitError(
+                f"Clifford index {index!r} must be in 0..{cardinality - 1}"
+            )
+    return tuple(int(index) for index in values)
+
+
+def _oracle_error(points, num_parameters, cardinality):
+    with pytest.raises(CircuitError) as caught:
+        for point in points:
+            oracle_validate_clifford_point(point, num_parameters, cardinality)
+    return str(caught.value)
+
+
+class TestValidateCliffordPoints:
+    MIXED = [
+        [0, 1, 2, 3],
+        [np.int64(3), np.int8(2), np.uint64(1), 0],
+        [0.0, 1.0, np.float32(2.0), 3],
+        (True, False, 2, np.int32(3)),
+        np.array([3, 2, 1, 0]),
+        [-0.5, 3.9, 1, 2],
+    ]
+
+    def test_mixed_input_types_match_the_point_loop(self):
+        expected = [oracle_validate_clifford_point(p, 4) for p in self.MIXED]
+        got = validate_clifford_points(self.MIXED, 4)
+        assert got == expected
+        assert all(type(v) is int for point in got for v in point)
+        for point, want in zip(self.MIXED, expected):
+            assert validate_clifford_point(point, 4) == want
+        assert validate_clifford_points(np.array(expected), 4) == expected
+        assert validate_clifford_points([], 4) == []
+        assert validate_clifford_points([iter([3, 2, 1, 0])], 4) == [(3, 2, 1, 0)]
+        assert validate_clifford_point(["1", "2", 3, 0], 4) == (1, 2, 3, 0)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [[0, 1, 2]],
+            [[0, 1, 2, 3], [0, 1, 2, 3, 0]],
+            [[0, 1, 2, 3], [0, 1, 2], [9, 9, 9, 9]],
+            [[0, 1], [0, 1, 2, 3]],
+        ],
+    )
+    def test_wrong_length_names_the_first_bad_point(self, points):
+        with pytest.raises(CircuitError) as caught:
+            validate_clifford_points(points, 4)
+        assert str(caught.value) == _oracle_error(points, 4, 4)
+        assert str(caught.value).startswith("expected 4 Clifford indices")
+
+    @pytest.mark.parametrize("cardinality", [4, 8])
+    @pytest.mark.parametrize(
+        "bad",
+        [-1, 8, 4, np.int64(9), np.int64(-2), 8.0, np.float64(4.5), 2**70, -1.5],
+    )
+    def test_out_of_range_names_the_first_bad_index(self, cardinality, bad):
+        # 100 is out of range on both grids, so an in-range ``bad`` (4 on the
+        # pi/4 grid) leaves the error at the second point's last index.
+        points = [[0, 1, 2, 3], [1, bad, 0, 100], [bad, 0, 0, 0]]
+        with pytest.raises(CircuitError) as caught:
+            validate_clifford_points(points, 4, cardinality)
+        assert str(caught.value) == _oracle_error(points, 4, cardinality)
+        assert f"must be in 0..{cardinality - 1}" in str(caught.value)
+        with pytest.raises(CircuitError) as single:
+            validate_clifford_point(points[1], 4, cardinality)
+        assert str(single.value) == str(caught.value)
+
+    def test_pi4_grid_accepts_indices_up_to_seven(self):
+        points = [[7, 6, 5, 4], [np.int64(7), 7.0, 0, 1]]
+        assert validate_clifford_points(points, 4, 8) == [(7, 6, 5, 4), (7, 7, 0, 1)]
+        with pytest.raises(CircuitError, match="must be in 0..3"):
+            validate_clifford_points(points, 4)

@@ -9,6 +9,7 @@ energy is pinned to be byte- and bit-identical to what they produced.
 """
 
 import hashlib
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -157,6 +158,25 @@ class TestLazyEvaluators:
         orchestrator = SearchOrchestrator(ising_chain(num_sites=4), num_restarts=1)
         assert orchestrator.objective_fingerprint
         assert compiled == []
+
+    def test_orchestrator_and_fingerprints_build_no_segment_table(self, monkeypatch):
+        """The replay leg never evolves a state, so it compiles no segments."""
+        built = []
+        segments = CliffordGateProgram.segments.func
+
+        def counting(program):
+            built.append(program)
+            return segments(program)
+
+        monkeypatch.setattr(CliffordGateProgram, "segments", cached_property(counting))
+        CliffordGateProgram.segments.__set_name__(CliffordGateProgram, "segments")
+        orchestrator = SearchOrchestrator(xxz_chain(num_sites=50), num_restarts=1)
+        objective = orchestrator._objective
+        assert objective_fingerprint(objective) == orchestrator.objective_fingerprint
+        assert energy_fingerprint(objective)
+        assert built == []
+        objective.evaluate_batch([[0] * objective.num_parameters])
+        assert built == [objective.program]
 
     def test_non_hermitian_operator_is_still_rejected_at_construction(self):
         from repro.exceptions import SimulationError
