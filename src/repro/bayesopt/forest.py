@@ -21,10 +21,11 @@ uncertainty) but stores and computes everything on flat arrays:
 * **Flat storage**: nodes live in parallel ``feature`` / ``threshold`` /
   ``left`` / ``right`` / ``value`` arrays (``feature == -1`` marks a leaf);
   there is no per-node Python object.
-* **Batch predict**: whole query matrices descend the tree level-wise via
-  index-array gathers — zero Python recursion.  The forest additionally
-  concatenates all of its trees into one node table so an ensemble
-  prediction is a single traversal of ``num_trees x num_rows`` cursors.
+* **Batch predict**: whole query matrices walk the tree a fixed number of
+  levels (its depth) via index-array gathers, in a node table whose leaves
+  loop to themselves — zero Python recursion, no active-set filtering.  The
+  forest concatenates all of its trees into one such table so an ensemble
+  prediction is a single walk of ``num_trees x num_rows`` cursors.
 
 Candidate feature subsets come from an argsort-of-uniforms draw and children
 partition straight from the sorted order.  Fits are fully deterministic for
@@ -71,6 +72,7 @@ class DecisionTreeRegressor:
         self._value: Optional[np.ndarray] = None
         self._feature_rows: Optional[np.ndarray] = None
         self._counts: Optional[np.ndarray] = None
+        self._depth = 0
 
     # ------------------------------------------------------------------ #
     @property
@@ -114,6 +116,7 @@ class DecisionTreeRegressor:
         stack: List[Tuple[np.ndarray, int, int, bool]] = [
             (np.arange(len(targets)), 0, -1, False)
         ]
+        self._depth = 0
         while stack:
             rows, depth, parent, is_left = stack.pop()
             node_id = len(values)
@@ -153,6 +156,7 @@ class DecisionTreeRegressor:
             thresholds[node_id] = split_threshold
             stack.append((right_rows, depth + 1, node_id, False))
             stack.append((left_rows, depth + 1, node_id, True))
+            self._depth = max(self._depth, depth + 1)
 
         self._feature = np.array(feature_ids, dtype=np.int32)
         self._threshold = np.array(thresholds, dtype=float)
@@ -245,47 +249,52 @@ class DecisionTreeRegressor:
         if self._value is None:
             raise OptimizationError("the tree has not been fitted")
         features = np.asarray(features, dtype=float)
-        cursors = np.zeros(len(features), dtype=np.int32)
-        return _descend(
-            features, cursors, self._feature, self._threshold, self._left, self._right, self._value
-        )
+        table = _walk_table(self._feature, self._threshold, self._left, self._right)
+        cursors = np.zeros(len(features), dtype=np.int64)
+        row_offsets = np.arange(len(features)) * features.shape[1]
+        return self._value[_walk(features, row_offsets, cursors, table, self._depth)]
 
 
-def _descend(
-    features: np.ndarray,
-    cursors: np.ndarray,
-    feature: np.ndarray,
-    threshold: np.ndarray,
-    left: np.ndarray,
-    right: np.ndarray,
-    value: np.ndarray,
-    row_index: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Advance every cursor to its leaf and return the leaf values.
+def _walk_table(
+    feature: np.ndarray, threshold: np.ndarray, left: np.ndarray, right: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(feature, threshold, children)`` of a node table in which leaves loop.
 
-    Level-wise iterative traversal: each pass moves every still-internal
-    cursor one level down with pure array gathers, so the loop runs at most
-    ``max_depth`` times regardless of how many rows are being predicted.
-    ``row_index`` maps cursor slots to ``features`` rows when the two are
-    not 1:1 (the forest points several per-tree cursors at each query row);
-    by default cursor ``i`` reads ``features[i]``.
+    A leaf reads feature 0 against ``+inf`` and is both of its own children.
+    Node ``i``'s children are ``children[2 * i + 1]`` (left) and ``[2 * i]``.
     """
-    active = np.nonzero(feature[cursors] >= 0)[0]
-    while active.size:
-        nodes = cursors[active]
-        rows = active if row_index is None else row_index[active]
-        go_left = features[rows, feature[nodes]] <= threshold[nodes]
-        cursors[active] = np.where(go_left, left[nodes], right[nodes])
-        active = active[feature[cursors[active]] >= 0]
-    return value[cursors]
+    leaf = feature < 0
+    nodes = np.arange(len(feature))
+    children = np.stack([np.where(leaf, nodes, right), np.where(leaf, nodes, left)], axis=1)
+    return np.where(leaf, 0, feature), np.where(leaf, np.inf, threshold), children.ravel()
+
+
+def _walk(
+    features: np.ndarray,
+    row_offsets: np.ndarray,
+    cursors: np.ndarray,
+    table: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    steps: int,
+) -> np.ndarray:
+    """The node each cursor reaches after ``steps`` moves down ``table``.
+
+    Cursor ``i`` reads the row at ``row_offsets[i]`` of the flat ``features``;
+    with ``steps`` at least the tree depth, every cursor ends on its leaf.
+    """
+    feature, threshold, children = table
+    flat = features.ravel()
+    for _ in range(steps):
+        goes_left = flat[row_offsets + feature[cursors]] <= threshold[cursors]
+        cursors = children[2 * cursors + goes_left]
+    return cursors
 
 
 class RandomForestRegressor:
     """Bagged ensemble of vectorized regression trees with uncertainty.
 
     At the end of :meth:`fit` the per-tree node arrays are concatenated into
-    one table (child indices offset per tree), so
-    :meth:`predict_with_uncertainty` runs a single batched traversal over
+    one walk table (child indices offset per tree), so
+    :meth:`predict_with_uncertainty` runs a single fixed-depth walk of
     ``num_trees x num_rows`` cursors instead of one Python pass per tree.
     """
 
@@ -314,11 +323,9 @@ class RandomForestRegressor:
         self._rng = rng if rng is not None else np.random.default_rng(seed)
         self._trees: List[DecisionTreeRegressor] = []
         self._roots: Optional[np.ndarray] = None
-        self._feature: Optional[np.ndarray] = None
-        self._threshold: Optional[np.ndarray] = None
-        self._left: Optional[np.ndarray] = None
-        self._right: Optional[np.ndarray] = None
+        self._table: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._value: Optional[np.ndarray] = None
+        self._depth = 0
 
     @property
     def num_trees(self) -> int:
@@ -351,24 +358,17 @@ class RandomForestRegressor:
         return self
 
     def _concatenate(self) -> None:
-        """Fuse the per-tree node arrays into one offset-adjusted table."""
-        counts = np.array([tree.node_count for tree in self._trees])
-        offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        """Fuse the per-tree node arrays into one walk table (children offset per tree)."""
+        arrays = [tree.node_arrays() for tree in self._trees]
+        counts = [len(value) for *_, value in arrays]
+        offsets = np.cumsum([0] + counts[:-1])
         self._roots = offsets.astype(np.int64)
-        features, thresholds, lefts, rights, values = [], [], [], [], []
-        for tree, offset in zip(self._trees, offsets):
-            feature, threshold, left, right, value = tree.node_arrays()
-            features.append(feature)
-            thresholds.append(threshold)
-            # Leaves keep child == -1; internal children shift by the offset.
-            lefts.append(np.where(left >= 0, left + offset, -1))
-            rights.append(np.where(right >= 0, right + offset, -1))
-            values.append(value)
-        self._feature = np.concatenate(features)
-        self._threshold = np.concatenate(thresholds)
-        self._left = np.concatenate(lefts).astype(np.int64)
-        self._right = np.concatenate(rights).astype(np.int64)
-        self._value = np.concatenate(values)
+        feature, threshold, left, right, self._value = (
+            np.concatenate(column) for column in zip(*arrays)
+        )
+        shift = np.repeat(self._roots, counts)
+        self._table = _walk_table(feature, threshold, left + shift, right + shift)
+        self._depth = max(tree._depth for tree in self._trees)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Mean prediction across trees."""
@@ -383,17 +383,8 @@ class RandomForestRegressor:
         num_rows = len(features)
         # One cursor per (tree, row) pair; rows tile so row r of the query
         # matrix backs cursors r, r + num_rows, r + 2*num_rows, ...
-        cursors = np.repeat(self._roots, num_rows).astype(np.int64)
-        tiled_rows = np.tile(np.arange(num_rows), self._num_trees)
-        leaves = _descend(
-            features,
-            cursors,
-            self._feature,
-            self._threshold,
-            self._left,
-            self._right,
-            self._value,
-            row_index=tiled_rows,
-        )
+        cursors = np.repeat(self._roots, num_rows)
+        row_offsets = np.tile(np.arange(num_rows) * features.shape[1], self._num_trees)
+        leaves = self._value[_walk(features, row_offsets, cursors, self._table, self._depth)]
         predictions = leaves.reshape(self._num_trees, num_rows)
         return predictions.mean(axis=0), predictions.std(axis=0)

@@ -26,17 +26,6 @@ Point = Tuple[int, ...]
 CANDIDATE_POOL_SIZE = 200
 
 
-def _point_key(point: Sequence[int]) -> bytes:
-    """Canonical hashable key for a point (int64 little-endian bytes)."""
-    return np.asarray(point, dtype=np.int64).tobytes()
-
-
-def _row_keys(rows: np.ndarray) -> List[bytes]:
-    """Per-row canonical keys of a ``(count, d)`` integer point array."""
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    return [row.tobytes() for row in rows]
-
-
 @dataclass
 class Observation:
     """A single evaluated point."""
@@ -53,7 +42,7 @@ class BayesianOptimizationResult:
 
     best_point: Point
     best_value: float
-    observations: List[Observation]
+    observations: Sequence[Observation]
     num_iterations: int
     converged_iteration: int
 
@@ -156,10 +145,11 @@ class BayesianOptimizer:
             raise OptimizationError("max_evaluations must be positive")
         observations: List[Observation] = []
         # Points are tracked three ways, each serving a hot path: the
-        # Observation list is the API, the byte-string set is O(1) dedup for
-        # array-native candidate pools, and the growing feature/value buffers
-        # feed surrogate refits without re-packing tuples every round.
-        seen_keys: set[bytes] = set()
+        # Observation list is the API, the set of packed keys
+        # (``DiscreteSpace.keys``) is O(1) dedup for array-native candidate
+        # pools, and the growing feature/value buffers feed surrogate refits
+        # without re-packing tuples every round.
+        seen_keys: set = set()
         dimensions = self._space.num_dimensions
         feature_buffer = np.empty((max(64, min(max_evaluations, 4096)), dimensions))
         value_buffer = np.empty(len(feature_buffer))
@@ -173,6 +163,7 @@ class BayesianOptimizer:
             nonlocal feature_buffer, value_buffer
             if not points:
                 return
+            seen_keys.update(self._space.keys(points).tolist())
             for point, value in zip(points, evaluate(points)):
                 value = float(value)
                 count = len(observations)
@@ -185,7 +176,6 @@ class BayesianOptimizer:
                 feature_buffer[count] = point
                 value_buffer[count] = value
                 observations.append(observation)
-                seen_keys.add(_point_key(point))
                 if value < best_value - 1e-12:
                     best_value = value
                     best_point = point
@@ -219,7 +209,7 @@ class BayesianOptimizer:
                 min(warmup_budget - len(planned), attempts_cap - attempts), self._rng
             )
             attempts += len(block)
-            for row, key in zip(block.tolist(), _row_keys(block)):
+            for row, key in zip(block.tolist(), self._space.keys(block).tolist()):
                 if key in planned_keys and self._space.size > len(planned_keys):
                     continue
                 planned.append(tuple(row))
@@ -295,7 +285,7 @@ class BayesianOptimizer:
     def _propose_batch(
         self,
         surrogate: RandomForestRegressor,
-        seen_keys: set[bytes],
+        seen_keys: set,
         best_point: Optional[Point],
         count: int,
     ) -> List[Point]:
@@ -317,18 +307,13 @@ class BayesianOptimizer:
                 ]
             )
         # Order-preserving dedup (first occurrence wins, like dict.fromkeys).
-        _, first_occurrence = np.unique(pool, axis=0, return_index=True)
-        pool = pool[np.sort(first_occurrence)]
-        unseen_rows = [
-            index
-            for index, key in enumerate(_row_keys(pool))
-            if key not in seen_keys
-        ]
+        pool, keys = self._space.unique(pool)
+        unseen_rows = [index for index, key in enumerate(keys) if key not in seen_keys]
         if not unseen_rows:
             # Space may be nearly exhausted; fall back to any unseen random point.
             for _ in range(10):
                 block = self._space.sample_array(100, self._rng)
-                for row, key in zip(block.tolist(), _row_keys(block)):
+                for row, key in zip(block.tolist(), self._space.keys(block).tolist()):
                     if key not in seen_keys:
                         return [tuple(row)]
             return []

@@ -31,6 +31,17 @@ class DiscreteSpace:
         self._cardinalities = tuple(cards)
         self._cards = np.array(cards, dtype=np.int64)
         self._mutable = self._cards > 1
+        # Key layout (see ``keys``): slot j sits at bit ``_shifts[j]`` of its
+        # uint64 word, and word w holds the slots from ``_word_starts[w]`` on.
+        shifts, word_starts, used = [], [0], 0
+        for slot, bits in enumerate((c - 1).bit_length() for c in cards):
+            if used + bits > 64:
+                word_starts.append(slot)
+                used = 0
+            shifts.append(used)
+            used += bits
+        self._shifts = np.array(shifts, dtype=np.uint64)
+        self._word_starts = np.array(word_starts)
 
     # ------------------------------------------------------------------ #
     @property
@@ -54,6 +65,26 @@ class DiscreteSpace:
         if not self.contains(point):
             raise OptimizationError(f"point {tuple(point)} is outside the search space")
         return tuple(int(v) for v in point)
+
+    def keys(self, rows: np.ndarray) -> np.ndarray:
+        """One exact key per point of a ``(count, d)`` array, as a 1-D array.
+
+        Points are packed into uint64 words at ``ceil(log2(cardinality))``
+        bits per slot, no slot straddling two words.  A key is the word, or a
+        void view of the words past one; ``tolist()`` gives ints or bytes.
+        """
+        shifted = np.asarray(rows, dtype=np.uint64) << self._shifts
+        words = np.add.reduceat(shifted, self._word_starts, axis=1)
+        if len(self._word_starts) == 1:
+            return words[:, 0]
+        return np.ascontiguousarray(words).view(f"V{8 * words.shape[1]}")[:, 0]
+
+    def unique(self, rows: np.ndarray) -> Tuple[np.ndarray, list]:
+        """``rows`` without repeats (first occurrences, in order), and their keys."""
+        keys = self.keys(rows)
+        _, first = np.unique(keys, return_index=True)
+        first.sort()
+        return rows[first], keys[first].tolist()
 
     # ------------------------------------------------------------------ #
     def sample_array(self, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -9,9 +9,10 @@ circuits, and provides helpers to enumerate / sample the discrete space.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +28,11 @@ from repro.exceptions import CircuitError
 
 CLIFFORD_ANGLES = tuple(angle_from_clifford_index(k) for k in range(4))
 NUM_CLIFFORD_POINTS = 4
+
+# Programs compiled by :meth:`CliffordGateProgram.from_ansatz`, by ansatz
+# shape, oldest first; at most ``_MAX_SHAPES`` are kept.
+_PROGRAMS: Dict[tuple, "CliffordGateProgram"] = {}
+_MAX_SHAPES = 32
 
 
 def indices_to_angles(indices: Sequence[int], cardinality: int = 4) -> List[float]:
@@ -140,7 +146,9 @@ class CliffordGateProgram:
 
     A tableau runs the ops as :attr:`segments` (rotation layers, linear CX
     ladders, single ops), one word-wide update each; the table is built on
-    first use, so a program that is only fingerprinted never builds it.
+    first use, so a program that is only fingerprinted never builds it.  A
+    program is immutable once built, which lets :meth:`from_ansatz` share
+    one per ansatz shape across the process.
     """
 
     def __init__(self, num_qubits: int, num_parameters: int, ops: Tuple[ProgramOp, ...]):
@@ -175,7 +183,20 @@ class CliffordGateProgram:
 
     @classmethod
     def from_ansatz(cls, ansatz: EfficientSU2Ansatz) -> "CliffordGateProgram":
-        return cls.compile(ansatz.circuit)
+        """The program of ``ansatz``'s shape, compiled once per process.
+
+        The shape is the ansatz type, qubit count, reps, rotation blocks and
+        entanglement: every ansatz of one shape builds the same circuit, so
+        they all share one program (and its segment table and fingerprint).
+        """
+        shape = (type(ansatz), ansatz.num_qubits, ansatz.reps)
+        shape += (ansatz.rotation_blocks, ansatz.entanglement)
+        program = _PROGRAMS.get(shape)
+        if program is None:
+            if len(_PROGRAMS) >= _MAX_SHAPES:
+                del _PROGRAMS[next(iter(_PROGRAMS))]
+            program = _PROGRAMS[shape] = cls.compile(ansatz.circuit)
+        return program
 
     @property
     def num_qubits(self) -> int:
@@ -216,10 +237,24 @@ class CliffordGateProgram:
                 column = self._num_parameters + op.fixed_index if bound else op.parameter_index
                 runs[-1].columns.append(column)
         stops = [run.start for run in runs[1:]] + [len(self._ops)]
-        return tuple(
+        segments = tuple(
             run._replace(stop=stop, qubits=tuple(run.qubits), columns=np.array(run.columns))
             for run, stop in zip(runs, stops)
         )
+        for segment in segments:
+            segment.columns.flags.writeable = False
+        return segments
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """Stable hex digest of the flat gate list: the program the evaluations ran."""
+        digest = hashlib.sha256()
+        digest.update(f"{self._num_qubits}:{self._num_parameters};".encode())
+        for op in self._ops:
+            digest.update(
+                f"{op.name}:{op.qubits}:{op.parameter_index}:{op.fixed_index};".encode()
+            )
+        return digest.hexdigest()[:16]
 
     def __repr__(self) -> str:
         return (

@@ -25,6 +25,7 @@ directory), so every ``cache_dir`` knob in the stack accepts either.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sqlite3
 from pathlib import Path
@@ -44,6 +45,15 @@ __all__ = [
     "open_cache",
     "is_sqlite_cache_location",
 ]
+
+
+def _as_point(point: Sequence[int]) -> Point:
+    return point if type(point) is tuple else tuple(int(v) for v in point)
+
+
+def _point_text(point: Point) -> str:
+    """``json.dumps(list(point))`` for a tuple of ints, without the encoder."""
+    return f"[{', '.join(map(str, point))}]"
 
 
 class EvaluationCacheBackend:
@@ -74,12 +84,14 @@ class EvaluationCacheBackend:
     def __len__(self) -> int:
         return len(self._values)
 
+    # ``CachedObjective`` hands over validated tuples of ints, which key the
+    # map as they are; only other sequences are rebuilt.
     def __contains__(self, key: Tuple[str, Sequence[int]]) -> bool:
         fingerprint, point = key
-        return (fingerprint, tuple(int(v) for v in point)) in self._values
+        return (fingerprint, _as_point(point)) in self._values
 
     def get(self, fingerprint: str, point: Sequence[int]) -> Optional[float]:
-        value = self._values.get((fingerprint, tuple(int(v) for v in point)))
+        value = self._values.get((fingerprint, _as_point(point)))
         if value is None:
             self._misses += 1
             telemetry.counter("cache.miss", 1, backend=self.backend_label)
@@ -89,7 +101,7 @@ class EvaluationCacheBackend:
         return value
 
     def put(self, fingerprint: str, point: Sequence[int], value: float) -> None:
-        self._values[(fingerprint, tuple(int(v) for v in point))] = float(value)
+        self._values[(fingerprint, _as_point(point))] = float(value)
         telemetry.counter("cache.insert", 1, backend=self.backend_label)
 
     def shard_writer(self, tag: str):
@@ -164,12 +176,13 @@ class CacheShardWriter:
     def path(self) -> Path:
         return self._path
 
-    def record(self, fingerprint: str, point: Sequence[int], value: float) -> None:
+    def record(self, fingerprint: str, point: Point, value: float) -> None:
         if self._handle is None:
             raise OptimizationError("cache shard writer is closed")
-        self._handle.write(
-            json.dumps([fingerprint, [int(v) for v in point], float(value)]) + "\n"
-        )
+        # The bytes of ``json.dumps([fingerprint, list(point), float(value)])``.
+        value = float(value)
+        text = repr(value) if math.isfinite(value) else json.dumps(value)
+        self._handle.write(f"[{json.dumps(fingerprint)}, {_point_text(point)}, {text}]\n")
 
     def flush(self) -> None:
         if self._handle is not None:
@@ -290,12 +303,10 @@ class SqliteCacheWriter:
     def database_path(self) -> Path:
         return self._db_path
 
-    def record(self, fingerprint: str, point: Sequence[int], value: float) -> None:
+    def record(self, fingerprint: str, point: Point, value: float) -> None:
         if self._connection is None:
             raise OptimizationError("sqlite cache writer is closed")
-        self._pending.append(
-            (str(fingerprint), json.dumps([int(v) for v in point]), float(value))
-        )
+        self._pending.append((str(fingerprint), _point_text(point), float(value)))
 
     def flush(self) -> None:
         if self._connection is None or not self._pending:

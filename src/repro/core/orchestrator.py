@@ -20,8 +20,10 @@ already-simulated points; finished restarts are loaded straight from their
 checkpoint and not re-run at all.
 
 A checkpoint stores its observations as columns, each point one string of
-one digit per slot, decoded in one vectorized pass; a checkpoint of another
-:data:`CHECKPOINT_FORMAT`, or one that does not decode, is stale.
+one digit per slot, validated in one vectorized pass and kept as columns
+until read; a checkpoint of another :data:`CHECKPOINT_FORMAT`, or one that
+does not decode, is stale.  Programs compile once per ansatz shape, so a
+replay builds no observation and compiles nothing it is not asked for.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from concurrent.futures import (
 )
 from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -105,17 +108,7 @@ def ansatz_fingerprint(ansatz: EfficientSU2Ansatz) -> str:
     makes the fingerprint a function of the circuit the evaluations actually
     ran, so any ansatz producing the same program shares cache entries.
     """
-    return _program_fingerprint(CliffordGateProgram.from_ansatz(ansatz))
-
-
-def _program_fingerprint(program: CliffordGateProgram) -> str:
-    digest = hashlib.sha256()
-    digest.update(f"{program.num_qubits}:{program.num_parameters};".encode())
-    for op in program.ops:
-        digest.update(
-            f"{op.name}:{op.qubits}:{op.parameter_index}:{op.fixed_index};".encode()
-        )
-    return digest.hexdigest()[:16]
+    return CliffordGateProgram.from_ansatz(ansatz).fingerprint
 
 
 def objective_fingerprint(objective: CliffordObjective) -> str:
@@ -130,7 +123,7 @@ def objective_fingerprint(objective: CliffordObjective) -> str:
     """
     base = (
         f"{hamiltonian_fingerprint(objective.operator)}"
-        f"-{_program_fingerprint(objective.program)}"
+        f"-{objective.program.fingerprint}"
     )
     max_t_gates = getattr(objective, "max_t_gates", 0)
     if max_t_gates:
@@ -147,7 +140,7 @@ def energy_fingerprint(objective: CliffordObjective) -> str:
     """
     base = (
         f"{hamiltonian_fingerprint(objective.problem.hamiltonian)}"
-        f"-{_program_fingerprint(objective.program)}"
+        f"-{objective.program.fingerprint}"
     )
     return f"{base}-pi4" if getattr(objective, "max_t_gates", 0) else base
 
@@ -374,7 +367,7 @@ class SeedTrace:
     constrained_energy: float
     num_iterations: int
     converged_iteration: int
-    observations: List[Observation] = field(repr=False)
+    observations: Sequence[Observation] = field(repr=False)
     duration_seconds: float = 0.0
     cache_hits: int = 0
     cache_misses: int = 0
@@ -466,10 +459,6 @@ class MultiSeedResult:
         return sum(trace.cache_hits for trace in self.traces)
 
     @property
-    def improvement_over_hf(self) -> float:
-        return self.hf_energy - self.best.energy
-
-    @property
     def error(self) -> Optional[float]:
         if self.exact_energy is None:
             return None
@@ -508,24 +497,69 @@ def _encode_observations(observations: Sequence[Observation]) -> dict:
     }
 
 
-def _decode_observations(columns: dict, width: int) -> List[Observation]:
+def _decode_observations(columns: dict, width: int) -> "_CheckpointObservations":
     """Observations from :func:`_encode_observations` columns of ``width``-slot points.
 
-    Ragged or non-list columns, points of another width and non-digit
-    characters raise ``ValueError``: the checkpoint is stale.
+    Ragged or non-list columns, points of another width, non-digit characters
+    and values, iterations or phases of the wrong type raise ``ValueError``:
+    the checkpoint is stale.  The observations are built only when read.
     """
     columns = [columns[name] for name in ("points", "values", "iterations", "phases")]
     if any(not isinstance(c, list) for c in columns) or len(set(map(len, columns))) != 1:
         raise ValueError("ragged or malformed observation columns")
     points, values, iterations, phases = columns
     digits = np.frombuffer("".join(points).encode("ascii"), dtype=np.uint8) - ord("0")
-    if any(len(point) != width for point in points) or (digits > 9).any():
+    if set(map(len, points)) - {width} or (digits > 9).any():
         raise ValueError(f"checkpoint points are not strings of {width} digits")
-    rows = digits.reshape(len(points), width).tolist()
-    return [
-        Observation(tuple(row), float(value), int(iteration), str(phase))
-        for row, value, iteration, phase in zip(rows, values, iterations, phases)
-    ]
+    if not (
+        set(map(type, values)) <= {float, int}
+        and set(map(type, iterations)) <= {int}
+        and set(map(type, phases)) <= {str}
+    ):
+        raise ValueError("checkpoint values, iterations or phases of the wrong type")
+    return _CheckpointObservations(
+        digits.reshape(len(points), width), values, iterations, phases
+    )
+
+
+class _CheckpointObservations(Sequence):
+    """A checkpoint's observations, held as its validated columns until read.
+
+    The first element access builds every :class:`Observation` once; ``len``
+    builds none.  Read-only, picklable as its columns, and equal to any
+    sequence of equal observations.
+    """
+
+    def __init__(self, rows: np.ndarray, values: list, iterations: list, phases: list):
+        self._columns = (rows, values, iterations, phases)
+        self._built: Optional[Tuple[Observation, ...]] = None
+
+    def _observations(self) -> Tuple[Observation, ...]:
+        if self._built is None:
+            rows = self._columns[0]
+            self._built = tuple(
+                Observation(tuple(row), float(value), int(iteration), str(phase))
+                for row, value, iteration, phase in zip(rows.tolist(), *self._columns[1:])
+            )
+        return self._built
+
+    def __len__(self) -> int:
+        return len(self._columns[1])
+
+    def __getitem__(self, index):
+        built = self._observations()
+        return list(built[index]) if isinstance(index, slice) else built[index]
+
+    def __iter__(self):
+        return iter(self._observations())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __reduce__(self):
+        return type(self), self._columns
 
 
 def _load_finished_checkpoint(task: RestartTask) -> Optional[SeedTrace]:
@@ -706,6 +740,12 @@ def run_restart(task: RestartTask) -> SeedTrace:
 # --------------------------------------------------------------------------- #
 # orchestrator
 # --------------------------------------------------------------------------- #
+@lru_cache(maxsize=32)
+def _default_ansatz(num_qubits: int, reps: int) -> EfficientSU2Ansatz:
+    """The default ansatz, one shared instance per ``(num_qubits, reps)``."""
+    return EfficientSU2Ansatz(num_qubits, reps=reps)
+
+
 class SearchOrchestrator:
     """Shards N independent CAFQA restarts across worker processes.
 
@@ -760,8 +800,8 @@ class SearchOrchestrator:
         self._num_restarts = int(num_restarts)
         self._max_workers = max_workers
         self._seed = seed
-        self._ansatz = ansatz if ansatz is not None else EfficientSU2Ansatz(
-            problem.num_qubits, reps=ansatz_reps
+        self._ansatz = ansatz if ansatz is not None else _default_ansatz(
+            problem.num_qubits, int(ansatz_reps)
         )
         self._cache_dir = str(cache_dir) if cache_dir is not None else None
         self._telemetry_dir = str(telemetry_dir) if telemetry_dir is not None else None
@@ -1081,7 +1121,7 @@ class SearchOrchestrator:
         search_result = BayesianOptimizationResult(
             best_point=tuple(best_trace.best_indices),
             best_value=best_trace.constrained_energy,
-            observations=list(best_trace.observations),
+            observations=best_trace.observations,
             num_iterations=best_trace.num_iterations,
             converged_iteration=best_trace.converged_iteration,
         )

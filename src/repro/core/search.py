@@ -62,11 +62,6 @@ class CafqaResult:
         return self.hf_energy
 
     @property
-    def improvement_over_hf(self) -> float:
-        """Energy lowering relative to the classical reference (non-negative)."""
-        return self.hf_energy - self.energy
-
-    @property
     def error(self) -> Optional[float]:
         if self.exact_energy is None:
             return None

@@ -204,3 +204,141 @@ class TestBatchedObjectiveProtocol:
     def test_proposal_batch_validation(self):
         with pytest.raises(OptimizationError):
             BayesianOptimizer(DiscreteSpace([4] * 2), proposal_batch=0)
+
+
+# Clifford spaces on both sides of the one- and two-word boundaries of the
+# packed keys (2 bits per slot), pi/4 spaces (3 bits), and mixed
+# cardinalities (cardinality-1 slots take no bits).
+PACKED_SPACES = {
+    "clifford-32": [4] * 32,
+    "clifford-33": [4] * 33,
+    "clifford-64": [4] * 64,
+    "clifford-65": [4] * 65,
+    "pi4-21": [8] * 21,
+    "pi4-22": [8] * 22,
+    "mixed": [1, 2, 3, 4, 5, 8, 9, 17] * 9,
+    "small-mixed": [2, 3, 1, 2, 5],  # pools mostly repeat and hit seen points
+}
+
+
+def _pool_with_repeats(space, rng, count=200):
+    """A pool in which about half the rows repeat an earlier one."""
+    pool = space.sample_array(count, rng)
+    repeats = rng.random(count) < 0.5
+    pool[repeats] = pool[rng.integers(0, count // 4, size=int(repeats.sum()))]
+    return pool
+
+
+class TestPackedKeys:
+    """Packed-key pools and proposals against the byte-key oracle."""
+
+    @pytest.mark.parametrize("name", sorted(PACKED_SPACES))
+    def test_keys_are_equal_exactly_when_points_are(self, name):
+        from tests.reference_bayesopt import _row_keys
+
+        space = DiscreteSpace(PACKED_SPACES[name])
+        pool = _pool_with_repeats(space, np.random.default_rng(len(name)))
+        pool[-1] = space._cards - 1  # every slot at its top value
+        pool[-2] = 0
+        packed = space.keys(pool).tolist()
+        by_bytes = {}
+        for key, reference in zip(packed, _row_keys(pool)):
+            assert by_bytes.setdefault(reference, key) == key
+        assert len(set(packed)) == len(by_bytes)
+
+    @pytest.mark.parametrize("name", sorted(PACKED_SPACES))
+    def test_pool_dedupe_matches_the_row_wise_unique(self, name):
+        from tests.reference_bayesopt import dedupe_pool
+
+        space = DiscreteSpace(PACKED_SPACES[name])
+        for seed in range(4):
+            pool = _pool_with_repeats(space, np.random.default_rng(seed))
+            rows, keys = space.unique(pool)
+            assert np.array_equal(rows, dedupe_pool(pool))
+            assert keys == space.keys(rows).tolist()
+
+    @pytest.mark.parametrize("name", sorted(PACKED_SPACES))
+    @pytest.mark.parametrize("count", [1, 5])
+    def test_proposals_match_the_byte_key_oracle(self, name, count):
+        from tests.reference_bayesopt import propose_batch
+
+        space = DiscreteSpace(PACKED_SPACES[name])
+        rng = np.random.default_rng(count)
+        seen = space.sample_array(40, rng)
+        surrogate = RandomForestRegressor(num_trees=6, max_depth=6, seed=1).fit(
+            seen.astype(float), rng.normal(size=len(seen))
+        )
+        best_point = tuple(seen[0].tolist())
+        current = BayesianOptimizer(space, seed=7)
+        oracle = BayesianOptimizer(space, seed=7)
+        seen_keys = set(space.keys(seen).tolist())
+        for _ in range(3):
+            proposed = current._propose_batch(surrogate, seen_keys, best_point, count)
+            expected = propose_batch(oracle, surrogate, seen.tolist(), best_point, count)
+            assert proposed == expected
+            seen = np.concatenate([seen, np.array(proposed)])
+            seen_keys.update(space.keys(np.array(proposed)).tolist())
+        assert current._rng.integers(0, 2**62) == oracle._rng.integers(0, 2**62)
+
+    def test_exhausted_pool_falls_back_like_the_oracle(self):
+        from tests.reference_bayesopt import propose_batch
+
+        space = DiscreteSpace([2, 1, 3])
+        points = [(a, 0, c) for a in range(2) for c in range(3)]
+        seen = points[:-1]
+        surrogate = RandomForestRegressor(num_trees=2, seed=0).fit(
+            np.array(seen, dtype=float), np.arange(len(seen), dtype=float)
+        )
+        for best in (None, seen[0]):
+            current = BayesianOptimizer(space, seed=3)
+            oracle = BayesianOptimizer(space, seed=3)
+            seen_keys = set(space.keys(np.array(seen)).tolist())
+            proposed = current._propose_batch(surrogate, seen_keys, best, 1)
+            assert proposed == propose_batch(oracle, surrogate, seen, best, 1)
+            assert proposed == [points[-1]]
+
+
+class TestFixedDepthWalk:
+    """The fixed-depth walk against the active-set descent, byte for byte."""
+
+    @staticmethod
+    def _assert_forest_matches(forest, queries):
+        from tests.reference_bayesopt import forest_predict, tree_predict
+
+        mean, std = forest.predict_with_uncertainty(queries)
+        expected_mean, expected_std = forest_predict(forest, queries)
+        assert mean.tobytes() == expected_mean.tobytes()
+        assert std.tobytes() == expected_std.tobytes()
+        for tree in forest.trees:
+            assert tree.predict(queries).tobytes() == tree_predict(tree, queries).tobytes()
+
+    def test_single_leaf_trees(self):
+        features = np.random.default_rng(0).integers(0, 4, size=(12, 5)).astype(float)
+        forest = RandomForestRegressor(num_trees=4, seed=2).fit(features, np.full(12, 1.25))
+        assert all(tree.node_count == 1 for tree in forest.trees)
+        self._assert_forest_matches(forest, features)
+        self._assert_forest_matches(forest, features[:1])
+
+    @pytest.mark.parametrize("width", [16, 32, 200])
+    def test_depth_10_trees(self, width):
+        rng = np.random.default_rng(width)
+        features = rng.integers(0, 4, size=(400, width)).astype(float)
+        targets = features[:, :4].sum(axis=1) + rng.normal(size=400)
+        forest = RandomForestRegressor(
+            num_trees=12, max_depth=10, min_samples_leaf=1, min_samples_split=2, seed=width
+        ).fit(features, targets)
+        assert max(tree._depth for tree in forest.trees) == 10
+        queries = rng.integers(0, 4, size=(190, width)).astype(float)
+        self._assert_forest_matches(forest, queries)
+        self._assert_forest_matches(forest, queries[:1])
+
+    def test_uneven_trees_and_off_grid_queries(self):
+        rng = np.random.default_rng(3)
+        features = rng.normal(size=(60, 7))
+        forest = RandomForestRegressor(num_trees=9, max_depth=8, seed=3).fit(
+            features, np.sign(features[:, 0]) + 0.1 * rng.normal(size=60)
+        )
+        assert len({tree._depth for tree in forest.trees}) > 1
+        queries = rng.normal(scale=3.0, size=(33, 7))
+        queries[0, :] = np.nan  # NaN never goes left, in either walk
+        self._assert_forest_matches(forest, queries)

@@ -21,7 +21,7 @@ from repro.circuits import (
     search_space_size,
     validate_clifford_point,
 )
-from repro.circuits.clifford_points import validate_clifford_points
+from repro.circuits.clifford_points import CliffordGateProgram, validate_clifford_points
 from repro.exceptions import CircuitError
 from repro.statevector import StatevectorSimulator
 
@@ -277,3 +277,66 @@ class TestValidateCliffordPoints:
         assert validate_clifford_points(points, 4, 8) == [(7, 6, 5, 4), (7, 7, 0, 1)]
         with pytest.raises(CircuitError, match="must be in 0..3"):
             validate_clifford_points(points, 4)
+
+
+class TestProgramPerShape:
+    """``from_ansatz`` compiles once per shape, and never shares across shapes."""
+
+    def test_one_program_per_shape(self):
+        first = CliffordGateProgram.from_ansatz(EfficientSU2Ansatz(5, reps=2))
+        again = CliffordGateProgram.from_ansatz(EfficientSU2Ansatz(5, reps=2))
+        assert again is first
+        assert first.fingerprint == CliffordGateProgram.compile(
+            EfficientSU2Ansatz(5, reps=2).circuit
+        ).fingerprint
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"reps": 2},
+            {"rotation_blocks": ("ry",)},
+            {"rotation_blocks": ("rz", "ry")},
+            {"entanglement": "circular"},
+            {"entanglement": "full"},
+        ],
+    )
+    def test_other_shapes_get_their_own_program(self, options):
+        base = CliffordGateProgram.from_ansatz(EfficientSU2Ansatz(4, reps=1))
+        other_ansatz = EfficientSU2Ansatz(4, **{"reps": 1, **options})
+        other = CliffordGateProgram.from_ansatz(other_ansatz)
+        assert other is not base
+        assert other.ops == CliffordGateProgram.compile(other_ansatz.circuit).ops
+        assert other.fingerprint != base.fingerprint
+
+    def test_ansatz_subclasses_never_share_a_program(self):
+        class ReversedLadder(EfficientSU2Ansatz):
+            def _build(self):
+                circuit = QuantumCircuit(self.num_qubits)
+                for index, parameter in enumerate(self._parameters):
+                    circuit.ry(parameter, index % self.num_qubits)
+                for qubit in reversed(range(self.num_qubits - 1)):
+                    circuit.cx(qubit + 1, qubit)
+                return circuit
+
+        plain = CliffordGateProgram.from_ansatz(EfficientSU2Ansatz(3, reps=1))
+        custom_ansatz = ReversedLadder(3, reps=1)
+        custom = CliffordGateProgram.from_ansatz(custom_ansatz)
+        assert custom is not plain
+        assert custom.ops == CliffordGateProgram.compile(custom_ansatz.circuit).ops
+        assert CliffordGateProgram.from_ansatz(ReversedLadder(3, reps=1)) is custom
+
+    def test_memo_is_bounded(self, monkeypatch):
+        from repro.circuits import clifford_points
+
+        monkeypatch.setattr(clifford_points, "_PROGRAMS", {})
+        first = CliffordGateProgram.from_ansatz(EfficientSU2Ansatz(1, reps=0))
+        for qubits in range(2, clifford_points._MAX_SHAPES + 2):
+            CliffordGateProgram.from_ansatz(EfficientSU2Ansatz(qubits, reps=0))
+        assert len(clifford_points._PROGRAMS) == clifford_points._MAX_SHAPES
+        assert CliffordGateProgram.from_ansatz(EfficientSU2Ansatz(1, reps=0)) is not first
+
+    def test_segment_columns_are_read_only(self):
+        program = CliffordGateProgram.from_ansatz(EfficientSU2Ansatz(4, reps=1))
+        rotation = next(s for s in program.segments if s.kind == "rotation")
+        with pytest.raises(ValueError):
+            rotation.columns[0] = 7

@@ -193,3 +193,35 @@ class TestOrchestratorBackendEquivalence:
         assert warm.energies == cold.energies
         assert all(t.cache_misses == 0 for t in warm.traces)
         assert all(t.cache_hits > 0 for t in warm.traces)
+
+
+class TestRecordBytes:
+    """Writers build record text by string join; it must be ``json.dumps``'s bytes."""
+
+    POINTS = [(), (0,), (3, 0, 2, 1), tuple(range(8)) * 25]
+    VALUES = UGLY + [0.0, -0.0, 5e-324, -1.7976931348623157e308, 1e16, 1e-7, 12.0,
+                     float("inf"), float("-inf"), float("nan")]
+
+    def test_jsonl_lines_equal_json_dumps(self, tmp_path):
+        writer = CacheShardWriter(tmp_path / "evals_r000_1.jsonl")
+        expected = []
+        for point in self.POINTS:
+            for value in self.VALUES:
+                for fingerprint in ("ab12-cd34", "ab12-cd34-t2-d9f"):
+                    writer.record(fingerprint, point, value)
+                    expected.append(json.dumps([fingerprint, list(point), value]))
+        writer.close()
+        assert writer.path.read_text().splitlines() == expected
+
+    def test_sqlite_point_text_equals_json_dumps(self, tmp_path):
+        path = tmp_path / "evals.sqlite"
+        writer = SqliteEvaluationCache(path).shard_writer("r000")
+        for value, point in zip(UGLY, self.POINTS):
+            writer.record("fp", point, value)
+        writer.close()
+        with sqlite3.connect(path) as connection:
+            stored = connection.execute(
+                "SELECT point FROM evaluations ORDER BY value"
+            ).fetchall()
+        expected = [json.dumps(list(p)) for _, p in sorted(zip(UGLY, self.POINTS))]
+        assert [text for (text,) in stored] == expected

@@ -16,6 +16,7 @@ import pytest
 
 from repro import problems
 from repro.circuits import EfficientSU2Ansatz
+from repro.circuits import clifford_points
 from repro.circuits.clifford_points import CliffordGateProgram
 from repro.core import CliffordObjective, DeflationConstraint, SearchOrchestrator
 from repro.core.orchestrator import (
@@ -40,7 +41,7 @@ def oracle_hamiltonian_fingerprint(operator):
 
 
 def oracle_ansatz_fingerprint(ansatz):
-    program = CliffordGateProgram.from_ansatz(ansatz)
+    program = CliffordGateProgram.compile(ansatz.circuit)
     digest = hashlib.sha256()
     digest.update(f"{program.num_qubits}:{program.num_parameters};".encode())
     for op in program.ops:
@@ -160,7 +161,13 @@ class TestLazyEvaluators:
         assert compiled == []
 
     def test_orchestrator_and_fingerprints_build_no_segment_table(self, monkeypatch):
-        """The replay leg never evolves a state, so it compiles no segments."""
+        """The replay leg never evolves a state, so it compiles no segments.
+
+        Programs are shared per ansatz shape across the process, so an
+        earlier test may have built this shape's table: start from an empty
+        memo, so the orchestrator compiles a fresh program.
+        """
+        monkeypatch.setattr(clifford_points, "_PROGRAMS", {})
         built = []
         segments = CliffordGateProgram.segments.func
 

@@ -661,3 +661,96 @@ class TestObservationCodec:
         columns = json.loads(json.dumps(_encode_observations([])))
         assert columns == {"points": [], "values": [], "iterations": [], "phases": []}
         assert _decode_observations(columns, 64) == []
+
+
+# --------------------------------------------------------------------------- #
+# replay at read cost
+# --------------------------------------------------------------------------- #
+class TestLazyReplay:
+    """A replayed restart builds no observation and compiles no program until read."""
+
+    @pytest.fixture()
+    def xxz50_spec(self, tmp_path):
+        from repro.runspec import RunSpec
+
+        return RunSpec(
+            problem="xxz_chain",
+            problem_options={"num_sites": 50},
+            max_evaluations=40,
+            seed=0,
+            max_workers=1,
+            checkpoint_dir=str(tmp_path / "checkpoints"),
+        )
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        from repro.bayesopt.optimizer import Observation
+        from repro.circuits import CliffordGateProgram
+        from repro.core import orchestrator
+
+        built, compiled = [], []
+        compile_circuit = CliffordGateProgram.compile.__func__
+
+        def counting_observation(*args):
+            built.append(args)
+            return Observation(*args)
+
+        def counting_compile(cls, circuit):
+            compiled.append(circuit)
+            return compile_circuit(cls, circuit)
+
+        monkeypatch.setattr(orchestrator, "Observation", counting_observation)
+        monkeypatch.setattr(CliffordGateProgram, "compile", classmethod(counting_compile))
+        return built, compiled
+
+    def test_replay_builds_nothing_until_observations_are_read(
+        self, xxz50_spec, monkeypatch
+    ):
+        from repro.runspec import run
+
+        problem = xxz50_spec.resolve_problem()
+        searched = run(xxz50_spec, problem=problem)
+        assert not searched.result.traces[0].from_checkpoint
+        built, compiled = self._count_builds(monkeypatch)
+        replayed = run(xxz50_spec, problem=problem)
+        trace = replayed.result.traces[0]
+        assert trace.from_checkpoint
+        assert replayed.energy == searched.energy
+        assert replayed.best_indices == searched.best_indices
+        assert len(trace.observations) == searched.result.total_evaluations
+        assert built == [] and compiled == []
+        observations = replayed.result.best.search_result.observations
+        assert observations is trace.observations  # the merge does not copy
+        assert list(observations) == searched.result.traces[0].observations
+        assert len(built) == len(trace.observations) and compiled == []
+        assert list(observations) == searched.result.best.search_result.observations
+        assert len(built) == len(trace.observations)  # built once, then reused
+
+    def test_second_orchestrator_on_a_shape_compiles_nothing(self, monkeypatch):
+        problem = ising_chain(num_sites=5)
+        first = SearchOrchestrator(problem, num_restarts=1)
+        built, compiled = self._count_builds(monkeypatch)
+        second = SearchOrchestrator(problem, num_restarts=1, seed=3)
+        assert compiled == []
+        assert second.ansatz is first.ansatz
+        assert second._objective.program is first._objective.program
+        assert second.objective_fingerprint == first.objective_fingerprint
+
+    def test_checkpoint_observations_pickle_and_compare_with_lists(self, tmp_path):
+        import pickle
+
+        from repro.core.orchestrator import _decode_observations, _encode_observations
+
+        observations = TestObservationCodec._observations(30, 33, 4, seed=1)
+        columns = json.loads(json.dumps(_encode_observations(observations)))
+        decoded = _decode_observations(columns, 33)
+        revived = pickle.loads(pickle.dumps(decoded))
+        assert revived._built is None  # pickled as columns, still unbuilt
+        for lazy in (decoded, revived):
+            assert lazy == observations and observations == lazy
+            assert not lazy != observations
+            assert lazy[:3] == observations[:3] and lazy[-1] == observations[-1]
+        assert decoded != observations[:-1]
+        assert pickle.loads(pickle.dumps(decoded)) == decoded  # built, then pickled
+        with pytest.raises(TypeError):
+            decoded[0] = observations[1]
