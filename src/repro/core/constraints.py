@@ -2,18 +2,20 @@
 
 The paper imposes electron and spin preservation "directly to the objective
 function" (Section 3, item 5; Section 7.1.1 for the H2+ cation).  This module
-builds quadratic penalty operators such as ``w * (N_alpha - n_alpha)^2`` as
-Pauli sums, so the constrained objective remains a single Pauli-sum
-expectation that the stabilizer simulator can evaluate exactly.
+adds quadratic penalty operators such as ``w * (N_alpha - n_alpha)^2`` to the
+Hamiltonian as Pauli sums, so the constrained objective remains a single
+Pauli-sum expectation that the stabilizer simulator can evaluate exactly.
 
-Constraints are problem-agnostic: any object with a
-``penalty_terms(problem)`` iterator of :class:`~repro.operators.pauli_sum
-.PauliSum` penalties plugs into :func:`constrained_hamiltonian`.
-:class:`ParticleConstraint` is the chemistry implementation (electron counts
-per spin sector); :class:`OperatorPenalty` pins the expectation of an
-arbitrary operator.  Problems advertise their natural constraint through an
-optional ``default_constraint()`` (molecular problems return their particle
-sector; spin/graph problems return ``None``).
+Constraints are problem-agnostic data: any object with a
+``penalties(problem)`` iterator of ``(operator, target, weight)`` triples
+plugs into :func:`constrained_hamiltonian`, the one place that expands
+``weight * (operator - target)^2`` (:func:`quadratic_penalty`).
+:class:`ParticleConstraint` is the chemistry implementation (one triple per
+spin sector); :class:`OperatorPenalty` pins the expectation of an arbitrary
+operator.  Problems advertise their natural constraint through an optional
+``default_constraint()`` (molecular problems return their particle sector;
+spin/graph problems return ``None``).  Each distinct constrained operator is
+built once per process, so a replayed run does no operator algebra.
 
 Excited-CAFQA deflation rides on a second, *non-Pauli* hook: a constraint may
 also expose ``overlap_penalties()`` — pairs of (Clifford index point, weight)
@@ -28,10 +30,20 @@ symmetry constraint so excited-state searches keep their sector penalties.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.operators.fingerprints import hamiltonian_fingerprint
 from repro.operators.pauli_sum import PauliSum
 from repro.problems.base import default_constraint_of
+
+# ``(operator, target, weight)``: the penalty ``weight * (operator - target)^2``.
+Penalty = Tuple[PauliSum, float, float]
+
+# Operators built by :func:`constrained_hamiltonian`, by content key, oldest
+# first; at most ``_MAX_OPERATORS`` are kept.  Keys hold digests and floats,
+# never a problem.
+_OPERATORS: Dict[tuple, PauliSum] = {}
+_MAX_OPERATORS = 32
 
 DEFAULT_PENALTY_WEIGHT = 2.0
 
@@ -56,14 +68,10 @@ class ParticleConstraint:
         if self.weight < 0:
             raise ValueError("penalty weight must be non-negative")
 
-    def penalty_terms(self, problem) -> Iterator[PauliSum]:
-        """Quadratic number-operator penalties for each spin sector."""
-        if self.weight <= 0:
-            return
-        yield quadratic_penalty(
-            problem.number_operator_alpha, self.num_alpha, self.weight
-        )
-        yield quadratic_penalty(problem.number_operator_beta, self.num_beta, self.weight)
+    def penalties(self, problem) -> Iterator[Penalty]:
+        """One number-operator penalty per spin sector."""
+        yield problem.number_operator_alpha, self.num_alpha, self.weight
+        yield problem.number_operator_beta, self.num_beta, self.weight
 
 
 @dataclass(frozen=True)
@@ -84,10 +92,8 @@ class OperatorPenalty:
         if self.weight < 0:
             raise ValueError("penalty weight must be non-negative")
 
-    def penalty_terms(self, problem) -> Iterator[PauliSum]:
-        if self.weight <= 0:
-            return
-        yield quadratic_penalty(self.operator, self.target, self.weight)
+    def penalties(self, problem) -> Iterator[Penalty]:
+        yield self.operator, self.target, self.weight
 
 
 @dataclass(frozen=True)
@@ -130,7 +136,7 @@ class DeflationConstraint:
         if self.weight < 0:
             raise ValueError("deflation weight must be non-negative")
 
-    def penalty_terms(self, problem) -> Iterator[PauliSum]:
+    def penalties(self, problem) -> Iterator[Penalty]:
         """Deflation adds no Pauli terms; the penalty is a state overlap."""
         return iter(())
 
@@ -156,9 +162,9 @@ class CompositeConstraint:
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(self.parts))
 
-    def penalty_terms(self, problem) -> Iterator[PauliSum]:
+    def penalties(self, problem) -> Iterator[Penalty]:
         for part in self.parts:
-            yield from part.penalty_terms(problem)
+            yield from part.penalties(problem)
 
     def overlap_penalties(self) -> List[Tuple[Tuple[int, ...], float]]:
         pairs: List[Tuple[Tuple[int, ...], float]] = []
@@ -206,16 +212,30 @@ def constrained_hamiltonian(
     sector, mirroring the paper's constrained VQE treatment of H2+ and the
     H2O/H6 spin studies; problems without symmetry sectors contribute no
     penalty.  ``spin_z_target`` additionally pins the problem's
-    ``spin_z_operator`` (chemistry problems only).
+    ``spin_z_operator`` (chemistry problems only).  Weight-0 penalties add
+    nothing.  Equal content (qubit count, Hamiltonian and penalty
+    fingerprints, targets and weights, in order) returns one shared operator,
+    built and checked once; a non-Hermitian one raises ``SimulationError``.
     """
     if constraint is None:
         constraint = default_constraint_of(problem)
-    total = problem.hamiltonian
-    if constraint is not None:
-        for penalty in constraint.penalty_terms(problem):
-            total = total + penalty
+    penalties = [] if constraint is None else list(constraint.penalties(problem))
     if spin_z_target is not None and spin_weight > 0:
-        total = total + quadratic_penalty(
-            problem.spin_z_operator, spin_z_target, spin_weight
-        )
-    return total.simplify(1e-10)
+        penalties.append((problem.spin_z_operator, spin_z_target, spin_weight))
+    penalties = [(op, float(t), float(w)) for op, t, w in penalties if w > 0]
+    hamiltonian = problem.hamiltonian
+    key = (hamiltonian.num_qubits, hamiltonian_fingerprint(hamiltonian)) + tuple(
+        (hamiltonian_fingerprint(op), t, w) for op, t, w in penalties
+    )
+    total = _OPERATORS.get(key)
+    if total is None:
+        total = hamiltonian
+        for operator, target, weight in penalties:
+            total = total + quadratic_penalty(operator, target, weight)
+        total = total.simplify(1e-10)
+        if not total.is_hermitian():
+            total.real_coefficients()  # raises the evaluators' SimulationError
+        if len(_OPERATORS) >= _MAX_OPERATORS:
+            del _OPERATORS[next(iter(_OPERATORS))]
+        _OPERATORS[key] = total
+    return total

@@ -5,7 +5,8 @@ Clifford index tuple)``.  The contract every backend honours:
 
 * **union-of-shards reads** — opening a cache loads the union of everything
   every past writer persisted, so a reader sees all evaluations regardless
-  of which process computed them;
+  of which process computed them (opened for some fingerprints, it loads
+  only their entries and skips the rest);
 * **bit-identical floats** — a cache read returns the exact stored double,
   which is what makes replay-based checkpoint resume exact;
 * **crash safety** — records torn by a killed writer are skipped on load,
@@ -29,7 +30,7 @@ import math
 import os
 import sqlite3
 from pathlib import Path
-from typing import Dict, IO, Optional, Sequence, Tuple
+from typing import Collection, Dict, IO, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.exceptions import OptimizationError
@@ -125,12 +126,14 @@ class EvaluationCache(EvaluationCacheBackend):
 
     backend_label = "jsonl"
 
-    def __init__(self, directory: Optional[os.PathLike] = None):
+    def __init__(
+        self, directory: Optional[os.PathLike] = None, fingerprints: Optional[Collection[str]] = None
+    ):
         super().__init__()
         self._directory = Path(directory) if directory is not None else None
         if self._directory is not None:
             self._directory.mkdir(parents=True, exist_ok=True)
-            self._load_shards()
+            self._load_shards(fingerprints)
 
     # ------------------------------------------------------------------ #
     @property
@@ -144,14 +147,17 @@ class EvaluationCache(EvaluationCacheBackend):
         return CacheShardWriter(path)
 
     # ------------------------------------------------------------------ #
-    def _load_shards(self) -> None:
+    def _load_shards(self, fingerprints: Optional[Collection[str]]) -> None:
+        # Lines that hold none of the wanted fingerprints as a JSON string stay
+        # undecoded (a stray match only loads a key this reader never asks for).
+        tokens = [""] if fingerprints is None else [json.dumps(f) for f in fingerprints]
         for shard in sorted(self._directory.glob("evals_*.jsonl")):
             try:
                 text = shard.read_text()
             except OSError:
                 continue
             for line in text.splitlines():
-                if not line.strip():
+                if not line.strip() or not any(t in line for t in tokens):
                     continue
                 # Conversion happens inside the try: a wrong-shaped but
                 # valid-JSON line (string point, non-numeric value) must be
@@ -246,14 +252,16 @@ class SqliteEvaluationCache(EvaluationCacheBackend):
 
     backend_label = "sqlite"
 
-    def __init__(self, path: os.PathLike):
+    def __init__(self, path: os.PathLike, fingerprints: Optional[Collection[str]] = None):
         super().__init__()
         self._path = Path(path)
+        query, arguments = "SELECT fingerprint, point, value FROM evaluations", ()
+        if fingerprints is not None:
+            arguments = tuple(fingerprints)
+            query += f" WHERE fingerprint IN ({', '.join('?' * len(arguments))})"
         connection = _connect(self._path)
         try:
-            rows = connection.execute(
-                "SELECT fingerprint, point, value FROM evaluations"
-            ).fetchall()
+            rows = connection.execute(query, arguments).fetchall()
         finally:
             connection.close()
         for fingerprint, point_text, value in rows:
@@ -329,17 +337,20 @@ class SqliteCacheWriter:
 
 
 # --------------------------------------------------------------------------- #
-def open_cache(location: Optional[os.PathLike]) -> Optional[EvaluationCacheBackend]:
+def open_cache(
+    location: Optional[os.PathLike], fingerprints: Optional[Collection[str]] = None
+) -> Optional[EvaluationCacheBackend]:
     """The evaluation cache living at ``location`` (None passes through).
 
     Dispatches on shape: a ``*.sqlite``/``*.db`` path (or an existing
     regular file) opens the sqlite backend; anything else is a shard
     directory for the JSONL backend.  Every ``cache_dir`` knob in the stack
     funnels through here, so callers opt into sqlite just by naming a
-    database file.
+    database file.  With ``fingerprints`` only those key spaces are loaded;
+    ``None`` loads everything.
     """
     if location is None:
         return None
     if is_sqlite_cache_location(location):
-        return SqliteEvaluationCache(location)
-    return EvaluationCache(location)
+        return SqliteEvaluationCache(location, fingerprints)
+    return EvaluationCache(location, fingerprints)

@@ -61,6 +61,7 @@ from repro.core.constraints import (
     constrained_hamiltonian,
     overlap_penalties_of,
 )
+from repro.operators.fingerprints import hamiltonian_fingerprint
 from repro.operators.pauli_sum import PauliSum
 from repro.problems.base import ProblemSpec
 from repro.stabilizer.expectation import PauliSumEvaluator
@@ -116,26 +117,6 @@ def _split_on_pi4_turn(x, z, r, weights, name: str, qubit: int):
     )
 
 
-def _identical_operators(left: PauliSum, right: PauliSum) -> bool:
-    """Exact content equality: same labels, bit-identical coefficients.
-
-    Deliberately stricter than ``PauliSum.__eq__`` (which tolerates 1e-9
-    coefficient differences): evaluators may only be shared when the two
-    operators are guaranteed to produce bit-identical energies.
-    """
-    if left is right:
-        return True
-    if left.num_qubits != right.num_qubits:
-        return False
-    labels = left.labels
-    if labels != right.labels:
-        return False
-    return all(
-        complex(left.coefficient(label)) == complex(right.coefficient(label))
-        for label in labels
-    )
-
-
 class CliffordObjective:
     """Constrained stabilizer-state energy as a function of Clifford indices.
 
@@ -183,11 +164,11 @@ class CliffordObjective:
                 problem.num_alpha, problem.num_beta, weight=penalty_weight
             )
         self._constraint = constraint
+        # Shared across objectives of equal content; Hermiticity is checked
+        # once, when the operator is first built.
         self._operator = constrained_hamiltonian(
             problem, constraint=constraint, spin_z_target=spin_z_target
         )
-        if not self._operator.is_hermitian():
-            self._operator.real_coefficients()  # raises the evaluators' SimulationError
         self._program = CliffordGateProgram.from_ansatz(ansatz)
         self._evaluations = 0
         # Non-Pauli penalty path: deflation targets are simulated once (on
@@ -240,10 +221,13 @@ class CliffordObjective:
     @cached_property
     def _energy_evaluator(self) -> PauliSumEvaluator:
         # A constraint-free objective's operator is the bare Hamiltonian: share
-        # one evaluator.  Equality must be *exact* (same labels and
-        # coefficients): tolerance equality could alias operators whose
-        # energies differ at the 1e-10 level and move pinned trajectories.
-        if _identical_operators(self._operator, self._problem.hamiltonian):
+        # one evaluator.  Equality must be *exact*, as equal fingerprints are
+        # (same labels, bit-identical coefficients): tolerance equality could
+        # alias operators whose energies differ at the 1e-10 level and move
+        # pinned trajectories.  Both digests are kept on the operators.
+        if hamiltonian_fingerprint(self._operator) == hamiltonian_fingerprint(
+            self._problem.hamiltonian
+        ):
             return self._operator_evaluator
         return PauliSumEvaluator(self._problem.hamiltonian)
 

@@ -650,18 +650,17 @@ def run_restart(task: RestartTask) -> SeedTrace:
         return finished
 
     start = time.monotonic()
+    objective = CliffordObjective(task.problem, task.ansatz, **task.objective_options)
     # Every restart memoizes its evaluations here, once: in memory, plus a
-    # shard on disk when the run has a store.
-    cache = open_cache(task.store_dir)
+    # shard on disk when the run has a store.  Only the objective's two key
+    # spaces are read from the store.
+    fingerprints = (objective_fingerprint(objective), energy_fingerprint(objective))
+    cache = open_cache(task.store_dir, fingerprints)
     if cache is None:
         cache, writer = EvaluationCacheBackend(), None
     else:
         writer = cache.shard_writer(f"r{task.restart_index:03d}")
-    objective = CachedObjective(
-        CliffordObjective(task.problem, task.ansatz, **task.objective_options),
-        cache,
-        writer,
-    )
+    objective = CachedObjective(objective, cache, writer)
     faults = faults_for_restart(task.restart_index)
     if faults:
         marker_dir = (

@@ -28,12 +28,18 @@ def hamiltonian_fingerprint(operator: PauliSum) -> str:
     :mod:`repro.operators.commuting`) are excluded by construction, so
     caches and checkpoints written with grouping off replay bit-identically
     with grouping on.
+
+    The digest is computed once per operator object and stored on it:
+    a :class:`PauliSum` never changes after construction.
     """
-    digest = hashlib.sha256()
-    for label, coefficient in sorted(operator.to_dict().items()):
-        coefficient = complex(coefficient)
-        digest.update(f"{label}:{coefficient.real!r}:{coefficient.imag!r};".encode())
-    return digest.hexdigest()[:16]
+    fingerprint = operator._fingerprint
+    if fingerprint is None:
+        digest = hashlib.sha256()
+        for label, coefficient in sorted(operator.to_dict().items()):
+            coefficient = complex(coefficient)
+            digest.update(f"{label}:{coefficient.real!r}:{coefficient.imag!r};".encode())
+        fingerprint = operator._fingerprint = digest.hexdigest()[:16]
+    return fingerprint
 
 
 def determinant_energy(hamiltonian: PauliSum, bits: Sequence[int]) -> float:

@@ -77,6 +77,8 @@ class PauliSum:
             for label, coefficient in merged.items()
             if abs(coefficient) > self._tolerance
         }
+        # ``_terms`` is never reassigned: ``hamiltonian_fingerprint`` keeps its digest here.
+        self._fingerprint: str | None = None
 
     # ------------------------------------------------------------------ #
     # constructors

@@ -25,11 +25,12 @@ A problem supplies:
   checkpoints can be keyed on what is actually simulated.
 
 Problems may optionally provide :meth:`~ProblemSpec.default_constraint`,
-returning a constraint object with ``penalty_terms(problem)`` (see
-:mod:`repro.core.constraints`); problems without symmetry sectors simply
-return ``None``.  This hook is also the extension point for future deflated
-objectives: a constraint yielding ``w * |psi_k><psi_k|``-style penalty
-operators turns the same search into Excited-CAFQA.
+returning a constraint object whose ``penalties(problem)`` yields
+``(operator, target, weight)`` triples, each charged as
+``weight * (operator - target)^2`` (see :mod:`repro.core.constraints`);
+problems without symmetry sectors simply return ``None``.  Constraints may
+also charge state overlaps (``overlap_penalties()``), which is how the
+deflated objectives of Excited-CAFQA reuse the same search.
 """
 
 from __future__ import annotations

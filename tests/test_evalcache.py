@@ -13,6 +13,7 @@ import sqlite3
 
 import pytest
 
+from repro.core import evalcache
 from repro.core.evalcache import (
     CacheShardWriter,
     EvaluationCache,
@@ -20,7 +21,11 @@ from repro.core.evalcache import (
     is_sqlite_cache_location,
     open_cache,
 )
-from repro.core.orchestrator import SearchOrchestrator
+from repro.core.orchestrator import (
+    SearchOrchestrator,
+    energy_fingerprint,
+    objective_fingerprint,
+)
 from repro.problems import ising_chain
 
 # Values chosen to have no short decimal representation: a backend that
@@ -193,6 +198,98 @@ class TestOrchestratorBackendEquivalence:
         assert warm.energies == cold.energies
         assert all(t.cache_misses == 0 for t in warm.traces)
         assert all(t.cache_hits > 0 for t in warm.traces)
+
+
+class TestScopedOpen:
+    """A cache opened for some fingerprints reads only their entries."""
+
+    FOREIGN = [f"foreign{k:03d}-0123abcd" for k in range(100)]
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        return ising_chain(num_sites=4)
+
+    @staticmethod
+    def _own(problem):
+        objective = SearchOrchestrator(problem, num_restarts=1)._objective
+        return {objective_fingerprint(objective), energy_fingerprint(objective)}
+
+    @staticmethod
+    def _count_rows_read(monkeypatch):
+        """Fingerprints of every evaluation row sqlite hands back."""
+        read, connect = [], evalcache._connect
+
+        def counting_connect(path):
+            connection = connect(path)
+            connection.row_factory = lambda cursor, row: read.append(row[0]) or row
+            return connection
+
+        monkeypatch.setattr(evalcache, "_connect", counting_connect)
+        return read
+
+    def test_backends_load_only_requested_fingerprints(self, tmp_path):
+        database = tmp_path / "evals.sqlite"
+        sqlite_writer = SqliteEvaluationCache(database).shard_writer("a")
+        jsonl_writer = EvaluationCache(tmp_path / "shards").shard_writer("a")
+        for writer in (sqlite_writer, jsonl_writer):
+            for fingerprint in ("mine", "mine-pi4", "mine-pi4x", "other"):
+                writer.record(fingerprint, (1, 2), UGLY[1])
+            writer.close()
+        with open(jsonl_writer.path, "a") as handle:
+            handle.write('["mine", [7, 7], "not a number"]\n')
+            handle.write(json.dumps(["mine", [9], 1.5])[:-3])  # torn tail
+        for location in (database, tmp_path / "shards"):
+            cache = open_cache(location, ("mine", "mine-pi4"))
+            assert len(cache) == 2
+            assert cache.get("mine", (1, 2)) == UGLY[1]
+            assert cache.get("mine-pi4", (1, 2)) == UGLY[1]
+            assert ("other", (1, 2)) not in cache
+            assert len(open_cache(location)) == 4
+
+    def test_restart_reads_only_its_own_rows(self, problem, tmp_path, monkeypatch):
+        database = tmp_path / "evals.sqlite"
+        writer = SqliteEvaluationCache(database).shard_writer("foreign")
+        for fingerprint in self.FOREIGN:
+            writer.record(fingerprint, (0,) * 16, UGLY[0])
+        writer.close()
+        read = self._count_rows_read(monkeypatch)
+
+        def run_once():
+            return SearchOrchestrator(
+                problem, num_restarts=1, max_workers=1, seed=0, cache_dir=database
+            ).run(max_evaluations=20)
+
+        cold = run_once()
+        assert read == []
+        warm = run_once()
+        own = self._own(problem)
+        with sqlite3.connect(database) as connection:
+            fingerprints = [row[0] for row in connection.execute(
+                "SELECT fingerprint FROM evaluations"
+            )]
+        own_rows = sum(fingerprint in own for fingerprint in fingerprints)
+        assert len(fingerprints) == own_rows + len(self.FOREIGN)
+        assert own_rows > 0 and len(read) == own_rows
+        assert set(read) <= own
+        assert warm.energies == cold.energies
+        assert warm.traces[0].cache_misses == 0
+
+    def test_jobs_sharing_a_fingerprint_share_evaluations(self, problem, tmp_path):
+        def run_seed(seed, cache_dir):
+            return SearchOrchestrator(
+                problem, num_restarts=1, max_workers=1, seed=seed, cache_dir=cache_dir
+            ).run(max_evaluations=20)
+
+        shared = tmp_path / "evals.sqlite"
+        run_seed(0, shared)
+        second = run_seed(1, shared)
+        alone = run_seed(1, None)
+        assert second.traces[0].cache_hits > alone.traces[0].cache_hits
+        assert second.energies == alone.energies
+        assert second.traces[0].best_indices == alone.traces[0].best_indices
+        assert [o.value for o in second.traces[0].observations] == [
+            o.value for o in alone.traces[0].observations
+        ]
 
 
 class TestRecordBytes:

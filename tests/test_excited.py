@@ -115,7 +115,7 @@ class TestDeflatedObjective:
             )
         )
         objective = CliffordObjective(problem, ansatz, constraint=composite)
-        assert len(list(composite.penalty_terms(problem))) == 1
+        assert len(list(composite.penalties(problem))) == 1
         assert composite.overlap_penalties() == [(ground, 5.0)]
         # |000> reference: magnetization penalty vanishes, deflation is full.
         assert objective(ground) == objective.energy(ground) + 5.0
