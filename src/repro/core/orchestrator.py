@@ -264,9 +264,9 @@ def options_digest(options: Dict[str, object]) -> str:
     dict, so two runs configured the same way digest the same.  Numpy
     scalars, at any depth of a plain dict/list/tuple, are rendered as the
     Python values they hold, so ``np.float64(0.75)`` digests like ``0.75``
-    (and like its own JSON round-trip).
+    (and like its own JSON round-trip); dict keys are sorted at every depth.
     """
-    digest = hashlib.sha256()
+    parts = []
     for key in sorted(options):
         value = _plain(options[key])
         if isinstance(value, (int, float, str, bool, frozenset, type(None), tuple, list, dict)):
@@ -274,16 +274,20 @@ def options_digest(options: Dict[str, object]) -> str:
         else:
             state = getattr(value, "__dict__", {})
             rendered = f"{type(value).__qualname__}({sorted(state.items())!r})"
-        digest.update(f"{key}={rendered};".encode())
-    return digest.hexdigest()[:16]
+        parts.append(f"{key}={rendered};")
+    return hashlib.sha256("".join(parts).encode()).hexdigest()[:16]
 
 
 def _plain(value):
-    """``value`` with numpy scalars converted to Python ones, recursively."""
+    """``value`` with numpy scalars made Python ones and dicts key-sorted, recursively."""
     if isinstance(value, np.generic):
         return value.item()
-    if type(value) is dict:
-        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, dict):
+        try:
+            keys = sorted(value)
+        except TypeError:  # keys that cannot be ordered keep insertion order
+            keys = list(value)
+        return {key: _plain(value[key]) for key in keys}
     if type(value) in (list, tuple):
         return type(value)(_plain(item) for item in value)
     return value

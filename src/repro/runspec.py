@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import Dict, List, Optional, Union
 
 from repro.core.constraints import DEFAULT_DEFLATION_WEIGHT
@@ -120,12 +120,16 @@ class RunSpec:
         return asdict(self)
 
     def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        """``json.dumps(self.to_dict(), indent=indent, sort_keys=True)`` in one
+        shallow pass; validates eagerly, raising what ``to_dict`` and ``json`` raise."""
+        if not isinstance(self.problem, str):
+            self.to_dict()  # raises to_dict's ReproError
+        encoder = _ENCODER if indent is None else _SpecEncoder(indent=indent, sort_keys=True)
+        return encoder.encode({name: getattr(self, name) for name in _FIELD_NAMES})
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "RunSpec":
-        known = {spec_field.name for spec_field in fields(cls)}
-        unknown = sorted(set(payload) - known)
+        unknown = sorted(set(payload).difference(_FIELD_NAMES))
         if unknown:
             raise ReproError(f"unknown RunSpec fields: {', '.join(unknown)}")
         if "problem" not in payload:
@@ -211,16 +215,7 @@ class RunSpec:
         """
         from repro.core.orchestrator import options_digest
 
-        payload: Dict[str, object] = {}
-        for spec_field in fields(self):
-            if spec_field.name in _EXECUTION_ONLY_FIELDS or spec_field.name == "problem":
-                continue
-            value = getattr(self, spec_field.name)
-            if isinstance(value, dict):
-                # Insertion order must not matter: {"a": 1, "b": 2} and
-                # {"b": 2, "a": 1} describe the same run.
-                value = {key: value[key] for key in sorted(value)}
-            payload[spec_field.name] = value
+        payload = {name: getattr(self, name) for name in _DIGEST_FIELDS}
         payload["problem"] = (
             self.problem
             if isinstance(self.problem, str)
@@ -246,6 +241,17 @@ class RunSpec:
     @property
     def problem_label(self) -> str:
         return self.problem if isinstance(self.problem, str) else self.problem.name
+
+
+class _SpecEncoder(json.JSONEncoder):
+    def default(self, value):
+        # A dataclass value (a FailurePolicy) encodes as its asdict, as in to_dict.
+        return asdict(value) if is_dataclass(value) else super().default(value)
+
+
+_ENCODER = _SpecEncoder(sort_keys=True)
+_FIELD_NAMES = tuple(spec_field.name for spec_field in fields(RunSpec))
+_DIGEST_FIELDS = tuple(sorted(set(_FIELD_NAMES) - _EXECUTION_ONLY_FIELDS - {"problem"}))
 
 
 @dataclass
