@@ -9,8 +9,9 @@ Two measurements, written to ``BENCH_surrogate.json`` at the repo root:
   kept in ``tests/reference_forest.py``.
 * **End-to-end search** — the same seeded 400-evaluation CAFQA search on
   stretched H2 (the ``BENCH_orchestrator.json`` configuration) run once with
-  the vectorized engine and once with the reference surrogate injected via
-  ``surrogate_factory``, i.e. the PR-2 hot path reproduced on today's code.
+  the vectorized engine and once with the reference forest (same 12 trees,
+  depth 10) monkeypatched in as the optimizer's ``RandomForestRegressor``,
+  i.e. the PR-2 hot path reproduced on today's code.
 
 Gates (the ISSUE-3 acceptance criteria): >= 20x fit+predict throughput at
 400 obs x 72 params, and >= 5x end-to-end evals/sec over the reference
@@ -27,6 +28,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.bayesopt import optimizer
 from repro.bayesopt.forest import RandomForestRegressor
 from repro.chemistry import make_problem
 from repro.core.search import CafqaSearch
@@ -58,7 +60,7 @@ def _fit_predict_seconds(make_forest, features, targets, pool, repeats):
     return best
 
 
-def test_surrogate_throughput_and_search_speed():
+def test_surrogate_throughput_and_search_speed(monkeypatch):
     generator = np.random.default_rng(0)
     pool = generator.integers(0, 4, size=(POOL_SIZE, NUM_PARAMETERS)).astype(float)
     forest_rows = {}
@@ -97,16 +99,15 @@ def test_surrogate_throughput_and_search_speed():
     vectorized_seconds = time.perf_counter() - start
     vectorized_rate = vectorized_result.num_iterations / vectorized_seconds
 
+    # The optimizer builds its forest as RandomForestRegressor(num_trees=12,
+    # max_depth=10, rng=...); the reference forest takes the same arguments.
+    monkeypatch.setattr(optimizer, "RandomForestRegressor", ReferenceRandomForest)
     start = time.perf_counter()
     reference_result = CafqaSearch(
-        problem,
-        ansatz_reps=ANSATZ_REPS,
-        seed=SEARCH_SEED,
-        surrogate_factory=lambda: ReferenceRandomForest(
-            num_trees=NUM_TREES, max_depth=MAX_DEPTH, rng=np.random.default_rng(1234)
-        ),
+        problem, ansatz_reps=ANSATZ_REPS, seed=SEARCH_SEED
     ).run(max_evaluations=MAX_EVALUATIONS)
     reference_seconds = time.perf_counter() - start
+    monkeypatch.undo()
     reference_rate = reference_result.num_iterations / reference_seconds
 
     print(

@@ -78,21 +78,14 @@ class BayesianOptimizer:
         Number of uniformly random evaluations before the surrogate is used
         (the paper's "first 1,000 iterations are a warm-up period", scaled to
         the problem at hand).
-    surrogate_factory:
-        Builds the surrogate fitted each round; the default is the paper's
-        random forest.  Each round greedily evaluates the unseen candidates
-        of a :data:`CANDIDATE_POOL_SIZE`-point pool with the lowest predicted
-        values.
     seed_points:
         Points evaluated up front regardless of the random warm-up (CAFQA
         seeds the Hartree–Fock Clifford point so it can never do worse).
-    seed / rng:
-        ``rng`` injects the generator driving warm-up sampling, candidate
-        pools, and surrogate fits; when omitted one is created from ``seed``.
-        The optimizer owns no module-level random state, so two optimizers
-        built with the same seed (or generators with the same state) produce
-        bit-identical trajectories, and independent restarts can be driven
-        from spawned child generators.
+    seed:
+        Seeds the one generator driving warm-up sampling, candidate pools,
+        and surrogate fits.  The optimizer owns no module-level random state,
+        so two optimizers built with the same seed produce bit-identical
+        trajectories.
     proposal_batch:
         Number of surrogate-guided candidates proposed *and evaluated as one
         batch* per round.  The default of 1 reproduces the classic
@@ -108,12 +101,10 @@ class BayesianOptimizer:
         self,
         space: DiscreteSpace,
         warmup_evaluations: int = 100,
-        surrogate_factory: Optional[Callable[[], RandomForestRegressor]] = None,
         seed_points: Optional[Sequence[Sequence[int]]] = None,
         refit_interval: int = 1,
         proposal_batch: int = 1,
         seed: Optional[int] = None,
-        rng: Optional[np.random.Generator] = None,
     ):
         if warmup_evaluations < 1:
             raise OptimizationError("need at least one warm-up evaluation")
@@ -121,11 +112,10 @@ class BayesianOptimizer:
             raise OptimizationError("proposal_batch must be at least one")
         self._space = space
         self._warmup = int(warmup_evaluations)
-        self._surrogate_factory = surrogate_factory
         self._seed_points = [tuple(int(v) for v in p) for p in (seed_points or [])]
         self._refit_interval = max(1, int(refit_interval))
         self._proposal_batch = int(proposal_batch)
-        self._rng = rng if rng is not None else np.random.default_rng(seed)
+        self._rng = np.random.default_rng(seed)
 
     # ------------------------------------------------------------------ #
     def minimize(
@@ -267,18 +257,15 @@ class BayesianOptimizer:
             training_rows = np.concatenate([keep, rest[extra_indices]])
             features = features[training_rows]
             values = values[training_rows]
-        if self._surrogate_factory is not None:
-            surrogate = self._surrogate_factory()
-        else:
-            # Each refit draws a fresh child generator from the optimizer's
-            # stream: fits stay decorrelated across rounds (reseeding every
-            # forest identically would make refits reuse one bootstrap
-            # stream) while remaining a pure function of the injected RNG.
-            surrogate = RandomForestRegressor(
-                num_trees=12,
-                max_depth=10,
-                rng=np.random.default_rng(int(self._rng.integers(0, 2**63))),
-            )
+        # Each refit draws a fresh child generator from the optimizer's
+        # stream: fits stay decorrelated across rounds (reseeding every
+        # forest identically would make refits reuse one bootstrap stream)
+        # while remaining a pure function of the seed.
+        surrogate = RandomForestRegressor(
+            num_trees=12,
+            max_depth=10,
+            rng=np.random.default_rng(int(self._rng.integers(0, 2**63))),
+        )
         surrogate.fit(features, values)
         return surrogate
 

@@ -51,13 +51,8 @@ from repro.core.orchestrator import (
     RestartFailure,
     SearchOrchestrator,
     SeedTrace,
-    ansatz_fingerprint,
     objective_fingerprint,
     restart_seed,
-)
-from repro.core.pipeline import (
-    MoleculeEvaluation,
-    evaluate_molecule,
 )
 from repro.core.search import CafqaResult, CafqaSearch
 from repro.core.vqe import VQEResult, VQERunner
@@ -101,13 +96,10 @@ __all__ = [
     "open_cache",
     "CachedObjective",
     "hamiltonian_fingerprint",
-    "ansatz_fingerprint",
     "objective_fingerprint",
     "restart_seed",
     "VQERunner",
     "VQEResult",
-    "MoleculeEvaluation",
-    "evaluate_molecule",
     "SweepRun",
     "SweepPointFailure",
     "SweepReport",

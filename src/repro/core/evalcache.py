@@ -3,10 +3,10 @@
 An evaluation cache stores objective values keyed by ``(fingerprint,
 Clifford index tuple)``.  The contract every backend honours:
 
-* **union-of-shards reads** — opening a cache loads the union of everything
-  every past writer persisted, so a reader sees all evaluations regardless
-  of which process computed them (opened for some fingerprints, it loads
-  only their entries and skips the rest);
+* **every committed write of the fingerprints asked for** — opening a cache
+  loads everything past writers persisted under those fingerprints,
+  whichever process computed it, and skips every other key space
+  (``fingerprints=None`` loads everything);
 * **bit-identical floats** — a cache read returns the exact stored double,
   which is what makes replay-based checkpoint resume exact;
 * **crash safety** — records torn by a killed writer are skipped on load,
@@ -276,11 +276,6 @@ class SqliteEvaluationCache(EvaluationCacheBackend):
     def path(self) -> Path:
         return self._path
 
-    @property
-    def directory(self) -> Path:
-        """The containing directory (kept for API parity with the JSONL store)."""
-        return self._path.parent
-
     def shard_writer(self, tag: str) -> "SqliteCacheWriter":
         return SqliteCacheWriter(self._path)
 
@@ -306,10 +301,6 @@ class SqliteCacheWriter:
     def path(self) -> None:
         """No per-writer shard file exists; tearing tests target JSONL shards."""
         return None
-
-    @property
-    def database_path(self) -> Path:
-        return self._db_path
 
     def record(self, fingerprint: str, point: Point, value: float) -> None:
         if self._connection is None:

@@ -51,7 +51,6 @@ from repro import telemetry
 from repro.bayesopt.optimizer import BayesianOptimizationResult, Observation
 from repro.circuits.ansatz import EfficientSU2Ansatz
 from repro.circuits.clifford_points import (
-    CliffordGateProgram,
     indices_to_angles,
     validate_clifford_points,
 )
@@ -92,34 +91,23 @@ __all__ = [
     "AttemptFailure",
     "RestartFailure",
     "CachedObjective",
-    "ansatz_fingerprint",
     "objective_fingerprint",
-    "energy_fingerprint",
     "restart_seed",
     "options_digest",
     "run_restart",
 ]
 
 
-def ansatz_fingerprint(ansatz: EfficientSU2Ansatz) -> str:
-    """Stable hex digest of the ansatz's compiled Clifford gate skeleton.
-
-    Hashing the flattened gate program (rather than constructor arguments)
-    makes the fingerprint a function of the circuit the evaluations actually
-    ran, so any ansatz producing the same program shares cache entries.
-    """
-    return CliffordGateProgram.from_ansatz(ansatz).fingerprint
-
-
 def objective_fingerprint(objective: CliffordObjective) -> str:
-    """Cache key prefix for an objective's *constrained* evaluations.
+    """Cache and checkpoint key prefix for an objective's evaluations.
 
-    Overlap (deflation) penalties are not part of the constrained Pauli
-    operator, so their digest is appended explicitly — each excited-state
-    level gets its own cache/checkpoint namespace, while plain energies
-    (:func:`energy_fingerprint`) stay shared across levels.  A pi/4-grid
-    objective appends ``-t{max_t_gates}``: its keys index another grid, and
-    its infeasible penalty depends on the T-gate budget.
+    The constrained Pauli operator's digest, then the compiled gate
+    program's (a function of the circuit the evaluations ran, so any ansatz
+    producing the same program shares cache entries).  Overlap (deflation)
+    penalties are not part of the operator, so their digest is appended
+    explicitly — each excited-state level gets its own namespace.  A
+    pi/4-grid objective appends ``-t{max_t_gates}``: its keys index another
+    grid, and its infeasible penalty depends on the T-gate budget.
     """
     base = (
         f"{hamiltonian_fingerprint(objective.operator)}"
@@ -130,19 +118,6 @@ def objective_fingerprint(objective: CliffordObjective) -> str:
         base = f"{base}-t{max_t_gates}"
     deflation = getattr(objective, "deflation_digest", None)
     return base if deflation is None else f"{base}-d{deflation}"
-
-
-def energy_fingerprint(objective: CliffordObjective) -> str:
-    """Cache key prefix for plain (unconstrained) Hamiltonian energies.
-
-    Plain energies do not depend on the T-gate budget, so every pi/4-grid
-    objective shares the ``-pi4`` namespace, apart from the Clifford one.
-    """
-    base = (
-        f"{hamiltonian_fingerprint(objective.problem.hamiltonian)}"
-        f"-{objective.program.fingerprint}"
-    )
-    return f"{base}-pi4" if getattr(objective, "max_t_gates", 0) else base
 
 
 # --------------------------------------------------------------------------- #
@@ -168,7 +143,6 @@ class CachedObjective:
         self._cache = cache
         self._writer = writer
         self._fingerprint = objective_fingerprint(objective)
-        self._energy_fingerprint = energy_fingerprint(objective)
 
     # ------------------------------------------------------------------ #
     @property
@@ -193,11 +167,6 @@ class CachedObjective:
             points, objective.num_parameters, objective.cardinality
         )
 
-    def _store(self, fingerprint: str, point: Point, value: float) -> None:
-        self._cache.put(fingerprint, point, value)
-        if self._writer is not None:
-            self._writer.record(fingerprint, point, value)
-
     def __call__(self, indices: Sequence[int]) -> float:
         return float(self.evaluate_batch([indices])[0])
 
@@ -214,17 +183,10 @@ class CachedObjective:
             for position, key in enumerate(pending):
                 value = float(computed[position])
                 values[key] = value
-                self._store(self._fingerprint, key, value)
+                self._cache.put(self._fingerprint, key, value)
+                if self._writer is not None:
+                    self._writer.record(self._fingerprint, key, value)
         return np.array([values[key] for key in keys], dtype=float)
-
-    def energy(self, indices: Sequence[int]) -> float:
-        (point,) = self._points([indices])
-        cached = self._cache.get(self._energy_fingerprint, point)
-        if cached is not None:
-            return cached
-        value = float(self._objective.energy(point))
-        self._store(self._energy_fingerprint, point, value)
-        return value
 
     def flush(self) -> None:
         if self._writer is not None:
@@ -259,12 +221,12 @@ def options_digest(options: Dict[str, object]) -> str:
     """Stable hex digest of search-loop options for checkpoint validation.
 
     Values with a value-stable ``repr`` are rendered directly; arbitrary
-    objects (e.g. a callable ``surrogate_factory`` instance, whose default
-    repr embeds a memory address) are rendered as their type plus instance
-    dict, so two runs configured the same way digest the same.  Numpy
-    scalars, at any depth of a plain dict/list/tuple, are rendered as the
-    Python values they hold, so ``np.float64(0.75)`` digests like ``0.75``
-    (and like its own JSON round-trip); dict keys are sorted at every depth.
+    objects (whose default repr may embed a memory address) are rendered as
+    their type plus instance dict, so two runs configured the same way
+    digest the same.  Every value digests like its own JSON round trip: at
+    any depth of a plain dict/list/tuple, numpy scalars are rendered as the
+    Python values they hold (``np.float64(0.75)`` digests like ``0.75``),
+    tuples as lists, and dict keys are sorted.
     """
     parts = []
     for key in sorted(options):
@@ -279,7 +241,10 @@ def options_digest(options: Dict[str, object]) -> str:
 
 
 def _plain(value):
-    """``value`` with numpy scalars made Python ones and dicts key-sorted, recursively."""
+    """``value`` shaped like its JSON round trip, recursively.
+
+    Numpy scalars become Python ones, tuples lists, and dict keys are sorted.
+    """
     if isinstance(value, np.generic):
         return value.item()
     if isinstance(value, dict):
@@ -289,7 +254,7 @@ def _plain(value):
             keys = list(value)
         return {key: _plain(value[key]) for key in keys}
     if type(value) in (list, tuple):
-        return type(value)(_plain(item) for item in value)
+        return [_plain(item) for item in value]
     return value
 
 
@@ -656,10 +621,9 @@ def run_restart(task: RestartTask) -> SeedTrace:
     start = time.monotonic()
     objective = CliffordObjective(task.problem, task.ansatz, **task.objective_options)
     # Every restart memoizes its evaluations here, once: in memory, plus a
-    # shard on disk when the run has a store.  Only the objective's two key
-    # spaces are read from the store.
-    fingerprints = (objective_fingerprint(objective), energy_fingerprint(objective))
-    cache = open_cache(task.store_dir, fingerprints)
+    # shard on disk when the run has a store.  Only the objective's own key
+    # space is read from the store.
+    cache = open_cache(task.store_dir, (objective_fingerprint(objective),))
     if cache is None:
         cache, writer = EvaluationCacheBackend(), None
     else:

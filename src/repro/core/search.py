@@ -101,9 +101,8 @@ class CafqaSearch:
     optima (see :mod:`repro.core.excited`).
 
     The Bayesian-optimization loop takes ``warmup_fraction`` (the share of
-    ``max_evaluations`` spent on random warm-up, strictly between 0 and 1),
-    ``proposal_batch`` and ``surrogate_factory`` (``None`` selects the
-    optimizer's default forest); the surrogate is refitted every
+    ``max_evaluations`` spent on random warm-up, strictly between 0 and 1)
+    and ``proposal_batch``; the surrogate is refitted every
     :data:`REFIT_INTERVAL` evaluations, and ``seed`` makes the whole
     trajectory reproducible.
 
@@ -127,7 +126,6 @@ class CafqaSearch:
         spin_z_target: Optional[float] = None,
         penalty_weight: Optional[float] = None,
         warmup_fraction: float = 0.5,
-        surrogate_factory: Optional[Callable] = None,
         seed_points: Optional[Sequence[Sequence[int]]] = None,
         refine_seed_points: bool = False,
         local_refinement: bool = True,
@@ -163,7 +161,6 @@ class CafqaSearch:
         if not 0.0 < float(warmup_fraction) < 1.0:
             raise OptimizationError("warmup_fraction must be strictly between 0 and 1")
         self._warmup_fraction = float(warmup_fraction)
-        self._surrogate_factory = surrogate_factory
         self._proposal_batch = int(proposal_batch)
         self._seed_points = [
             [int(v) for v in point] for point in (seed_points or [])
@@ -208,7 +205,6 @@ class CafqaSearch:
         optimizer = BayesianOptimizer(
             space,
             warmup_evaluations=warmup,
-            surrogate_factory=self._surrogate_factory,
             seed_points=self._warmup_seeds(),
             refit_interval=REFIT_INTERVAL,
             proposal_batch=self._proposal_batch,

@@ -16,8 +16,8 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.chemistry.molecules import get_preset
 from repro.core.metrics import geometric_mean, relative_accuracy
-from repro.core.pipeline import evaluate_molecule
 from repro.experiments.config import ExperimentScale, QUICK, spread_bond_lengths
+from repro.runspec import RunSpec, run
 
 # Molecules included in the paper's Fig. 13 (all but Cr2), mapped to this
 # repository's presets (substitutions documented in DESIGN.md).
@@ -84,18 +84,19 @@ def run_relative_accuracy(
         budget = scale.search_evaluations(preset.expected_qubits or 12)
         ratios: List[float] = []
         for length_index, bond_length in enumerate(lengths):
-            evaluation = evaluate_molecule(
-                molecule,
-                bond_length=bond_length,
-                max_evaluations=budget,
-                seed=seed + 100 * molecule_index + length_index,
-                ansatz_reps=ansatz_reps,
+            report = run(
+                RunSpec(
+                    problem=molecule,
+                    problem_options={"bond_length": bond_length},
+                    ansatz_reps=ansatz_reps,
+                    max_evaluations=budget,
+                    seed=seed + 100 * molecule_index + length_index,
+                )
             )
-            summary = evaluation.summary
-            if summary.exact_energy is None:
+            if report.exact_energy is None:
                 continue
             ratios.append(
-                relative_accuracy(summary.cafqa_energy, summary.hf_energy, summary.exact_energy)
+                relative_accuracy(report.energy, report.reference_energy, report.exact_energy)
             )
         if not ratios:
             continue

@@ -4,9 +4,10 @@ Every molecule preset from :mod:`repro.chemistry.molecules` (H2, H2+, LiH,
 H2O, H4, H6, H8, H10, N2, BeH2) is registered under its preset name, so
 ``repro.problems.get("H2", bond_length=2.5)`` — and therefore
 ``repro.run(RunSpec(problem="H2", ...))`` — builds the same
-:class:`~repro.chemistry.hamiltonian.MolecularProblem` the legacy pipeline
-used.  The chemistry substrate (integral engine, SCF) is imported on first
-use only, keeping ``import repro.problems`` light.
+:class:`~repro.chemistry.hamiltonian.MolecularProblem` as
+:func:`repro.chemistry.molecules.make_problem`.  The chemistry substrate
+(integral engine, SCF) is imported on first use only, keeping
+``import repro.problems`` light.
 """
 
 from __future__ import annotations

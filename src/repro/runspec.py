@@ -10,7 +10,8 @@ a fake-device noise preset).
 :func:`run` consumes a spec and always routes through
 :class:`~repro.core.orchestrator.SearchOrchestrator` — even a single-seed
 run — so evaluation caching and checkpoint/resume are never opt-in side
-paths.  ``evaluate_molecule`` and the examples forward here.
+paths.  The experiment drivers, the campaign engine, the service and the
+examples all run through here.
 
 Reproducibility contract: a spec fully determines the search trajectory
 (same spec => bit-identical results, independent of worker count), and
@@ -397,7 +398,7 @@ def run(spec: RunSpec, problem: Optional[ProblemSpec] = None) -> RunReport:
     caching (``cache_dir``) and checkpoint/resume (``checkpoint_dir``) apply
     uniformly; a 1-seed in-process run is bit-identical to a direct
     ``CafqaSearch``.  ``problem`` overrides the spec's problem resolution
-    with a prebuilt instance (used by the legacy wrappers and sweeps).
+    with a prebuilt instance, so a caller can build one problem and reuse it.
 
     With ``num_states > 1`` the run walks the lowest ``num_states`` levels
     by sequential deflation (each level its own orchestrated search); the

@@ -5,9 +5,10 @@ and :func:`repro.core.orchestrator.options_digest` worked before the spec
 encoded itself in one shallow pass: ``to_json`` serialized
 ``dataclasses.asdict(spec)`` (a deep copy of every field), ``run_digest``
 sorted the keys of top-level dict fields only, and the digest fed each
-``key=repr;`` part to ``sha256`` separately.  ``sort_dicts=True`` applies
-the fixed rule instead — dict keys sorted at every depth — which is what
-nested dicts are compared against; flat values digest the same either way.
+``key=repr;`` part to ``sha256`` separately.  Two switches apply the fixed
+rules instead: ``sort_dicts=True`` sorts dict keys at every depth, and
+``tuple_lists=True`` renders tuples as lists, as their JSON round trip does.
+Specs without nested dicts or tuples digest the same either way.
 """
 
 from __future__ import annotations
@@ -32,21 +33,22 @@ def oracle_to_json(spec, indent=None) -> str:
     return json.dumps(asdict(spec), indent=indent, sort_keys=True)
 
 
-def oracle_plain(value, sort_dicts=False):
+def oracle_plain(value, sort_dicts=False, tuple_lists=False):
     if isinstance(value, np.generic):
         return value.item()
     if type(value) is dict:
         keys = sorted(value) if sort_dicts else value
-        return {key: oracle_plain(value[key], sort_dicts) for key in keys}
+        return {key: oracle_plain(value[key], sort_dicts, tuple_lists) for key in keys}
     if type(value) in (list, tuple):
-        return type(value)(oracle_plain(item, sort_dicts) for item in value)
+        kind = list if tuple_lists else type(value)
+        return kind(oracle_plain(item, sort_dicts, tuple_lists) for item in value)
     return value
 
 
-def oracle_options_digest(options, sort_dicts=False) -> str:
+def oracle_options_digest(options, sort_dicts=False, tuple_lists=False) -> str:
     digest = hashlib.sha256()
     for key in sorted(options):
-        value = oracle_plain(options[key], sort_dicts)
+        value = oracle_plain(options[key], sort_dicts, tuple_lists)
         if isinstance(
             value, (int, float, str, bool, frozenset, type(None), tuple, list, dict)
         ):
@@ -58,17 +60,17 @@ def oracle_options_digest(options, sort_dicts=False) -> str:
     return digest.hexdigest()[:16]
 
 
-def oracle_spec_options_digest(spec, sort_dicts=False) -> str:
+def oracle_spec_options_digest(spec, sort_dicts=False, tuple_lists=False) -> str:
     options = dict(spec.search_options)
     options.pop("ansatz_reps", None)
     options.pop("ansatz", None)
     loop_options = {
         key: value for key, value in options.items() if key not in _OBJECTIVE_OPTIONS
     }
-    return oracle_options_digest(loop_options, sort_dicts)
+    return oracle_options_digest(loop_options, sort_dicts, tuple_lists)
 
 
-def oracle_run_digest(spec, sort_dicts=False) -> str:
+def oracle_run_digest(spec, sort_dicts=False, tuple_lists=False) -> str:
     payload = {}
     for spec_field in fields(spec):
         if spec_field.name in _EXECUTION_ONLY_FIELDS or spec_field.name == "problem":
@@ -82,4 +84,4 @@ def oracle_run_digest(spec, sort_dicts=False) -> str:
         if isinstance(spec.problem, str)
         else f"fingerprint:{spec.problem.fingerprint()}"
     )
-    return oracle_options_digest(payload, sort_dicts)
+    return oracle_options_digest(payload, sort_dicts, tuple_lists)

@@ -14,7 +14,6 @@ from repro.core import (
     constrained_hamiltonian,
     correlation_energy_recovered,
     energy_error,
-    evaluate_molecule,
     geometric_mean,
     is_chemically_accurate,
     quadratic_penalty,
@@ -216,11 +215,13 @@ class TestCliffordTSearch:
 
 
 class TestPipeline:
-    def test_evaluate_molecule_summary(self, h2_stretched_problem):
-        evaluation = evaluate_molecule(
-            "H2", 2.5, max_evaluations=80, seed=0, problem=h2_stretched_problem
+    def test_molecule_run_beats_hartree_fock(self, h2_stretched_problem):
+        spec = repro.RunSpec(
+            problem="H2", problem_options={"bond_length": 2.5}, max_evaluations=80, seed=0
         )
-        summary = evaluation.summary
-        assert summary.cafqa_energy <= summary.hf_energy + 1e-9
-        assert summary.recovered_correlation >= 0.0
-        assert summary.relative_accuracy >= 1.0
+        report = repro.run(spec, problem=h2_stretched_problem)
+        cafqa, hf, exact = report.energy, report.reference_energy, report.exact_energy
+        assert hf == h2_stretched_problem.hf_energy
+        assert cafqa <= hf + 1e-9
+        assert correlation_energy_recovered(cafqa, hf, exact) >= 0.0
+        assert relative_accuracy(cafqa, hf, exact) >= 1.0

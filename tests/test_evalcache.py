@@ -21,12 +21,9 @@ from repro.core.evalcache import (
     is_sqlite_cache_location,
     open_cache,
 )
-from repro.core.orchestrator import (
-    SearchOrchestrator,
-    energy_fingerprint,
-    objective_fingerprint,
-)
+from repro.core.orchestrator import SearchOrchestrator
 from repro.problems import ising_chain
+from repro.runspec import RunSpec, run
 
 # Values chosen to have no short decimal representation: a backend that
 # round-trips through decimal formatting (rather than storing the double)
@@ -130,7 +127,6 @@ class TestSqliteBackend:
     def test_writer_path_is_none_so_fault_tearing_skips_the_db(self, tmp_path):
         writer = SqliteEvaluationCache(tmp_path / "evals.sqlite").shard_writer("a")
         assert writer.path is None
-        assert writer.database_path == tmp_path / "evals.sqlite"
         writer.close()
 
     def test_closed_writer_refuses_records(self, tmp_path):
@@ -211,8 +207,7 @@ class TestScopedOpen:
 
     @staticmethod
     def _own(problem):
-        objective = SearchOrchestrator(problem, num_restarts=1)._objective
-        return {objective_fingerprint(objective), energy_fingerprint(objective)}
+        return {SearchOrchestrator(problem, num_restarts=1).objective_fingerprint}
 
     @staticmethod
     def _count_rows_read(monkeypatch):
@@ -290,6 +285,41 @@ class TestScopedOpen:
         assert [o.value for o in second.traces[0].observations] == [
             o.value for o in alone.traces[0].observations
         ]
+
+    @staticmethod
+    def _stored_fingerprints(location):
+        """The fingerprint of every row a store holds, duplicates kept."""
+        if is_sqlite_cache_location(location):
+            with sqlite3.connect(location) as connection:
+                return [row[0] for row in connection.execute(
+                    "SELECT fingerprint FROM evaluations"
+                )]
+        return [
+            json.loads(line)[0]
+            for shard in sorted(location.glob("evals_*.jsonl"))
+            for line in shard.read_text().splitlines()
+        ]
+
+    @pytest.mark.parametrize("store", ["evals.sqlite", "shards"])
+    def test_run_stores_rows_under_its_objective_fingerprint_only(
+        self, tmp_path, store
+    ):
+        # LiH's plain and constrained Hamiltonians differ (H2's and the Ising
+        # chain's coincide), so a second key space would show up here.
+        location = tmp_path / store
+        report = run(
+            RunSpec(
+                problem="LiH",
+                max_evaluations=30,
+                num_seeds=2,
+                max_workers=1,
+                cache_dir=str(location),
+            )
+        )
+        own = SearchOrchestrator(report.problem, num_restarts=1).objective_fingerprint
+        stored = self._stored_fingerprints(location)
+        assert set(stored) == {own}
+        assert len(stored) == sum(t.cache_misses for t in report.result.traces)
 
 
 class TestRecordBytes:

@@ -22,7 +22,7 @@ from repro.core import (
     OperatorPenalty,
     find_lowest_states,
 )
-from repro.core.orchestrator import energy_fingerprint, objective_fingerprint
+from repro.core.orchestrator import objective_fingerprint
 from repro.operators.pauli_sum import PauliSum
 from repro.problems import ising_chain, xxz_chain
 from repro.problems.base import exact_spectrum_of
@@ -77,7 +77,7 @@ class TestDeflatedObjective:
             np.array([pointwise(point) for point in points]),
         )
 
-    def test_fingerprints_namespace_levels_but_share_plain_energies(self, problem):
+    def test_fingerprints_namespace_levels(self, problem):
         ansatz = EfficientSU2Ansatz(problem.num_qubits, reps=1)
         ground = tuple([0] * ansatz.num_parameters)
         plain = CliffordObjective(problem, ansatz)
@@ -95,12 +95,6 @@ class TestDeflatedObjective:
         assert len(fingerprints) == 3  # each level caches separately
         assert plain.deflation_digest is None
         assert level1.deflation_digest != level2.deflation_digest
-        # Plain <H> energies share one namespace across all levels.
-        assert (
-            energy_fingerprint(plain)
-            == energy_fingerprint(level1)
-            == energy_fingerprint(level2)
-        )
 
     def test_composite_constraint_stacks_pauli_and_overlap_parts(self, problem):
         ansatz = EfficientSU2Ansatz(problem.num_qubits, reps=1)

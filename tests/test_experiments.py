@@ -13,8 +13,9 @@ from repro.experiments import (
     spread_bond_lengths,
     xx_hamiltonian,
 )
-from repro.experiments.config import FULL
+from repro.experiments.config import FULL, SMOKE
 from repro.experiments.dissociation import run_dissociation_curve
+from repro.experiments.fig13_relative_accuracy import run_relative_accuracy
 from repro.experiments.fig14_vqe_convergence import run_vqe_convergence
 from repro.experiments.fig16_clifford_t import run_clifford_t_curve
 from repro.experiments.table1 import run_table1
@@ -106,6 +107,20 @@ class TestDissociation:
         assert result.cafqa_errors[-1] < result.hf_errors[-1]
         # Correlation recovered grows toward dissociation.
         assert result.max_correlation_recovered() > 80.0
+
+
+class TestRelativeAccuracy:
+    def test_h2_ratios_are_pinned(self):
+        # Bit for bit.  H4 is left out: its trajectories vary with the host.
+        result = run_relative_accuracy(
+            molecules=("H2",), scale=SMOKE, bond_lengths_per_molecule=2, seed=0
+        )
+        (row,) = result.rows
+        assert row.bond_lengths == [0.37, 2.96]
+        assert [ratio.hex() for ratio in row.per_bond_length] == [
+            "0x1.000000000006dp+0",
+            "0x1.52d56d85f339cp+8",
+        ]
 
 
 class TestVQEConvergenceAndCliffordT:

@@ -19,11 +19,7 @@ from repro.circuits import EfficientSU2Ansatz
 from repro.circuits import clifford_points
 from repro.circuits.clifford_points import CliffordGateProgram
 from repro.core import CliffordObjective, DeflationConstraint, SearchOrchestrator
-from repro.core.orchestrator import (
-    ansatz_fingerprint,
-    energy_fingerprint,
-    objective_fingerprint,
-)
+from repro.core.orchestrator import objective_fingerprint
 from repro.operators.fingerprints import determinant_energy, hamiltonian_fingerprint
 from repro.problems import ising_chain, xxz_chain
 from repro.problems.base import reference_bits_of
@@ -60,14 +56,6 @@ def oracle_objective_fingerprint(objective):
         base = f"{base}-t{objective.max_t_gates}"
     deflation = objective.deflation_digest
     return base if deflation is None else f"{base}-d{deflation}"
-
-
-def oracle_energy_fingerprint(objective):
-    base = (
-        f"{oracle_hamiltonian_fingerprint(objective.problem.hamiltonian)}"
-        f"-{oracle_ansatz_fingerprint(objective.ansatz)}"
-    )
-    return f"{base}-pi4" if objective.max_t_gates else base
 
 
 def oracle_determinant_energy(hamiltonian, bits):
@@ -115,11 +103,9 @@ class TestFingerprintOracles:
             assert hamiltonian_fingerprint(operator) == oracle_hamiltonian_fingerprint(
                 operator
             )
-        assert ansatz_fingerprint(objective.ansatz) == oracle_ansatz_fingerprint(
-            objective.ansatz
-        )
+        program = CliffordGateProgram.from_ansatz(objective.ansatz)
+        assert program.fingerprint == oracle_ansatz_fingerprint(objective.ansatz)
         assert objective_fingerprint(objective) == oracle_objective_fingerprint(objective)
-        assert energy_fingerprint(objective) == oracle_energy_fingerprint(objective)
 
     def test_complex_coefficients_hash_like_the_terms_loop(self):
         from repro.operators import PauliSum
@@ -140,7 +126,6 @@ class TestFingerprintOracles:
 
         monkeypatch.setattr(CliffordGateProgram, "from_ansatz", staticmethod(counting))
         objective_fingerprint(objective)
-        energy_fingerprint(objective)
         assert calls == []
 
 
@@ -180,7 +165,6 @@ class TestLazyEvaluators:
         orchestrator = SearchOrchestrator(xxz_chain(num_sites=50), num_restarts=1)
         objective = orchestrator._objective
         assert objective_fingerprint(objective) == orchestrator.objective_fingerprint
-        assert energy_fingerprint(objective)
         assert built == []
         objective.evaluate_batch([[0] * objective.num_parameters])
         assert built == [objective.program]

@@ -11,16 +11,14 @@ import json
 import numpy as np
 import pytest
 
-from repro.bayesopt import BayesianOptimizer, DiscreteSpace, RandomForestRegressor
+from repro.bayesopt import RandomForestRegressor
 from repro.chemistry import make_problem
-from repro.circuits import EfficientSU2Ansatz
+from repro.circuits import CliffordGateProgram, EfficientSU2Ansatz
 from repro.core import (
     CHEMICAL_ACCURACY,
     CafqaSearch,
     CliffordObjective,
     SearchOrchestrator,
-    ansatz_fingerprint,
-    evaluate_molecule,
     hamiltonian_fingerprint,
     objective_fingerprint,
     restart_seed,
@@ -31,6 +29,7 @@ from repro.core.orchestrator import CachedObjective
 from repro.exceptions import IncompleteRunError, OptimizationError
 from repro.operators import PauliSum
 from repro.problems import ising_chain
+from repro.runspec import RunSpec, run
 
 
 @pytest.fixture(scope="module")
@@ -60,11 +59,15 @@ class TestFingerprints:
             PauliSum({"XX": 0.5, "ZI": -1.0 + 1e-12})
         )
 
-    def test_ansatz_fingerprint_tracks_structure(self):
-        base = ansatz_fingerprint(EfficientSU2Ansatz(3, reps=1))
-        assert base == ansatz_fingerprint(EfficientSU2Ansatz(3, reps=1))
-        assert base != ansatz_fingerprint(EfficientSU2Ansatz(3, reps=2))
-        assert base != ansatz_fingerprint(EfficientSU2Ansatz(4, reps=1))
+    def test_program_fingerprint_tracks_structure(self):
+        def fingerprint(num_qubits, reps):
+            ansatz = EfficientSU2Ansatz(num_qubits, reps=reps)
+            return CliffordGateProgram.from_ansatz(ansatz).fingerprint
+
+        base = fingerprint(3, 1)
+        assert base == fingerprint(3, 1)
+        assert base != fingerprint(3, 2)
+        assert base != fingerprint(4, 1)
 
     def test_objective_fingerprint_tracks_constraint(self, h2_far_problem):
         ansatz = EfficientSU2Ansatz(h2_far_problem.num_qubits, reps=1)
@@ -138,22 +141,6 @@ class TestRngInjection:
         assert len(set(laters)) == len(laters)
         assert restart_seed(7, 1) == restart_seed(7, 1)
         assert restart_seed(8, 1) != restart_seed(7, 1)
-
-    def test_optimizer_accepts_injected_generator(self):
-        space = DiscreteSpace([4] * 4)
-
-        def objective(points):
-            return [float(sum(v * v for v in point)) for point in points]
-
-        seeded = BayesianOptimizer(space, warmup_evaluations=10, seed=11).minimize(
-            objective, max_evaluations=40
-        )
-        injected = BayesianOptimizer(
-            space, warmup_evaluations=10, rng=np.random.default_rng(11)
-        ).minimize(objective, max_evaluations=40)
-        assert [(o.point, o.value) for o in seeded.observations] == [
-            (o.point, o.value) for o in injected.observations
-        ]
 
     def test_forest_with_injected_rng_is_deterministic(self):
         rng = np.random.default_rng(3)
@@ -411,22 +398,20 @@ class TestCheckpointResume:
         ]
         assert all(m.traces[0].from_checkpoint for m in resumed)
 
-    def test_evaluate_molecule_two_seeds_two_workers_smoke(self, h2_far_problem):
-        evaluation = evaluate_molecule(
-            "H2",
-            3.5,
+    def test_molecule_run_two_seeds_two_workers_smoke(self, h2_far_problem):
+        spec = RunSpec(
+            problem="H2",
+            problem_options={"bond_length": 3.5},
             max_evaluations=80,
             seed=0,
-            problem=h2_far_problem,
             num_seeds=2,
             max_workers=2,
         )
-        assert evaluation.multi_seed is not None
-        assert evaluation.multi_seed.num_restarts == 2
-        exact = h2_far_problem.exact_energy
-        assert abs(evaluation.cafqa_energy - exact) <= CHEMICAL_ACCURACY
-        assert evaluation.summary.chemically_accurate
-        assert evaluation.cafqa_energy <= evaluation.hf_energy + 1e-9
+        report = run(spec, problem=h2_far_problem)
+        assert report.result.num_restarts == 2
+        assert abs(report.energy - h2_far_problem.exact_energy) <= CHEMICAL_ACCURACY
+        assert report.energy <= report.reference_energy + 1e-9
+        assert report.reference_energy == h2_far_problem.hf_energy
 
 
 # --------------------------------------------------------------------------- #
@@ -671,8 +656,6 @@ class TestLazyReplay:
 
     @pytest.fixture()
     def xxz50_spec(self, tmp_path):
-        from repro.runspec import RunSpec
-
         return RunSpec(
             problem="xxz_chain",
             problem_options={"num_sites": 50},
@@ -685,7 +668,6 @@ class TestLazyReplay:
     @staticmethod
     def _count_builds(monkeypatch):
         from repro.bayesopt.optimizer import Observation
-        from repro.circuits import CliffordGateProgram
         from repro.core import orchestrator
 
         built, compiled = [], []
@@ -706,8 +688,6 @@ class TestLazyReplay:
     def test_replay_builds_nothing_until_observations_are_read(
         self, xxz50_spec, monkeypatch
     ):
-        from repro.runspec import run
-
         problem = xxz50_spec.resolve_problem()
         searched = run(xxz50_spec, problem=problem)
         assert not searched.result.traces[0].from_checkpoint

@@ -6,8 +6,8 @@ its joined parts once.  The tests compare both with the deep-copying
 encoder and digest of ``tests/runspec_oracle.py`` on hypothesis-generated
 specs, pin literal digests, replay a store whose jobs were keyed by the
 oracle, and count the copies a replayed submit makes.  Dict keys are
-sorted at every depth of the digest, so a spec digests the same before and
-after its own JSON round trip.
+sorted at every depth of the digest and tuples digest as lists, so a spec
+digests the same before and after its own JSON round trip.
 """
 
 import copy
@@ -36,6 +36,9 @@ from tests.runspec_oracle import (
 )
 
 ISING_INSTANCE = ising_chain(num_sites=3, transverse_field=0.5)
+# The oracle's switches for the fixed digest rules: dict keys sorted at every
+# depth, tuples rendered as lists.
+FIXED = {"sort_dicts": True, "tuple_lists": True}
 
 
 def service_drain_spec(transverse_field=0.25):
@@ -137,17 +140,18 @@ def outcome(call):
         return ("raised", type(error))
 
 
-def contains_dict(value):
-    if isinstance(value, dict):
+def contains_dict_or_tuple(value):
+    if isinstance(value, (dict, tuple)):
         return True
-    if isinstance(value, (list, tuple)):
-        return any(contains_dict(item) for item in value)
+    if isinstance(value, list):
+        return any(contains_dict_or_tuple(item) for item in value)
     return False
 
 
-def has_nested_dict(spec):
-    return any(
-        contains_dict(value)
+def follows_the_parent_rule(spec):
+    """Whether no option value holds a dict or a tuple at any depth."""
+    return not any(
+        contains_dict_or_tuple(value)
         for options in (spec.problem_options, spec.search_options)
         for value in options.values()
     )
@@ -167,21 +171,19 @@ class TestDifferentialOracle:
     @settings(max_examples=300, deadline=None)
     @given(spec=specs)
     def test_digests_match_the_oracle(self, spec):
-        # Nested dicts follow the fixed rule (keys sorted at every depth);
-        # every other spec keeps the digest the oracle computes.
-        assert spec.run_digest() == oracle_run_digest(spec, sort_dicts=True)
-        assert spec.options_digest() == oracle_spec_options_digest(
-            spec, sort_dicts=True
-        )
-        if not has_nested_dict(spec):
+        # Nested dicts and tuples follow the fixed rules; every other spec
+        # keeps the digest the oracle computes.
+        assert spec.run_digest() == oracle_run_digest(spec, **FIXED)
+        assert spec.options_digest() == oracle_spec_options_digest(spec, **FIXED)
+        if follows_the_parent_rule(spec):
             assert spec.run_digest() == oracle_run_digest(spec)
             assert spec.options_digest() == oracle_spec_options_digest(spec)
 
     @settings(max_examples=200, deadline=None)
     @given(options=st.dictionaries(option_keys, values, max_size=6))
     def test_options_digest_matches_the_oracle(self, options):
-        assert options_digest(options) == oracle_options_digest(options, True)
-        if not any(contains_dict(value) for value in options.values()):
+        assert options_digest(options) == oracle_options_digest(options, **FIXED)
+        if not any(contains_dict_or_tuple(value) for value in options.values()):
             assert options_digest(options) == oracle_options_digest(options)
 
     @pytest.mark.parametrize("indent", [None, 2])
@@ -270,6 +272,44 @@ class TestNestedDictOrder:
         assert options_digest({"extra": couplings}) == oracle_options_digest(
             {"extra": couplings}
         )
+
+
+# --------------------------------------------------------------------------- #
+# tuples: digested as the lists their JSON round trip holds
+# --------------------------------------------------------------------------- #
+class TestTupleValues:
+    SPEC = RunSpec(problem="H2", search_options={"seed_points": ((0, 1, 2, 3),)})
+
+    def test_digest_survives_the_json_round_trip(self):
+        restored = RunSpec.from_json(self.SPEC.to_json())
+        assert restored.search_options == {"seed_points": [[0, 1, 2, 3]]}
+        assert restored.run_digest() == self.SPEC.run_digest() == "07247b2c5578ae9b"
+        assert restored.options_digest() == self.SPEC.options_digest() == "2df21952084dfb5d"
+        # The oracle shows the defect fixed here: the tuples digested apart
+        # from their own round trip, which kept the list digests.
+        assert oracle_run_digest(self.SPEC) == "bfa5045abfdc6fc4"
+        assert oracle_spec_options_digest(self.SPEC) == "35bd9fa22cb7556b"
+        assert oracle_run_digest(restored) == "07247b2c5578ae9b"
+        assert oracle_spec_options_digest(restored) == "2df21952084dfb5d"
+
+    def test_service_stores_the_result_under_the_job_key(self, tmp_path):
+        # A worker loads the spec from its JSON text; the summary it stores
+        # must carry the digest the job was submitted under.
+        spec = RunSpec(
+            problem="ising_chain",
+            problem_options={"num_sites": 3},
+            max_evaluations=12,
+            search_options={"seed_points": ((0,) * 12,), "local_refinement": False},
+        )
+        data = tmp_path / "svc"
+        with open_store(data) as store:
+            first = store.submit(spec)
+        assert ServiceWorker(data, lease_ttl=60.0).run().completed == 1
+        with open_store(data) as store:
+            assert store.result(first.digest)["run_digest"] == first.digest
+            again = store.submit(RunSpec.from_json(spec.to_json()), submitter="file")
+            assert again.replayed and again.digest == first.digest
+            assert len(store.jobs()) == 1
 
 
 # --------------------------------------------------------------------------- #
