@@ -34,8 +34,8 @@ from pathlib import Path
 import pytest
 
 from repro.chemistry import make_problem
-from repro.core import SearchOrchestrator, restart_seed
-from repro.core.search import CafqaSearch
+from repro.circuits import EfficientSU2Ansatz
+from repro.core import CafqaSearch, CliffordObjective, SearchOrchestrator, restart_seed
 
 pytestmark = pytest.mark.skipif(
     os.environ.get("REPRO_BENCH") != "1",
@@ -56,9 +56,12 @@ def test_orchestrator_throughput_and_resume(tmp_path):
 
     start = time.perf_counter()
     sequential = [
-        CafqaSearch(problem, ansatz_reps=ANSATZ_REPS, seed=seed).run(
-            max_evaluations=MAX_EVALUATIONS
-        )
+        CafqaSearch(
+            CliffordObjective(
+                problem, EfficientSU2Ansatz(problem.num_qubits, reps=ANSATZ_REPS)
+            ),
+            seed=seed,
+        ).run(max_evaluations=MAX_EVALUATIONS)
         for seed in seeds
     ]
     sequential_seconds = time.perf_counter() - start

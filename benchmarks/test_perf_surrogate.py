@@ -31,6 +31,8 @@ import pytest
 from repro.bayesopt import optimizer
 from repro.bayesopt.forest import RandomForestRegressor
 from repro.chemistry import make_problem
+from repro.circuits import EfficientSU2Ansatz
+from repro.core.objective import CliffordObjective
 from repro.core.search import CafqaSearch
 from tests.reference_forest import ReferenceRandomForest
 
@@ -92,10 +94,12 @@ def test_surrogate_throughput_and_search_speed(monkeypatch):
 
     problem = make_problem("H2", 2.5)
 
+    def search() -> CafqaSearch:
+        ansatz = EfficientSU2Ansatz(problem.num_qubits, reps=ANSATZ_REPS)
+        return CafqaSearch(CliffordObjective(problem, ansatz), seed=SEARCH_SEED)
+
     start = time.perf_counter()
-    vectorized_result = CafqaSearch(
-        problem, ansatz_reps=ANSATZ_REPS, seed=SEARCH_SEED
-    ).run(max_evaluations=MAX_EVALUATIONS)
+    vectorized_result = search().run(max_evaluations=MAX_EVALUATIONS)
     vectorized_seconds = time.perf_counter() - start
     vectorized_rate = vectorized_result.num_iterations / vectorized_seconds
 
@@ -103,9 +107,7 @@ def test_surrogate_throughput_and_search_speed(monkeypatch):
     # max_depth=10, rng=...); the reference forest takes the same arguments.
     monkeypatch.setattr(optimizer, "RandomForestRegressor", ReferenceRandomForest)
     start = time.perf_counter()
-    reference_result = CafqaSearch(
-        problem, ansatz_reps=ANSATZ_REPS, seed=SEARCH_SEED
-    ).run(max_evaluations=MAX_EVALUATIONS)
+    reference_result = search().run(max_evaluations=MAX_EVALUATIONS)
     reference_seconds = time.perf_counter() - start
     monkeypatch.undo()
     reference_rate = reference_result.num_iterations / reference_seconds

@@ -1,17 +1,14 @@
 """Parameterized circuit IR, gate library, and hardware-efficient ansatz."""
 
-from repro.circuits.ansatz import EfficientSU2Ansatz, entangling_pairs, hartree_fock_circuit
+from repro.circuits.ansatz import EfficientSU2Ansatz, entangling_pairs
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.clifford_points import (
     CLIFFORD_ANGLES,
     CliffordGateProgram,
     ProgramOp,
-    angles_to_indices,
     bind_clifford_point,
     hartree_fock_clifford_point,
     indices_to_angles,
-    random_clifford_points,
-    search_space_size,
     validate_clifford_point,
 )
 from repro.circuits.gates import (
@@ -34,7 +31,6 @@ __all__ = [
     "bind_parameters",
     "EfficientSU2Ansatz",
     "entangling_pairs",
-    "hartree_fock_circuit",
     "CLIFFORD_GATES",
     "NON_CLIFFORD_GATES",
     "ROTATION_GATES",
@@ -44,12 +40,9 @@ __all__ = [
     "angle_from_clifford_index",
     "CLIFFORD_ANGLES",
     "indices_to_angles",
-    "angles_to_indices",
     "bind_clifford_point",
     "validate_clifford_point",
     "CliffordGateProgram",
     "ProgramOp",
-    "search_space_size",
-    "random_clifford_points",
     "hartree_fock_clifford_point",
 ]

@@ -119,17 +119,3 @@ class EfficientSU2Ansatz:
             f"blocks={self._rotation_blocks}, entanglement={self._entanglement!r}, "
             f"{self.num_parameters} parameters)"
         )
-
-
-def hartree_fock_circuit(num_qubits: int, occupied_qubits: Sequence[int]) -> QuantumCircuit:
-    """Circuit preparing the computational-basis state with the given qubits set to 1.
-
-    This is how the Hartree-Fock reference state is prepared on the device:
-    an X gate on every qubit whose (mapped) occupation bit is 1.
-    """
-    circuit = QuantumCircuit(num_qubits)
-    for qubit in occupied_qubits:
-        if not 0 <= qubit < num_qubits:
-            raise CircuitError(f"occupied qubit {qubit} out of range")
-        circuit.x(qubit)
-    return circuit

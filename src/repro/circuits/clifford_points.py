@@ -27,7 +27,6 @@ from repro.circuits.gates import (
 from repro.exceptions import CircuitError
 
 CLIFFORD_ANGLES = tuple(angle_from_clifford_index(k) for k in range(4))
-NUM_CLIFFORD_POINTS = 4
 
 # Programs compiled by :meth:`CliffordGateProgram.from_ansatz`, by ansatz
 # shape, oldest first; at most ``_MAX_SHAPES`` are kept.
@@ -43,11 +42,6 @@ def indices_to_angles(indices: Sequence[int], cardinality: int = 4) -> List[floa
     """
     step = 2.0 * np.pi / cardinality
     return [(int(i) % cardinality) * step for i in indices]
-
-
-def angles_to_indices(angles: Sequence[float]) -> List[int]:
-    """Map Clifford rotation angles back to indices; raises on non-Clifford angles."""
-    return [clifford_index_from_angle(float(theta)) for theta in angles]
 
 
 def validate_clifford_point(
@@ -261,21 +255,6 @@ class CliffordGateProgram:
             f"CliffordGateProgram({self._num_qubits} qubits, {len(self._ops)} ops, "
             f"{self._num_parameters} parameters)"
         )
-
-
-def search_space_size(num_parameters: int) -> int:
-    """Total number of Clifford points, ``4**num_parameters``."""
-    if num_parameters < 0:
-        raise CircuitError("num_parameters must be non-negative")
-    return NUM_CLIFFORD_POINTS**num_parameters
-
-
-def random_clifford_points(
-    num_parameters: int, count: int, rng: np.random.Generator
-) -> List[tuple[int, ...]]:
-    """Sample ``count`` random Clifford index vectors (with replacement)."""
-    samples = rng.integers(0, NUM_CLIFFORD_POINTS, size=(count, num_parameters))
-    return [tuple(int(v) for v in row) for row in samples]
 
 
 def hartree_fock_clifford_point(

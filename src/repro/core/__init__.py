@@ -28,7 +28,6 @@ from repro.core.metrics import (
     correlation_energy_recovered,
     energy_error,
     geometric_mean,
-    is_chemically_accurate,
     relative_accuracy,
 )
 from repro.core.campaign import (
@@ -38,6 +37,7 @@ from repro.core.campaign import (
     run_campaign,
 )
 from repro.core.evalcache import (
+    CachedObjective,
     EvaluationCache,
     EvaluationCacheBackend,
     SqliteEvaluationCache,
@@ -46,17 +46,15 @@ from repro.core.evalcache import (
 from repro.core.objective import CliffordObjective
 from repro.core.orchestrator import (
     AttemptFailure,
-    CachedObjective,
     MultiSeedResult,
     RestartFailure,
     SearchOrchestrator,
     SeedTrace,
-    objective_fingerprint,
     restart_seed,
 )
 from repro.core.search import CafqaResult, CafqaSearch
 from repro.core.vqe import VQEResult, VQERunner
-from repro.operators.fingerprints import hamiltonian_fingerprint
+from repro.operators.fingerprints import hamiltonian_fingerprint, objective_fingerprint
 
 __all__ = [
     "ParticleConstraint",
@@ -75,7 +73,6 @@ __all__ = [
     "CHEMICAL_ACCURACY",
     "AccuracySummary",
     "energy_error",
-    "is_chemically_accurate",
     "correlation_energy_recovered",
     "relative_accuracy",
     "geometric_mean",

@@ -319,23 +319,11 @@ def run_campaign(
 def _point_failure(
     point: "SweepPoint", digest: str, error: IncompleteRunError
 ) -> SweepPointFailure:
-    failed_restarts = []
-    for restart in getattr(error, "failures", []):
-        last = restart.last_error
-        failed_restarts.append(
-            {
-                "restart_index": restart.restart_index,
-                "attempts": restart.attempts,
-                "last_error": (
-                    None if last is None else f"{last.error_type}: {last.message}"
-                ),
-            }
-        )
     return SweepPointFailure(
         index=point.index,
         coords=dict(point.coords),
         run_digest=digest,
         error_type=type(error).__name__,
         message=str(error)[:500],
-        failed_restarts=failed_restarts,
+        failed_restarts=[restart.summary() for restart in getattr(error, "failures", [])],
     )

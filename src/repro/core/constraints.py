@@ -117,7 +117,9 @@ class DeflationConstraint:
 
         ground = repro.run(repro.RunSpec(problem="ising_chain", seed=0))
         constraint = DeflationConstraint(points=(tuple(ground.best_indices),))
-        excited = CafqaSearch(problem, constraint=constraint, seed=0).run()
+        excited = repro.run(repro.RunSpec(
+            problem="ising_chain", seed=0, search_options={"constraint": constraint}
+        ))
         # excited.energy is (approximately) the first excited level
 
     The constraint is picklable and JSON-friendly (plain index tuples), so

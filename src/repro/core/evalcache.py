@@ -21,6 +21,10 @@ service share deduped evaluations through a single database instead of
 growing per-pid shard files without bound.  :func:`open_cache` picks the
 backend from the location's shape (``*.sqlite``/``*.db`` file vs.
 directory), so every ``cache_dir`` knob in the stack accepts either.
+:class:`CachedObjective` is the objective every orchestrated restart
+searches: a :class:`~repro.core.objective.CliffordObjective` that reads and
+writes one of these caches under its
+:func:`~repro.operators.fingerprints.objective_fingerprint`.
 """
 
 from __future__ import annotations
@@ -30,14 +34,20 @@ import math
 import os
 import sqlite3
 from pathlib import Path
-from typing import Collection, Dict, IO, Optional, Sequence, Tuple
+from typing import Collection, Dict, IO, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro import telemetry
+from repro.circuits.clifford_points import validate_clifford_points
+from repro.core.objective import CliffordObjective
 from repro.exceptions import OptimizationError
+from repro.operators.fingerprints import objective_fingerprint
 
 Point = Tuple[int, ...]
 
 __all__ = [
+    "CachedObjective",
     "EvaluationCacheBackend",
     "EvaluationCache",
     "CacheShardWriter",
@@ -136,10 +146,6 @@ class EvaluationCache(EvaluationCacheBackend):
             self._load_shards(fingerprints)
 
     # ------------------------------------------------------------------ #
-    @property
-    def directory(self) -> Optional[Path]:
-        return self._directory
-
     def shard_writer(self, tag: str) -> "CacheShardWriter":
         if self._directory is None:
             raise OptimizationError("cache has no directory; cannot open a shard")
@@ -345,3 +351,80 @@ def open_cache(
     if is_sqlite_cache_location(location):
         return SqliteEvaluationCache(location, fingerprints)
     return EvaluationCache(location, fingerprints)
+
+
+# --------------------------------------------------------------------------- #
+# the cache-backed objective every restart evaluates through
+# --------------------------------------------------------------------------- #
+class CachedObjective:
+    """A :class:`CliffordObjective` backed by an evaluation cache.
+
+    Cache reads return the exact stored double (JSON round-trips floats
+    bit-for-bit), so a search replayed on top of a warm cache follows the
+    identical trajectory it would have followed computing everything —
+    which is what makes checkpoint resume exact.  Attribute access falls
+    through to the wrapped objective.
+    """
+
+    def __init__(
+        self,
+        objective: CliffordObjective,
+        cache: EvaluationCacheBackend,
+        writer=None,
+    ):
+        self._objective = objective
+        self._cache = cache
+        self._writer = writer
+        self._fingerprint = objective_fingerprint(objective)
+
+    # ------------------------------------------------------------------ #
+    @property
+    def fingerprint(self) -> str:
+        return self._fingerprint
+
+    @property
+    def cache(self) -> EvaluationCacheBackend:
+        return self._cache
+
+    @property
+    def wrapped(self) -> CliffordObjective:
+        return self._objective
+
+    def __getattr__(self, name):
+        return getattr(self._objective, name)
+
+    # ------------------------------------------------------------------ #
+    def _points(self, points: Sequence[Sequence[int]]) -> List[Point]:
+        objective = self._objective
+        return validate_clifford_points(
+            points, objective.num_parameters, objective.cardinality
+        )
+
+    def __call__(self, indices: Sequence[int]) -> float:
+        return float(self.evaluate_batch([indices])[0])
+
+    def evaluate_batch(self, points: Sequence[Sequence[int]]) -> np.ndarray:
+        keys = self._points(points)
+        values: Dict[Point, float] = {}
+        for key in dict.fromkeys(keys):
+            cached = self._cache.get(self._fingerprint, key)
+            if cached is not None:
+                values[key] = cached
+        pending = [key for key in dict.fromkeys(keys) if key not in values]
+        if pending:
+            computed = self._objective.evaluate_batch(pending)
+            for position, key in enumerate(pending):
+                value = float(computed[position])
+                values[key] = value
+                self._cache.put(self._fingerprint, key, value)
+                if self._writer is not None:
+                    self._writer.record(self._fingerprint, key, value)
+        return np.array([values[key] for key in keys], dtype=float)
+
+    def flush(self) -> None:
+        if self._writer is not None:
+            self._writer.flush()
+
+    def close(self) -> None:
+        if self._writer is not None:
+            self._writer.close()

@@ -11,10 +11,11 @@ projector into ``2^n`` Pauli terms.
 :func:`find_lowest_states` runs one :class:`~repro.core.orchestrator
 .SearchOrchestrator` per level, so every level inherits the full multi-seed /
 evaluation-cache / checkpoint machinery: deflated objectives carry their own
-fingerprint namespace (see :func:`~repro.core.orchestrator
+fingerprint namespace (see :func:`~repro.operators.fingerprints
 .objective_fingerprint`), levels can share one cache/checkpoint directory
-without collisions, plain ``<H>`` energies are deduplicated *across* levels,
-and checkpoints record the deflating states so a resumed run is bit-identical.
+without collisions, and checkpoints record the deflating states so a resumed
+run is bit-identical.  Each level is the unchanged
+:class:`~repro.core.search.CafqaSearch` loop over a deflated objective.
 """
 
 from __future__ import annotations
@@ -149,8 +150,6 @@ def find_lowest_states(
     base_constraint = search_options.pop("constraint", _UNSET)
     if base_constraint is _UNSET:
         base_constraint = default_constraint_of(problem)
-    if ansatz is None:
-        ansatz = EfficientSU2Ansatz(problem.num_qubits, reps=ansatz_reps)
 
     levels: List[ExcitedStateLevel] = []
     found_points: Tuple[Tuple[int, ...], ...] = ()
@@ -185,6 +184,7 @@ def find_lowest_states(
             max_workers=max_workers,
             seed=seed,
             ansatz=ansatz,
+            ansatz_reps=ansatz_reps,
             cache_dir=cache_dir,
             checkpoint_interval=int(checkpoint_interval),
             failure_policy=failure_policy,

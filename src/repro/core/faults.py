@@ -359,7 +359,7 @@ class FaultInjectingObjective:
     trajectory position and re-arms exactly the faults the marker files say
     are still due.  All other attribute access falls through to the wrapped
     objective, so the wrapper composes with
-    :class:`~repro.core.orchestrator.CachedObjective`.
+    :class:`~repro.core.evalcache.CachedObjective`.
     """
 
     def __init__(

@@ -24,11 +24,6 @@ def energy_error(estimate: float, exact: float) -> float:
     return abs(float(estimate) - float(exact))
 
 
-def is_chemically_accurate(estimate: float, exact: float) -> bool:
-    """True if the estimate is within chemical accuracy of the exact energy."""
-    return energy_error(estimate, exact) <= CHEMICAL_ACCURACY
-
-
 def correlation_energy_recovered(
     estimate: float, hartree_fock: float, exact: float
 ) -> float:
@@ -101,9 +96,3 @@ class AccuracySummary:
         if self.exact_energy is None:
             return None
         return relative_accuracy(self.cafqa_energy, self.hf_energy, self.exact_energy)
-
-    @property
-    def chemically_accurate(self) -> Optional[bool]:
-        if self.exact_energy is None:
-            return None
-        return is_chemically_accurate(self.cafqa_energy, self.exact_energy)

@@ -122,7 +122,7 @@ class CliffordObjective:
 
     Every call simulates: the objective keeps no memo of past points.  The
     one evaluation memo of a search lives at the
-    :class:`~repro.core.orchestrator.CachedObjective` boundary, which every
+    :class:`~repro.core.evalcache.CachedObjective` boundary, which every
     orchestrated restart wraps around this objective.
 
     Batches whose distinct points differ in exactly one parameter slot (the

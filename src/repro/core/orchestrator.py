@@ -3,11 +3,15 @@
 The paper's accuracy numbers come from best-of-many-restart searches: each
 restart explores the Clifford space from a different random warm-up, and the
 best incumbent across restarts is reported.  :class:`SearchOrchestrator`
-shards those restarts across worker processes, deduplicates stabilizer
-evaluations through a process-safe
-:class:`~repro.core.evalcache.EvaluationCache` keyed on
-``(objective fingerprint, Clifford index tuple)``, and merges the per-seed
-traces into a :class:`MultiSeedResult`.
+shards those restarts across worker processes and merges the per-seed traces
+into a :class:`MultiSeedResult`.  Each restart (:func:`run_restart`) builds
+its :class:`~repro.core.objective.CliffordObjective`, wraps it in a
+:class:`~repro.core.evalcache.CachedObjective` keyed on ``(objective
+fingerprint, Clifford index tuple)`` (see
+:func:`~repro.operators.fingerprints.objective_fingerprint`), and hands it to
+a :class:`~repro.core.search.CafqaSearch`.  Callers go through
+:func:`repro.run`, which builds the orchestrator from a
+:class:`~repro.runspec.RunSpec`.
 
 Checkpoint/resume works by replay-from-cache: every evaluated point is
 appended to an on-disk shard (one file per worker process, so concurrent
@@ -50,10 +54,7 @@ import numpy as np
 from repro import telemetry
 from repro.bayesopt.optimizer import BayesianOptimizationResult, Observation
 from repro.circuits.ansatz import EfficientSU2Ansatz
-from repro.circuits.clifford_points import (
-    indices_to_angles,
-    validate_clifford_points,
-)
+from repro.circuits.clifford_points import indices_to_angles
 from repro.core.constraints import overlap_penalties_of
 from repro.core.faults import (
     FAULT_DIR_ENV,
@@ -61,7 +62,7 @@ from repro.core.faults import (
     FaultInjectingObjective,
     faults_for_restart,
 )
-from repro.core.evalcache import EvaluationCacheBackend, open_cache
+from repro.core.evalcache import CachedObjective, EvaluationCacheBackend, open_cache
 from repro.core.objective import CliffordObjective
 from repro.core.search import CafqaResult, CafqaSearch
 from repro.exceptions import (
@@ -72,15 +73,13 @@ from repro.exceptions import (
     is_transient_failure,
 )
 from repro.io import write_json_atomic
-from repro.operators.fingerprints import hamiltonian_fingerprint
+from repro.operators.fingerprints import objective_fingerprint
 from repro.problems.base import ProblemSpec, reference_energy_of
-
-Point = Tuple[int, ...]
 
 CHECKPOINT_FORMAT = 2
 
-# CafqaSearch keywords that configure the objective (consumed when the
-# orchestrator builds the objective itself) vs. the search loop (forwarded).
+# Search options that configure each restart's CliffordObjective; every
+# other option configures the CafqaSearch loop that runs over it.
 _OBJECTIVE_OPTIONS = ("constraint", "spin_z_target", "penalty_weight", "max_t_gates")
 
 __all__ = [
@@ -90,111 +89,10 @@ __all__ = [
     "RestartTask",
     "AttemptFailure",
     "RestartFailure",
-    "CachedObjective",
-    "objective_fingerprint",
     "restart_seed",
     "options_digest",
     "run_restart",
 ]
-
-
-def objective_fingerprint(objective: CliffordObjective) -> str:
-    """Cache and checkpoint key prefix for an objective's evaluations.
-
-    The constrained Pauli operator's digest, then the compiled gate
-    program's (a function of the circuit the evaluations ran, so any ansatz
-    producing the same program shares cache entries).  Overlap (deflation)
-    penalties are not part of the operator, so their digest is appended
-    explicitly — each excited-state level gets its own namespace.  A
-    pi/4-grid objective appends ``-t{max_t_gates}``: its keys index another
-    grid, and its infeasible penalty depends on the T-gate budget.
-    """
-    base = (
-        f"{hamiltonian_fingerprint(objective.operator)}"
-        f"-{objective.program.fingerprint}"
-    )
-    max_t_gates = getattr(objective, "max_t_gates", 0)
-    if max_t_gates:
-        base = f"{base}-t{max_t_gates}"
-    deflation = getattr(objective, "deflation_digest", None)
-    return base if deflation is None else f"{base}-d{deflation}"
-
-
-# --------------------------------------------------------------------------- #
-# cached objective (the cache backends live in repro.core.evalcache)
-# --------------------------------------------------------------------------- #
-class CachedObjective:
-    """A :class:`CliffordObjective` backed by an evaluation cache.
-
-    Cache reads return the exact stored double (JSON round-trips floats
-    bit-for-bit), so a search replayed on top of a warm cache follows the
-    identical trajectory it would have followed computing everything —
-    which is what makes checkpoint resume exact.  Attribute access falls
-    through to the wrapped objective.
-    """
-
-    def __init__(
-        self,
-        objective: CliffordObjective,
-        cache: EvaluationCacheBackend,
-        writer=None,
-    ):
-        self._objective = objective
-        self._cache = cache
-        self._writer = writer
-        self._fingerprint = objective_fingerprint(objective)
-
-    # ------------------------------------------------------------------ #
-    @property
-    def fingerprint(self) -> str:
-        return self._fingerprint
-
-    @property
-    def cache(self) -> EvaluationCacheBackend:
-        return self._cache
-
-    @property
-    def wrapped(self) -> CliffordObjective:
-        return self._objective
-
-    def __getattr__(self, name):
-        return getattr(self._objective, name)
-
-    # ------------------------------------------------------------------ #
-    def _points(self, points: Sequence[Sequence[int]]) -> List[Point]:
-        objective = self._objective
-        return validate_clifford_points(
-            points, objective.num_parameters, objective.cardinality
-        )
-
-    def __call__(self, indices: Sequence[int]) -> float:
-        return float(self.evaluate_batch([indices])[0])
-
-    def evaluate_batch(self, points: Sequence[Sequence[int]]) -> np.ndarray:
-        keys = self._points(points)
-        values: Dict[Point, float] = {}
-        for key in dict.fromkeys(keys):
-            cached = self._cache.get(self._fingerprint, key)
-            if cached is not None:
-                values[key] = cached
-        pending = [key for key in dict.fromkeys(keys) if key not in values]
-        if pending:
-            computed = self._objective.evaluate_batch(pending)
-            for position, key in enumerate(pending):
-                value = float(computed[position])
-                values[key] = value
-                self._cache.put(self._fingerprint, key, value)
-                if self._writer is not None:
-                    self._writer.record(self._fingerprint, key, value)
-        return np.array([values[key] for key in keys], dtype=float)
-
-    def flush(self) -> None:
-        if self._writer is not None:
-            self._writer.flush()
-
-    def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
 
 
 # --------------------------------------------------------------------------- #
@@ -308,6 +206,15 @@ class RestartFailure:
     @property
     def last_error(self) -> Optional[AttemptFailure]:
         return self.failures[-1] if self.failures else None
+
+    def summary(self) -> Dict[str, object]:
+        """The JSON-able row reports and sweeps record for this restart."""
+        last = self.last_error
+        return {
+            "restart_index": self.restart_index,
+            "attempts": self.attempts,
+            "last_error": None if last is None else f"{last.error_type}: {last.message}",
+        }
 
     def __repr__(self) -> str:
         last = self.last_error
@@ -644,13 +551,7 @@ def run_restart(task: RestartTask) -> SeedTrace:
             ),
             shard_path=writer.path if writer is not None else None,
         )
-    search = CafqaSearch(
-        task.problem,
-        ansatz=task.ansatz,
-        objective=objective,
-        seed=task.seed,
-        **task.search_options,
-    )
+    search = CafqaSearch(objective, seed=task.seed, **task.search_options)
 
     # Crash resume replays the search from the evaluation shard, so the
     # shard is flushed every ``checkpoint_interval`` observations; only a
@@ -728,9 +629,11 @@ class SearchOrchestrator:
 
     ``max_workers=None`` uses ``min(num_restarts, cpu count)``;
     ``max_workers=1`` (or a single restart) runs the restarts one at a time
-    in this process, which keeps single-seed pipeline calls free of
-    process-pool overhead and bit-identical to a direct :class:`CafqaSearch`
-    run.  Either way the restarts go through the same scheduler.
+    in this process, which keeps single-seed runs free of process-pool
+    overhead and bit-identical to a direct :class:`CafqaSearch` over the same
+    objective.  Either way the restarts go through the same scheduler.
+    :func:`repro.run` builds the orchestrator from a
+    :class:`~repro.runspec.RunSpec`; drivers go through it.
 
     Scheduling is fault-tolerant under the run's
     :class:`~repro.core.faults.FailurePolicy`: every restart runs in its own
@@ -788,39 +691,14 @@ class SearchOrchestrator:
         # Build one search here so a bad search option fails before any
         # restart is scheduled, not inside every restart.
         try:
-            CafqaSearch(
-                problem,
-                ansatz=self._ansatz,
-                objective=self._objective,
-                seed=seed,
-                **self._search_options,
-            )
+            CafqaSearch(self._objective, seed=seed, **self._search_options)
         except TypeError as error:
             raise OptimizationError(f"invalid search option: {error}") from error
 
     # ------------------------------------------------------------------ #
     @property
-    def problem(self) -> ProblemSpec:
-        return self._problem
-
-    @property
-    def ansatz(self) -> EfficientSU2Ansatz:
-        return self._ansatz
-
-    @property
-    def num_restarts(self) -> int:
-        return self._num_restarts
-
-    @property
     def objective_fingerprint(self) -> str:
         return self._objective_fp
-
-    @property
-    def failure_policy(self) -> FailurePolicy:
-        return self._failure_policy
-
-    def restart_seeds(self) -> List[Optional[int]]:
-        return [restart_seed(self._seed, index) for index in range(self._num_restarts)]
 
     # ------------------------------------------------------------------ #
     def run(
@@ -843,7 +721,7 @@ class SearchOrchestrator:
         tasks = [
             RestartTask(
                 restart_index=index,
-                seed=seed,
+                seed=restart_seed(self._seed, index),
                 max_evaluations=int(max_evaluations),
                 problem=self._problem,
                 ansatz=self._ansatz,
@@ -856,7 +734,7 @@ class SearchOrchestrator:
                 checkpoint_interval=self._checkpoint_interval,
                 telemetry_dir=telemetry_dir,
             )
-            for index, seed in enumerate(self.restart_seeds())
+            for index in range(self._num_restarts)
         ]
 
         workers = self._max_workers

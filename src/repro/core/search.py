@@ -6,9 +6,10 @@ multiples of pi/2, exact stabilizer-simulator evaluation of the constrained
 objective, and a random-forest Bayesian optimizer that greedily evaluates the
 lowest-predicted candidates after a random warm-up phase.  The Hartree–Fock
 Clifford point is seeded so the search result is never worse than the
-Hartree–Fock baseline.  ``max_t_gates = k >= 1`` runs the same search on the
-pi/4 grid of the paper's CAFQA+kT exploration (Section 8), allowing at most
-``k`` pi/4 turns (see :mod:`repro.core.objective`).
+Hartree–Fock baseline.  The search takes a built objective: an objective
+with ``max_t_gates = k >= 1`` runs the same search on the pi/4 grid of the
+paper's CAFQA+kT exploration (Section 8), allowing at most ``k`` pi/4 turns
+(see :mod:`repro.core.objective`).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from repro.circuits.clifford_points import (
 )
 from repro.core.objective import CliffordObjective
 from repro.exceptions import OptimizationError
-from repro.problems.base import ProblemSpec, reference_bits_of, reference_energy_of
+from repro.problems.base import reference_bits_of, reference_energy_of
 
 
 @dataclass
@@ -79,7 +80,7 @@ REFIT_INTERVAL = 5
 
 
 class CafqaSearch:
-    """Runs the discrete Clifford-space search for a :class:`ProblemSpec`.
+    """Runs the discrete Clifford-space search over a built objective.
 
     The search follows the paper's recipe — random warm-up, random-forest
     surrogate, greedy pick of the lowest-predicted candidate — and adds an
@@ -90,41 +91,38 @@ class CafqaSearch:
     comparable Clifford points with laptop-scale budgets and is counted in
     the reported iteration totals.
 
-    Any problem satisfying :class:`~repro.problems.base.ProblemSpec` works —
-    molecular problems, the registry's spin/graph workloads, or custom ones.
+    ``objective`` is a :class:`~repro.core.objective.CliffordObjective` (or
+    a wrapper of one, such as the orchestrator's cache-backed
+    :class:`~repro.core.evalcache.CachedObjective`).  The problem, the
+    ansatz and the grid all come from it: ``objective.problem``,
+    ``objective.ansatz`` and ``objective.cardinality``.  Constraints,
+    deflation penalties and the pi/4 grid of ``max_t_gates`` are therefore
+    objective options, not search options; an excited-state search is the
+    same loop over a deflated objective (see :mod:`repro.core.excited`).
+    Most callers build neither: :func:`repro.run` builds both per restart.
+
     The search is always seeded with the problem's classical reference state
     (Hartree–Fock for molecules) so the result is never worse than the
     classical baseline; ``seed_points`` adds caller-chosen warm-up starts,
     and ``refine_seed_points`` additionally runs the
     coordinate-descent refinement from each of them — the knob deflated
     excited-state searches use to walk off previously found (penalized)
-    optima (see :mod:`repro.core.excited`).
+    optima.  On the pi/4 grid (``cardinality`` 8) the reference point is
+    doubled onto that grid, ``seed_points`` are read on it (double a
+    Clifford solution to start from it, the paper's Section 8 recipe), and
+    refinement sweeps all eight values.
 
     The Bayesian-optimization loop takes ``warmup_fraction`` (the share of
     ``max_evaluations`` spent on random warm-up, strictly between 0 and 1)
     and ``proposal_batch``; the surrogate is refitted every
     :data:`REFIT_INTERVAL` evaluations, and ``seed`` makes the whole
     trajectory reproducible.
-
-    ``max_t_gates = k >= 1`` searches the pi/4 grid instead: each slot takes
-    a value in 0..7 (angle ``index * pi/4``), at most ``k`` of them odd, and
-    the objective prices the few non-Clifford points exactly on the
-    stabilizer kernels (see :class:`~repro.core.objective.CliffordObjective`).
-    The reference point is doubled onto that grid, ``seed_points`` are read
-    on it (double a Clifford solution to start from it, the paper's Section 8
-    recipe), and refinement sweeps all eight values.  An injected
-    ``objective`` brings its own grid.
     """
 
     def __init__(
         self,
-        problem: ProblemSpec,
-        ansatz: Optional[EfficientSU2Ansatz] = None,
-        ansatz_reps: int = 1,
+        objective: CliffordObjective,
         *,
-        constraint=None,
-        spin_z_target: Optional[float] = None,
-        penalty_weight: Optional[float] = None,
         warmup_fraction: float = 0.5,
         seed_points: Optional[Sequence[Sequence[int]]] = None,
         refine_seed_points: bool = False,
@@ -132,32 +130,11 @@ class CafqaSearch:
         refinement_sweeps: int = 4,
         proposal_batch: int = 1,
         seed: Optional[int] = None,
-        objective: Optional[CliffordObjective] = None,
-        max_t_gates: int = 0,
     ):
-        self._problem = problem
-        self._ansatz = ansatz if ansatz is not None else EfficientSU2Ansatz(
-            problem.num_qubits, reps=ansatz_reps
-        )
-        # An injected objective (e.g. the orchestrator's cache-backed wrapper)
-        # replaces the default and supplies the ansatz.
-        if objective is not None:
-            if ansatz is not None and objective.ansatz is not ansatz:
-                raise OptimizationError(
-                    "injected objective must be built on the search ansatz"
-                )
-            self._ansatz = objective.ansatz
-            self._objective = objective
-        else:
-            self._objective = CliffordObjective(
-                problem,
-                self._ansatz,
-                constraint=constraint,
-                spin_z_target=spin_z_target,
-                penalty_weight=penalty_weight,
-                max_t_gates=max_t_gates,
-            )
-        self._cardinality = self._objective.cardinality
+        self._objective = objective
+        self._problem = objective.problem
+        self._ansatz = objective.ansatz
+        self._cardinality = objective.cardinality
         if not 0.0 < float(warmup_fraction) < 1.0:
             raise OptimizationError("warmup_fraction must be strictly between 0 and 1")
         self._warmup_fraction = float(warmup_fraction)

@@ -20,8 +20,8 @@ import numpy as np
 from repro.chemistry.exact import exact_ground_state
 from repro.chemistry.molecules import make_problem
 from repro.core.objective import CliffordObjective
-from repro.core.orchestrator import SearchOrchestrator
 from repro.operators.pauli import Pauli
+from repro.runspec import RunSpec, run
 from repro.statevector.simulator import Statevector
 
 
@@ -77,14 +77,19 @@ def run_pauli_breakdown(
     terms.
     """
     problem = make_problem(molecule, bond_length)
-    orchestrator = SearchOrchestrator(
-        problem, num_restarts=num_seeds, max_workers=max_workers, seed=seed
+    spec = RunSpec(
+        problem=molecule,
+        problem_options={"bond_length": bond_length},
+        max_evaluations=max_evaluations,
+        num_seeds=num_seeds,
+        max_workers=max_workers,
+        seed=seed,
     )
-    cafqa = orchestrator.run(max_evaluations=max_evaluations).best
+    cafqa = run(spec, problem=problem).best
 
     hf_state = Statevector.from_bitstring(problem.hf_bits)
     exact = exact_ground_state(problem.hamiltonian)
-    objective = CliffordObjective(problem, orchestrator.ansatz)
+    objective = CliffordObjective(problem, cafqa.ansatz)
     cafqa_expectations: Dict[str, int] = objective.term_expectations(cafqa.best_indices)
 
     rows: List[PauliBreakdownRow] = []

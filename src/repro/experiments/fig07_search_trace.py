@@ -14,7 +14,7 @@ from typing import List, Optional
 from repro.chemistry.molecules import make_problem
 from repro.core.metrics import CHEMICAL_ACCURACY
 from repro.core.objective import CliffordObjective
-from repro.core.orchestrator import SearchOrchestrator
+from repro.runspec import RunSpec, run
 
 
 @dataclass
@@ -58,19 +58,21 @@ def run_search_trace(
     problem = make_problem(molecule, bond_length)
     if problem.exact_energy is None:
         raise ValueError(f"{molecule} at {bond_length} A has no exact reference")
-    orchestrator = SearchOrchestrator(
-        problem,
-        num_restarts=num_seeds,
+    spec = RunSpec(
+        problem=molecule,
+        problem_options={"bond_length": bond_length},
+        max_evaluations=max_evaluations,
+        num_seeds=num_seeds,
         max_workers=max_workers,
         seed=seed,
-        warmup_fraction=warmup_fraction,
+        search_options={"warmup_fraction": warmup_fraction},
     )
-    multi = orchestrator.run(max_evaluations=max_evaluations)
+    report = run(spec, problem=problem)
 
-    observations = multi.best_trace.observations
+    observations = report.result.best_trace.observations
     # Plain (unconstrained) energies of the whole trace in one batched
     # simulation, so the trace is comparable with the exact energy.
-    objective = CliffordObjective(problem, orchestrator.ansatz)
+    objective = CliffordObjective(problem, report.best.ansatz)
     energies = objective.energy_batch([obs.point for obs in observations])
     errors: List[float] = []
     phases: List[str] = []

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.chemistry.molecules import get_preset, make_problem
-from repro.core.orchestrator import SearchOrchestrator
 from repro.experiments.config import ExperimentScale, QUICK, spread_bond_lengths
+from repro.runspec import RunSpec, run
 
 
 @dataclass
@@ -62,17 +62,22 @@ def run_large_molecule(
     points: List[LargeMoleculePoint] = []
     for index, bond_length in enumerate(bond_lengths):
         problem = make_problem(molecule, bond_length, compute_exact=False)
-        orchestrator = SearchOrchestrator(
-            problem, num_restarts=num_seeds, max_workers=max_workers, seed=seed + index
+        spec = RunSpec(
+            problem=molecule,
+            problem_options={"bond_length": bond_length, "compute_exact": False},
+            max_evaluations=budget,
+            num_seeds=num_seeds,
+            max_workers=max_workers,
+            seed=seed + index,
         )
-        multi = orchestrator.run(max_evaluations=budget)
+        report = run(spec, problem=problem)
         points.append(
             LargeMoleculePoint(
                 bond_length=float(bond_length),
                 hf_energy=problem.hf_energy,
-                cafqa_energy=multi.best.energy,
+                cafqa_energy=report.best.energy,
                 num_qubits=problem.num_qubits,
-                search_iterations=multi.total_evaluations,
+                search_iterations=report.result.total_evaluations,
             )
         )
     return LargeMoleculeResult(molecule=molecule, points=points)

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.chemistry.molecules import make_problem
-from repro.core.search import CafqaSearch
 from repro.core.vqe import VQERunner, VQEResult
 from repro.noise.devices import fake_device
 from repro.optim.spsa import SPSA
+from repro.runspec import RunSpec, run
 
 
 @dataclass
@@ -56,14 +56,20 @@ def run_vqe_convergence(
 ) -> VQEConvergenceResult:
     """Generate the Fig. 14 comparison for one molecule/bond length."""
     problem = make_problem(molecule, bond_length)
-    search = CafqaSearch(problem, ansatz_reps=ansatz_reps, seed=seed)
-    cafqa = search.run(max_evaluations=search_evaluations)
+    spec = RunSpec(
+        problem=molecule,
+        problem_options={"bond_length": bond_length},
+        ansatz_reps=ansatz_reps,
+        max_evaluations=search_evaluations,
+        seed=seed,
+    )
+    cafqa = run(spec, problem=problem).best
 
     comparisons: Dict[str, ConvergenceComparison] = {}
     for backend_name, noise_model in (("ideal", None), ("noisy", fake_device(noisy_device))):
         runner = VQERunner(
             problem,
-            ansatz=search.ansatz,
+            ansatz=cafqa.ansatz,
             noise_model=noise_model,
             optimizer=SPSA(seed=seed),
         )

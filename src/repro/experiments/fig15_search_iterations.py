@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.chemistry.molecules import get_preset, make_problem
-from repro.core.orchestrator import SearchOrchestrator
 from repro.experiments.config import ExperimentScale, QUICK
+from repro.runspec import RunSpec, run
 
 DEFAULT_SUITE = ("H2", "H4", "LiH", "H6", "H2O", "N2", "BeH2")
 
@@ -71,18 +71,23 @@ def run_search_iterations(
         )
         problem = make_problem(molecule, bond_length, compute_exact=False)
         budget = scale.search_evaluations(problem.num_qubits)
-        orchestrator = SearchOrchestrator(
-            problem, num_restarts=num_seeds, max_workers=max_workers, seed=seed + index
+        spec = RunSpec(
+            problem=molecule,
+            problem_options={"bond_length": bond_length, "compute_exact": False},
+            max_evaluations=budget,
+            num_seeds=num_seeds,
+            max_workers=max_workers,
+            seed=seed + index,
         )
-        multi = orchestrator.run(max_evaluations=budget)
+        best = run(spec, problem=problem).best
         rows.append(
             SearchIterationRow(
                 molecule=molecule,
                 num_qubits=problem.num_qubits,
-                num_parameters=orchestrator.ansatz.num_parameters,
-                total_evaluations=multi.best.num_iterations,
-                converged_iteration=multi.best.converged_iteration,
-                final_energy=multi.best.energy,
+                num_parameters=best.ansatz.num_parameters,
+                total_evaluations=best.num_iterations,
+                converged_iteration=best.converged_iteration,
+                final_energy=best.energy,
                 hf_energy=problem.hf_energy,
             )
         )

@@ -4,9 +4,10 @@ These helpers are shared by layers that must agree on operator identity
 without importing each other: the problem registry (:mod:`repro.problems`)
 fingerprints Hamiltonians so evaluation caches can be keyed on *what was
 simulated*, the chemistry substrate computes reference-determinant energies,
-and the orchestrator's checkpoint layer namespaces its files by the same
-digests.  Keeping them next to :class:`~repro.operators.pauli_sum.PauliSum`
-(a leaf module) avoids import cycles between those layers.
+and the evaluation cache and the orchestrator's checkpoint layer namespace
+their keys and files by :func:`objective_fingerprint`.  Keeping them next to
+:class:`~repro.operators.pauli_sum.PauliSum` (a leaf module) avoids import
+cycles between those layers.
 """
 
 from __future__ import annotations
@@ -40,6 +41,28 @@ def hamiltonian_fingerprint(operator: PauliSum) -> str:
             digest.update(f"{label}:{coefficient.real!r}:{coefficient.imag!r};".encode())
         fingerprint = operator._fingerprint = digest.hexdigest()[:16]
     return fingerprint
+
+
+def objective_fingerprint(objective) -> str:
+    """Cache and checkpoint key prefix of a :class:`~repro.core.objective.CliffordObjective`.
+
+    The constrained Pauli operator's digest, then the compiled gate
+    program's (a function of the circuit the evaluations ran, so any ansatz
+    producing the same program shares cache entries).  Overlap (deflation)
+    penalties are not part of the operator, so their digest is appended
+    explicitly — each excited-state level gets its own namespace.  A
+    pi/4-grid objective appends ``-t{max_t_gates}``: its keys index another
+    grid, and its infeasible penalty depends on the T-gate budget.
+    """
+    base = (
+        f"{hamiltonian_fingerprint(objective.operator)}"
+        f"-{objective.program.fingerprint}"
+    )
+    max_t_gates = getattr(objective, "max_t_gates", 0)
+    if max_t_gates:
+        base = f"{base}-t{max_t_gates}"
+    deflation = getattr(objective, "deflation_digest", None)
+    return base if deflation is None else f"{base}-d{deflation}"
 
 
 def determinant_energy(hamiltonian: PauliSum, bits: Sequence[int]) -> float:

@@ -5,7 +5,7 @@ happens to demonstrate it on molecular ground states, but the identical
 machinery applies to Ising Hamiltonians (Bhattacharyya & Ravi) and deflated
 excited-state objectives (Excited-CAFQA).  :class:`ProblemSpec` is the
 structural protocol every consumer (:class:`~repro.core.objective
-.CliffordObjective`, :class:`~repro.core.search.CafqaSearch`,
+.CliffordObjective`, and through it :class:`~repro.core.search.CafqaSearch`,
 :class:`~repro.core.orchestrator.SearchOrchestrator`,
 :class:`~repro.core.vqe.VQERunner`) accepts;
 :class:`~repro.chemistry.hamiltonian.MolecularProblem` is one implementation,

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import Dict, List, Optional, Union
 
 from repro.core.constraints import DEFAULT_DEFLATION_WEIGHT
-from repro.exceptions import ReproError
+from repro.exceptions import OptimizationError, ReproError
 from repro.problems.base import ProblemSpec, reference_energy_of
 
 __all__ = ["RunSpec", "RunReport", "run"]
@@ -56,10 +56,13 @@ class RunSpec:
     ``problem`` is a registry name (see ``repro.problems.list_problems()``)
     built with ``problem_options``, or a prebuilt ``ProblemSpec`` instance
     (programmatic use only — such a spec is not JSON-serializable).
-    ``search_options`` is forwarded to :class:`~repro.core.search
-    .CafqaSearch` (e.g. ``warmup_fraction``, ``local_refinement``,
-    ``spin_z_target``, or ``max_t_gates`` for the pi/4 grid of CAFQA+kT);
-    keep it JSON-typed if the spec must round-trip.
+    ``search_options`` holds the loop options of :class:`~repro.core.search
+    .CafqaSearch` (e.g. ``warmup_fraction``, ``local_refinement``) and the
+    objective options each restart builds its :class:`~repro.core.objective
+    .CliffordObjective` with (``constraint``, ``spin_z_target``,
+    ``penalty_weight``, or ``max_t_gates`` for the pi/4 grid of CAFQA+kT).
+    It cannot set the ansatz: that is ``ansatz_reps``.  Keep it JSON-typed
+    if the spec must round-trip.
 
     ``num_states > 1`` turns the run into an Excited-CAFQA spectrum search:
     the lowest ``num_states`` states are found by sequential deflation
@@ -165,21 +168,6 @@ class RunSpec:
 
         return FailurePolicy.coerce(self.failure_policy)
 
-    def split_search_options(self):
-        """(loop options, orchestrator-level extras) from ``search_options``.
-
-        ``ansatz`` and ``ansatz_reps`` are consumed by the orchestrator
-        constructor (an ``ansatz_reps`` in ``search_options`` overrides the
-        spec field, which keeps legacy ``**search_options`` call sites
-        working); everything else is forwarded to each restart's
-        ``CafqaSearch``.
-        """
-        options = dict(self.search_options)
-        extras = {"ansatz_reps": int(options.pop("ansatz_reps", self.ansatz_reps))}
-        if "ansatz" in options:
-            extras["ansatz"] = options.pop("ansatz")
-        return options, extras
-
     def options_digest(self) -> str:
         """The digest the checkpoint layer validates resumed restarts against.
 
@@ -195,10 +183,9 @@ class RunSpec:
         """
         from repro.core.orchestrator import _OBJECTIVE_OPTIONS, options_digest
 
-        options, _ = self.split_search_options()
         loop_options = {
             key: value
-            for key, value in options.items()
+            for key, value in self.search_options.items()
             if key not in _OBJECTIVE_OPTIONS
         }
         return options_digest(loop_options)
@@ -357,17 +344,7 @@ class RunReport:
         payload["wall_clock_lost_seconds"] = self.result.wall_clock_lost_seconds
         if self.result.is_partial:
             payload["failed_restarts"] = [
-                {
-                    "restart_index": failure.restart_index,
-                    "attempts": failure.attempts,
-                    "last_error": (
-                        None
-                        if failure.last_error is None
-                        else f"{failure.last_error.error_type}: "
-                        f"{failure.last_error.message}"
-                    ),
-                }
-                for failure in self.result.failures
+                failure.summary() for failure in self.result.failures
             ]
         if self.states is not None:
             payload["num_states"] = self.states.num_states
@@ -419,7 +396,10 @@ def run(spec: RunSpec, problem: Optional[ProblemSpec] = None) -> RunReport:
     if problem is None:
         problem = spec.resolve_problem()
     failure_policy = spec.resolve_failure_policy()
-    search_options, extras = spec.split_search_options()
+    # The ansatz is the spec's ``ansatz_reps``; search options cannot set it.
+    reserved = sorted({"ansatz", "ansatz_reps"}.intersection(spec.search_options))
+    if reserved:
+        raise OptimizationError(f"invalid search option: {', '.join(reserved)}")
     states = None
     if spec.num_states > 1:
         from repro.core.excited import find_lowest_states
@@ -436,8 +416,8 @@ def run(spec: RunSpec, problem: Optional[ProblemSpec] = None) -> RunReport:
             checkpoint_dir=spec.checkpoint_dir,
             checkpoint_interval=int(spec.checkpoint_interval),
             failure_policy=failure_policy,
-            **extras,
-            **search_options,
+            ansatz_reps=int(spec.ansatz_reps),
+            **spec.search_options,
         )
         result = states.ground.result
     else:
@@ -450,8 +430,8 @@ def run(spec: RunSpec, problem: Optional[ProblemSpec] = None) -> RunReport:
             checkpoint_interval=int(spec.checkpoint_interval),
             failure_policy=failure_policy,
             telemetry_dir=spec.telemetry_dir,
-            **extras,
-            **search_options,
+            ansatz_reps=int(spec.ansatz_reps),
+            **spec.search_options,
         )
         result = orchestrator.run(
             max_evaluations=int(spec.max_evaluations),

@@ -8,7 +8,10 @@ sorted the keys of top-level dict fields only, and the digest fed each
 ``key=repr;`` part to ``sha256`` separately.  Two switches apply the fixed
 rules instead: ``sort_dicts=True`` sorts dict keys at every depth, and
 ``tuple_lists=True`` renders tuples as lists, as their JSON round trip does.
-Specs without nested dicts or tuples digest the same either way.
+Specs without nested dicts or tuples digest the same either way.  The
+options digest dropped ``ansatz`` and ``ansatz_reps`` search options, which
+once overrode the spec's ansatz; ``ansatz_keys=True`` digests them like any
+other option, as ``RunSpec.options_digest`` now does (such specs fail to run).
 """
 
 from __future__ import annotations
@@ -60,10 +63,13 @@ def oracle_options_digest(options, sort_dicts=False, tuple_lists=False) -> str:
     return digest.hexdigest()[:16]
 
 
-def oracle_spec_options_digest(spec, sort_dicts=False, tuple_lists=False) -> str:
+def oracle_spec_options_digest(
+    spec, sort_dicts=False, tuple_lists=False, ansatz_keys=False
+) -> str:
     options = dict(spec.search_options)
-    options.pop("ansatz_reps", None)
-    options.pop("ansatz", None)
+    if not ansatz_keys:
+        options.pop("ansatz_reps", None)
+        options.pop("ansatz", None)
     loop_options = {
         key: value for key, value in options.items() if key not in _OBJECTIVE_OPTIONS
     }

@@ -10,15 +10,11 @@ from repro.circuits import (
     ParameterVector,
     QuantumCircuit,
     angle_from_clifford_index,
-    angles_to_indices,
     bind_clifford_point,
     clifford_index_from_angle,
     entangling_pairs,
-    hartree_fock_circuit,
     hartree_fock_clifford_point,
-    indices_to_angles,
     is_clifford_angle,
-    search_space_size,
     validate_clifford_point,
 )
 from repro.circuits.clifford_points import CliffordGateProgram, validate_clifford_points
@@ -159,13 +155,6 @@ class TestAnsatz:
 
 
 class TestCliffordPoints:
-    def test_round_trip(self):
-        indices = [0, 1, 2, 3]
-        assert angles_to_indices(indices_to_angles(indices)) == indices
-
-    def test_search_space_size(self):
-        assert search_space_size(3) == 64
-
     def test_bind_rejects_bad_index(self):
         ansatz = EfficientSU2Ansatz(2, reps=0)
         with pytest.raises(CircuitError):
@@ -184,11 +173,6 @@ class TestCliffordPoints:
         expected_index = sum(bit << qubit for qubit, bit in enumerate(occupations))
         probabilities = state.probabilities()
         assert probabilities[expected_index] == pytest.approx(1.0)
-
-    def test_hartree_fock_circuit(self):
-        circuit = hartree_fock_circuit(3, [0, 2])
-        state = StatevectorSimulator().run(circuit)
-        assert state.probabilities()[0b101] == pytest.approx(1.0)
 
     def test_parameter_vector(self):
         vector = ParameterVector("theta", 3)

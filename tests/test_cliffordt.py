@@ -22,11 +22,11 @@ from repro.circuits import EfficientSU2Ansatz, Gate, QuantumCircuit
 from repro.circuits.clifford_points import indices_to_angles
 from repro.core.constraints import DeflationConstraint, OperatorPenalty
 from repro.core.objective import INFEASIBLE_PENALTY, CliffordObjective, _split_on_pi4_turn
-from repro.core.orchestrator import CachedObjective, objective_fingerprint
-from repro.core.evalcache import EvaluationCacheBackend
+from repro.core.evalcache import CachedObjective, EvaluationCacheBackend
 from repro.exceptions import CircuitError
 from repro.operators import Pauli, PauliSum, random_pauli
 from repro.operators.commuting import label_bit_matrix
+from repro.operators.fingerprints import objective_fingerprint
 from repro.problems import HamiltonianProblem, registry
 from repro.stabilizer.symplectic import pack_bits
 from repro.statevector import StatevectorSimulator

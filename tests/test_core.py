@@ -15,14 +15,15 @@ from repro.core import (
     correlation_energy_recovered,
     energy_error,
     geometric_mean,
-    is_chemically_accurate,
     quadratic_penalty,
     relative_accuracy,
 )
-from repro.circuits.clifford_points import indices_to_angles
+from repro.circuits.clifford_points import hartree_fock_clifford_point, indices_to_angles
 from repro.core.search import coordinate_descent
 from repro.operators import PauliSum
 from repro.optim import SPSA
+from repro.problems import ising_chain
+from repro.problems.base import reference_bits_of, reference_energy_of
 from repro.statevector import Statevector
 
 
@@ -37,8 +38,6 @@ class TestMetrics:
         assert energy_error(-1.0, -1.1) == pytest.approx(0.1)
 
     def test_chemical_accuracy(self):
-        assert is_chemically_accurate(-1.0, -1.001)
-        assert not is_chemically_accurate(-1.0, -1.01)
         assert CHEMICAL_ACCURACY == pytest.approx(1.6e-3)
 
     def test_correlation_recovered_bounds(self):
@@ -93,7 +92,7 @@ class TestObjective:
     def test_hf_point_reproduces_hf_energy(self, h2_problem):
         ansatz = EfficientSU2Ansatz(h2_problem.num_qubits, reps=1)
         objective = CliffordObjective(h2_problem, ansatz)
-        search = CafqaSearch(h2_problem, ansatz=ansatz)
+        search = CafqaSearch(objective)
         hf_point = search.reference_indices()
         assert objective.energy(hf_point) == pytest.approx(h2_problem.hf_energy, abs=1e-8)
         # The constrained objective adds no penalty at the HF point.
@@ -136,8 +135,45 @@ class TestCafqaSearch:
         result = _run(h2_problem, max_evaluations=40, seed=2)
         assert result.circuit.is_clifford()
 
+    def test_result_describes_the_objective_problem(self):
+        # Everything the result reports about the problem comes from the
+        # objective the search was given: there is no second problem to
+        # disagree with it.
+        problem = ising_chain(num_sites=4, transverse_field=1.5)
+        ansatz = EfficientSU2Ansatz(problem.num_qubits, reps=1)
+        search = CafqaSearch(CliffordObjective(problem, ansatz), seed=0)
+        result = search.run(max_evaluations=20)
+        assert result.problem_name == problem.name
+        assert result.hf_energy == reference_energy_of(problem)
+        assert result.exact_energy == problem.exact_energy
+        assert result.ansatz is ansatz
+        assert search.reference_indices() == hartree_fock_clifford_point(
+            ansatz, reference_bits_of(problem)
+        )
+        assert problem.exact_energy - 1e-9 <= result.energy <= result.hf_energy + 1e-9
+
+    @pytest.mark.parametrize(
+        "keyword",
+        [
+            "problem",
+            "ansatz",
+            "ansatz_reps",
+            "constraint",
+            "spin_z_target",
+            "penalty_weight",
+            "max_t_gates",
+        ],
+    )
+    def test_objective_keywords_are_not_search_options(self, h2_problem, keyword):
+        objective = CliffordObjective(
+            h2_problem, EfficientSU2Ansatz(h2_problem.num_qubits, reps=1)
+        )
+        with pytest.raises(TypeError):
+            CafqaSearch(objective, **{keyword: None})
+
     def test_search_respects_budget_plus_refinement(self, h2_problem):
-        search = CafqaSearch(h2_problem, seed=3, local_refinement=False)
+        objective = CliffordObjective(h2_problem, EfficientSU2Ansatz(h2_problem.num_qubits, reps=1))
+        search = CafqaSearch(objective, seed=3, local_refinement=False)
         result = search.run(max_evaluations=30)
         assert result.num_iterations <= 30
 
@@ -154,12 +190,14 @@ class TestCafqaSearch:
 
     def test_invalid_budget(self, h2_problem):
         with pytest.raises(Exception):
-            CafqaSearch(h2_problem, seed=0).run(max_evaluations=1)
+            objective = CliffordObjective(h2_problem, EfficientSU2Ansatz(h2_problem.num_qubits, reps=1))
+            CafqaSearch(objective, seed=0).run(max_evaluations=1)
 
 
 class TestVQE:
     def test_cafqa_initialization_not_worse_than_hf(self, h2_stretched_problem):
-        search = CafqaSearch(h2_stretched_problem, seed=0)
+        ansatz = EfficientSU2Ansatz(h2_stretched_problem.num_qubits, reps=1)
+        search = CafqaSearch(CliffordObjective(h2_stretched_problem, ansatz), seed=0)
         cafqa = search.run(max_evaluations=100)
         runner = VQERunner(
             h2_stretched_problem, ansatz=search.ansatz, optimizer=SPSA(seed=0)
@@ -192,13 +230,12 @@ class TestCliffordTSearch:
         assert indices_to_angles([0, 1, 3]) == pytest.approx([0.0, np.pi / 2, 3 * np.pi / 2])
 
     def test_t_gates_improve_on_clifford_when_seeded(self, h2_problem):
-        clifford_search = CafqaSearch(h2_problem, seed=0)
+        ansatz = EfficientSU2Ansatz(h2_problem.num_qubits, reps=1)
+        clifford_search = CafqaSearch(CliffordObjective(h2_problem, ansatz), seed=0)
         clifford = clifford_search.run(max_evaluations=60)
         t_search = CafqaSearch(
-            h2_problem,
-            ansatz=clifford_search.ansatz,
+            CliffordObjective(h2_problem, ansatz, max_t_gates=1),
             seed=0,
-            max_t_gates=1,
             seed_points=[[2 * i for i in clifford.best_indices]],
         )
         result = t_search.run(max_evaluations=80)
@@ -208,7 +245,8 @@ class TestCliffordTSearch:
         assert t_search.reference_indices() == [2 * i for i in clifford_search.reference_indices()]
 
     def test_respects_t_gate_budget(self, h2_problem):
-        search = CafqaSearch(h2_problem, max_t_gates=2, seed=1)
+        ansatz = EfficientSU2Ansatz(h2_problem.num_qubits, reps=1)
+        search = CafqaSearch(CliffordObjective(h2_problem, ansatz, max_t_gates=2), seed=1)
         result = search.run(max_evaluations=60)
         assert sum(i % 2 for i in result.best_indices) <= 2
         assert all(0 <= i < 8 for o in result.search_result.observations for i in o.point)

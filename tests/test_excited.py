@@ -22,7 +22,7 @@ from repro.core import (
     OperatorPenalty,
     find_lowest_states,
 )
-from repro.core.orchestrator import objective_fingerprint
+from repro.operators.fingerprints import objective_fingerprint
 from repro.operators.pauli_sum import PauliSum
 from repro.problems import ising_chain, xxz_chain
 from repro.problems.base import exact_spectrum_of

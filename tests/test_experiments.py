@@ -13,12 +13,27 @@ from repro.experiments import (
     spread_bond_lengths,
     xx_hamiltonian,
 )
+from repro.experiments import (
+    fig06_pauli_breakdown,
+    fig07_search_trace,
+    fig12_large_molecule,
+    fig14_vqe_convergence,
+    fig15_search_iterations,
+)
 from repro.experiments.config import FULL, SMOKE
 from repro.experiments.dissociation import run_dissociation_curve
+from repro.experiments.fig12_large_molecule import run_large_molecule
 from repro.experiments.fig13_relative_accuracy import run_relative_accuracy
 from repro.experiments.fig14_vqe_convergence import run_vqe_convergence
+from repro.experiments.fig15_search_iterations import run_search_iterations
 from repro.experiments.fig16_clifford_t import run_clifford_t_curve
 from repro.experiments.table1 import run_table1
+from repro.chemistry.molecules import get_preset, make_problem
+from repro.circuits import EfficientSU2Ansatz
+from repro.core import CafqaSearch, CliffordObjective, SearchOrchestrator, VQERunner
+from repro.noise.devices import fake_device
+from repro.optim.spsa import SPSA
+from repro.runspec import run
 
 
 class TestConfig:
@@ -150,3 +165,140 @@ class TestTable1:
         assert by_name["H2"].num_qubits == 2
         assert by_name["H4"].num_qubits == 6
         assert by_name["H2"].exact_energy is not None
+
+
+# --------------------------------------------------------------------------- #
+# drivers through repro.run == the orchestrator and search they used to build
+# --------------------------------------------------------------------------- #
+def _recorded_reports(monkeypatch, module):
+    """Every RunReport the driver ``module`` gets from ``repro.run``, in order."""
+    reports = []
+
+    def recording_run(spec, problem=None):
+        report = run(spec, problem=problem)
+        reports.append(report)
+        return report
+
+    monkeypatch.setattr(module, "run", recording_run)
+    return reports
+
+
+def _observations(observations):
+    return [(o.point, o.value.hex(), o.phase) for o in observations]
+
+
+def _assert_same_restarts(report, multi):
+    assert report.best.energy.hex() == multi.best.energy.hex()
+    assert report.best.constrained_energy.hex() == multi.best.constrained_energy.hex()
+    assert len(report.result.traces) == len(multi.traces)
+    for mine, theirs in zip(report.result.traces, multi.traces):
+        assert mine.best_indices == theirs.best_indices
+        assert _observations(mine.observations) == _observations(theirs.observations)
+
+
+class TestDriversMatchTheirFormerConstruction:
+    """Each driver that now enters through ``repro.run`` reproduces, bit for
+    bit, the ``SearchOrchestrator`` or ``CafqaSearch`` it used to build."""
+
+    def test_fig06_pauli_breakdown(self, monkeypatch):
+        reports = _recorded_reports(monkeypatch, fig06_pauli_breakdown)
+        result = run_pauli_breakdown(
+            "H2", bond_length=2.0, max_evaluations=60, seed=0, max_workers=1
+        )
+        problem = make_problem("H2", 2.0)
+        multi = SearchOrchestrator(
+            problem, num_restarts=2, max_workers=1, seed=0
+        ).run(max_evaluations=60)
+        (report,) = reports
+        _assert_same_restarts(report, multi)
+        assert result.cafqa_energy.hex() == multi.best.energy.hex()
+        expectations = CliffordObjective(problem, multi.best.ansatz).term_expectations(
+            multi.best.best_indices
+        )
+        assert [row.cafqa for row in result.rows] == [
+            float(expectations[row.label]) for row in result.rows
+        ]
+
+    def test_fig07_search_trace(self, monkeypatch):
+        reports = _recorded_reports(monkeypatch, fig07_search_trace)
+        result = run_search_trace(
+            "H2", bond_length=2.2, max_evaluations=80, warmup_fraction=0.3, seed=0
+        )
+        problem = make_problem("H2", 2.2)
+        multi = SearchOrchestrator(
+            problem, num_restarts=1, seed=0, warmup_fraction=0.3
+        ).run(max_evaluations=80)
+        (report,) = reports
+        _assert_same_restarts(report, multi)
+        observations = multi.best_trace.observations
+        energies = CliffordObjective(problem, multi.best.ansatz).energy_batch(
+            [o.point for o in observations]
+        )
+        best, errors = float("inf"), []
+        for energy in energies:
+            best = min(best, float(energy))
+            errors.append(abs(best - problem.exact_energy).hex())
+        assert [error.hex() for error in result.errors] == errors
+        assert result.phases == [o.phase for o in observations]
+
+    def test_fig12_large_molecule(self, monkeypatch):
+        reports = _recorded_reports(monkeypatch, fig12_large_molecule)
+        result = run_large_molecule("H4", scale=SMOKE, bond_lengths=[1.0, 2.0], seed=0)
+        budget = SMOKE.search_evaluations(get_preset("H4").expected_qubits or 18)
+        assert len(reports) == len(result.points) == 2
+        for index, (report, point) in enumerate(zip(reports, result.points)):
+            problem = make_problem("H4", point.bond_length, compute_exact=False)
+            multi = SearchOrchestrator(
+                problem, num_restarts=1, seed=index
+            ).run(max_evaluations=budget)
+            _assert_same_restarts(report, multi)
+            assert point.cafqa_energy.hex() == multi.best.energy.hex()
+            assert point.hf_energy.hex() == problem.hf_energy.hex()
+            assert point.search_iterations == multi.total_evaluations
+
+    def test_fig15_search_iterations(self, monkeypatch):
+        reports = _recorded_reports(monkeypatch, fig15_search_iterations)
+        result = run_search_iterations(("H2", "LiH"), scale=SMOKE, seed=0)
+        assert len(reports) == len(result.rows) == 2
+        for index, (report, row) in enumerate(zip(reports, result.rows)):
+            preset = get_preset(row.molecule)
+            bond_length = min(
+                preset.equilibrium_bond_length * 1.5, preset.bond_length_range[1]
+            )
+            problem = make_problem(row.molecule, bond_length, compute_exact=False)
+            multi = SearchOrchestrator(problem, num_restarts=1, seed=index).run(
+                max_evaluations=SMOKE.search_evaluations(problem.num_qubits)
+            )
+            _assert_same_restarts(report, multi)
+            assert row.final_energy.hex() == multi.best.energy.hex()
+            assert row.num_parameters == multi.best.ansatz.num_parameters
+            assert row.total_evaluations == multi.best.num_iterations
+            assert row.converged_iteration == multi.best.converged_iteration
+
+    def test_fig14_vqe_convergence(self, monkeypatch):
+        reports = _recorded_reports(monkeypatch, fig14_vqe_convergence)
+        result = run_vqe_convergence(
+            "H2", bond_length=2.0, search_evaluations=40, vqe_iterations=10, seed=0
+        )
+        problem = make_problem("H2", 2.0)
+        search = CafqaSearch(
+            CliffordObjective(problem, EfficientSU2Ansatz(problem.num_qubits, reps=1)),
+            seed=0,
+        )
+        cafqa = search.run(max_evaluations=40)
+        (report,) = reports
+        assert _observations(report.best.search_result.observations) == _observations(
+            cafqa.search_result.observations
+        )
+        assert result.cafqa_energy.hex() == cafqa.energy.hex()
+        for name, noise_model in (("ideal", None), ("noisy", fake_device("casablanca_like"))):
+            runner = VQERunner(
+                problem, ansatz=search.ansatz, noise_model=noise_model, optimizer=SPSA(seed=0)
+            )
+            comparison = result.comparisons[name]
+            for mine, theirs in (
+                (comparison.cafqa, runner.run_from_cafqa(cafqa, max_iterations=10)),
+                (comparison.hartree_fock, runner.run_from_hartree_fock(max_iterations=10)),
+            ):
+                assert [e.hex() for e in mine.history] == [e.hex() for e in theirs.history]
+                assert mine.final_energy.hex() == theirs.final_energy.hex()

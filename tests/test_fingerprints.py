@@ -19,8 +19,11 @@ from repro.circuits import EfficientSU2Ansatz
 from repro.circuits import clifford_points
 from repro.circuits.clifford_points import CliffordGateProgram
 from repro.core import CliffordObjective, DeflationConstraint, SearchOrchestrator
-from repro.core.orchestrator import objective_fingerprint
-from repro.operators.fingerprints import determinant_energy, hamiltonian_fingerprint
+from repro.operators.fingerprints import (
+    determinant_energy,
+    hamiltonian_fingerprint,
+    objective_fingerprint,
+)
 from repro.problems import ising_chain, xxz_chain
 from repro.problems.base import reference_bits_of
 from repro.stabilizer import expectation

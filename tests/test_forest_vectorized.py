@@ -25,6 +25,8 @@ import pytest
 
 from repro.bayesopt import BayesianOptimizer, DiscreteSpace, RandomForestRegressor
 from repro.bayesopt.forest import DecisionTreeRegressor
+from repro.circuits import EfficientSU2Ansatz
+from repro.core.objective import CliffordObjective
 from repro.core.search import CafqaSearch
 from tests.reference_forest import ReferenceDecisionTree, ReferenceRandomForest
 
@@ -255,9 +257,10 @@ class TestGoldenTraces:
         ]
 
     def test_cafqa_search_h2_trace(self, h2_stretched_problem):
-        result = CafqaSearch(h2_stretched_problem, ansatz_reps=1, seed=7).run(
-            max_evaluations=40
-        )
+        ansatz = EfficientSU2Ansatz(h2_stretched_problem.num_qubits, reps=1)
+        result = CafqaSearch(
+            CliffordObjective(h2_stretched_problem, ansatz), seed=7
+        ).run(max_evaluations=40)
         assert result.best_indices == [1, 0, 0, 2, 0, 0, 3, 3]
         assert result.energy == pytest.approx(-0.931638909768187, rel=1e-9)
         assert result.num_iterations == 64

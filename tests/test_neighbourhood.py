@@ -271,9 +271,12 @@ class TestRefinementBound:
         # On the pi/4 grid (max_t_gates >= 1) a sweep tries 8 values per slot:
         # one sweep there records more than 4 * num_parameters observations.
         for max_t_gates, sweeps in ((0, 2), (1, 1)):
-            search = CafqaSearch(
-                h2_problem, seed=0, refinement_sweeps=sweeps, max_t_gates=max_t_gates
+            objective = CliffordObjective(
+                h2_problem,
+                EfficientSU2Ansatz(h2_problem.num_qubits, reps=1),
+                max_t_gates=max_t_gates,
             )
+            search = CafqaSearch(objective, seed=0, refinement_sweeps=sweeps)
             result = search.run(max_evaluations=30)
             cardinality = search.objective.cardinality
             refinement = sweeps * cardinality * search.ansatz.num_parameters

@@ -23,9 +23,8 @@ from repro.core import (
     objective_fingerprint,
     restart_seed,
 )
-from repro.core.evalcache import EvaluationCache
+from repro.core.evalcache import CachedObjective, EvaluationCache
 from repro.core.faults import FAULT_DIR_ENV, FAULT_SPEC_ENV, FailurePolicy
-from repro.core.orchestrator import CachedObjective
 from repro.exceptions import IncompleteRunError, OptimizationError
 from repro.operators import PauliSum
 from repro.problems import ising_chain
@@ -159,7 +158,10 @@ class TestRngInjection:
 # --------------------------------------------------------------------------- #
 class TestSearchOrchestrator:
     def test_single_restart_matches_direct_search(self, h2_far_problem):
-        direct = CafqaSearch(h2_far_problem, seed=4).run(max_evaluations=50)
+        ansatz = EfficientSU2Ansatz(h2_far_problem.num_qubits, reps=1)
+        direct = CafqaSearch(
+            CliffordObjective(h2_far_problem, ansatz), seed=4
+        ).run(max_evaluations=50)
         multi = SearchOrchestrator(
             h2_far_problem, num_restarts=1, max_workers=1, seed=4
         ).run(max_evaluations=50)
@@ -712,7 +714,7 @@ class TestLazyReplay:
         built, compiled = self._count_builds(monkeypatch)
         second = SearchOrchestrator(problem, num_restarts=1, seed=3)
         assert compiled == []
-        assert second.ansatz is first.ansatz
+        assert second._objective.ansatz is first._objective.ansatz
         assert second._objective.program is first._objective.program
         assert second.objective_fingerprint == first.objective_fingerprint
 

@@ -210,11 +210,11 @@ class TestProblemSpecProtocol:
 
     def test_search_stack_accepts_generic_problems(self):
         problem = xxz_chain(num_sites=3)
-        search = CafqaSearch(problem, seed=0)
-        reference_point = search.reference_indices()
+        ansatz = EfficientSU2Ansatz(problem.num_qubits, reps=1)
+        objective = CliffordObjective(problem, ansatz)
+        reference_point = CafqaSearch(objective, seed=0).reference_indices()
         # The reference Clifford point must prepare the reference bitstring:
         # its plain energy is exactly the diagonal determinant energy.
-        objective = CliffordObjective(problem, search.ansatz)
         assert objective.energy(reference_point) == pytest.approx(
             problem.reference_energy, abs=1e-12
         )

@@ -13,7 +13,8 @@ import json
 import pytest
 
 import repro
-from repro.core import CafqaSearch
+from repro.circuits import EfficientSU2Ansatz
+from repro.core import CafqaSearch, CliffordObjective
 from repro.core.orchestrator import _OBJECTIVE_OPTIONS, options_digest
 from repro.exceptions import IncompleteRunError, OptimizationError, ReproError
 from repro.problems import ising_chain
@@ -158,7 +159,10 @@ class TestOptionsDigest:
 # --------------------------------------------------------------------------- #
 class TestRunFrontDoor:
     def test_single_seed_run_matches_direct_search(self, h2_stretched_problem):
-        direct = CafqaSearch(h2_stretched_problem, seed=4).run(max_evaluations=50)
+        ansatz = EfficientSU2Ansatz(h2_stretched_problem.num_qubits, reps=1)
+        direct = CafqaSearch(
+            CliffordObjective(h2_stretched_problem, ansatz), seed=4
+        ).run(max_evaluations=50)
         report = run(
             RunSpec(problem="H2", max_evaluations=50, num_seeds=1, seed=4),
             problem=h2_stretched_problem,
@@ -266,8 +270,13 @@ class TestRunFrontDoor:
 
     @pytest.mark.parametrize(
         "search_options",
-        [{"warmup_fraction": 1.0}, {"warmup_fractoin": 0.4}],
-        ids=["bad-value", "misspelt-name"],
+        [
+            {"warmup_fraction": 1.0},
+            {"warmup_fractoin": 0.4},
+            {"ansatz_reps": 2},
+            {"ansatz": None},
+        ],
+        ids=["bad-value", "misspelt-name", "ansatz-reps", "ansatz"],
     )
     def test_bad_search_option_fails_before_any_restart(
         self, tmp_path, search_options

@@ -90,7 +90,14 @@ seed_points = st.lists(
 )
 option_keys = st.one_of(
     st.sampled_from(
-        ["warmup_fraction", "local_refinement", "max_t_gates", "spin_z_target"]
+        [
+            "warmup_fraction",
+            "local_refinement",
+            "max_t_gates",
+            "spin_z_target",
+            "ansatz",
+            "ansatz_reps",
+        ]
     ),
     st.text(max_size=8),
 )
@@ -157,6 +164,11 @@ def follows_the_parent_rule(spec):
     )
 
 
+def has_ansatz_option(spec):
+    """Whether the spec's search options set the ansatz (such specs fail to run)."""
+    return bool({"ansatz", "ansatz_reps"}.intersection(spec.search_options))
+
+
 # --------------------------------------------------------------------------- #
 # differential oracle
 # --------------------------------------------------------------------------- #
@@ -171,13 +183,17 @@ class TestDifferentialOracle:
     @settings(max_examples=300, deadline=None)
     @given(spec=specs)
     def test_digests_match_the_oracle(self, spec):
-        # Nested dicts and tuples follow the fixed rules; every other spec
-        # keeps the digest the oracle computes.
+        # Nested dicts and tuples follow the fixed rules, and ansatz search
+        # options are digested like any other; every other spec keeps the
+        # digest the oracle computes.
         assert spec.run_digest() == oracle_run_digest(spec, **FIXED)
-        assert spec.options_digest() == oracle_spec_options_digest(spec, **FIXED)
+        assert spec.options_digest() == oracle_spec_options_digest(
+            spec, **FIXED, ansatz_keys=True
+        )
         if follows_the_parent_rule(spec):
             assert spec.run_digest() == oracle_run_digest(spec)
-            assert spec.options_digest() == oracle_spec_options_digest(spec)
+            if not has_ansatz_option(spec):
+                assert spec.options_digest() == oracle_spec_options_digest(spec)
 
     @settings(max_examples=200, deadline=None)
     @given(options=st.dictionaries(option_keys, values, max_size=6))
