@@ -41,7 +41,6 @@ from repro.exceptions import (
     ConvergenceError,
     DeterministicRestartError,
     IncompleteRunError,
-    InjectedFaultError,
     JobNotFoundError,
     LeaseLostError,
     NoiseModelError,
@@ -72,7 +71,6 @@ __all__ = [
     "DeterministicRestartError",
     "WorkerCrashError",
     "RestartTimeoutError",
-    "InjectedFaultError",
     "IncompleteRunError",
     "ServiceError",
     "JobNotFoundError",

@@ -17,11 +17,7 @@ from repro.core.excited import (
     ExcitedStatesResult,
     find_lowest_states,
 )
-from repro.core.faults import (
-    FailurePolicy,
-    FaultInjectingObjective,
-    FaultSpec,
-)
+from repro.core.faults import FailurePolicy
 from repro.core.metrics import (
     CHEMICAL_ACCURACY,
     AccuracySummary,
@@ -85,8 +81,6 @@ __all__ = [
     "AttemptFailure",
     "RestartFailure",
     "FailurePolicy",
-    "FaultSpec",
-    "FaultInjectingObjective",
     "EvaluationCache",
     "EvaluationCacheBackend",
     "SqliteEvaluationCache",

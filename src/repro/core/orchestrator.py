@@ -56,12 +56,7 @@ from repro.bayesopt.optimizer import BayesianOptimizationResult, Observation
 from repro.circuits.ansatz import EfficientSU2Ansatz
 from repro.circuits.clifford_points import indices_to_angles
 from repro.core.constraints import overlap_penalties_of
-from repro.core.faults import (
-    FAULT_DIR_ENV,
-    FailurePolicy,
-    FaultInjectingObjective,
-    faults_for_restart,
-)
+from repro.core.faults import FailurePolicy, fault_hooks
 from repro.core.evalcache import CachedObjective, EvaluationCacheBackend, open_cache
 from repro.core.objective import CliffordObjective
 from repro.core.search import CafqaResult, CafqaSearch
@@ -513,10 +508,8 @@ def _checkpoint_payload(task: RestartTask, **extra) -> dict:
 def run_restart(task: RestartTask) -> SeedTrace:
     """Run one restart to completion; the scheduler's per-restart entry point.
 
-    When ``REPRO_FAULT_SPEC`` prescribes faults for this restart index, the
-    objective is wrapped in a :class:`~repro.core.faults
-    .FaultInjectingObjective` that crashes, hangs, or corrupts this worker at
-    the prescribed evaluation count — the deterministic chaos-testing hook.
+    A hook file named by ``REPRO_FAULT_HOOKS`` (:func:`~repro.core.faults
+    .fault_hooks`) wraps the cached objective: the chaos tests' seam.
     """
     telemetry.init(task.telemetry_dir, tag=f"r{task.restart_index:03d}")
     finished = _load_finished_checkpoint(task)
@@ -536,21 +529,9 @@ def run_restart(task: RestartTask) -> SeedTrace:
     else:
         writer = cache.shard_writer(f"r{task.restart_index:03d}")
     objective = CachedObjective(objective, cache, writer)
-    faults = faults_for_restart(task.restart_index)
-    if faults:
-        marker_dir = (
-            os.environ.get(FAULT_DIR_ENV) or task.checkpoint_dir or task.store_dir
-        )
-        objective = FaultInjectingObjective(
-            objective,
-            faults,
-            restart_index=task.restart_index,
-            marker_dir=marker_dir,
-            checkpoint_path=(
-                _checkpoint_path(task) if task.checkpoint_dir is not None else None
-            ),
-            shard_path=writer.path if writer is not None else None,
-        )
+    hooks = fault_hooks()
+    if hooks is not None:
+        objective = hooks.wrap_objective(objective, task)
     search = CafqaSearch(objective, seed=task.seed, **task.search_options)
 
     # Crash resume replays the search from the evaluation shard, so the
@@ -1020,6 +1001,7 @@ def _new_executor(workers: int):
     """A process pool of ``workers``, or the in-process executor for one."""
     if workers <= 1:
         return _InProcessExecutor()
+    fault_hooks()  # the parent unpickles the exceptions a hook raises in workers
     return ProcessPoolExecutor(max_workers=workers)
 
 

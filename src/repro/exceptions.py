@@ -79,10 +79,6 @@ class RestartTimeoutError(TransientRestartError):
     """A restart (or a VQE tuning stage) exceeded its wall-clock timeout."""
 
 
-class InjectedFaultError(TransientRestartError):
-    """Raised by the deterministic fault-injection harness (chaos testing)."""
-
-
 class IncompleteRunError(ReproError):
     """An orchestrated run could not complete every restart.
 

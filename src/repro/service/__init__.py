@@ -29,7 +29,6 @@ from repro.service.store import (
     JobStore,
     SubmitReceipt,
     job_checkpoint_dir,
-    marker_dir,
     queue_path,
     shared_cache_path,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "queue_path",
     "shared_cache_path",
     "job_checkpoint_dir",
-    "marker_dir",
 ]
 
 

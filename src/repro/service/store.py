@@ -66,7 +66,6 @@ __all__ = [
     "queue_path",
     "shared_cache_path",
     "job_checkpoint_dir",
-    "marker_dir",
 ]
 
 RESULT_FORMAT = 1
@@ -90,11 +89,6 @@ def shared_cache_path(data_dir: os.PathLike) -> Path:
 def job_checkpoint_dir(data_dir: os.PathLike, digest: str) -> Path:
     """Per-job checkpoint/shard directory (reclaimed retries resume from it)."""
     return Path(data_dir) / "jobs" / digest
-
-
-def marker_dir(data_dir: os.PathLike) -> Path:
-    """Where service-layer fault-injection markers are counted."""
-    return Path(data_dir) / "markers"
 
 
 def _read_boot_id() -> str:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro import telemetry
-from repro.core.faults import maybe_fire_service_fault
+from repro.core.faults import fire_fault_hook
 from repro.exceptions import (
     IncompleteRunError,
     LeaseLostError,
@@ -44,7 +44,6 @@ from repro.service.store import (
     ClaimedJob,
     JobStore,
     job_checkpoint_dir,
-    marker_dir,
     queue_path,
     shared_cache_path,
 )
@@ -201,9 +200,8 @@ class ServiceWorker:
 
     # ------------------------------------------------------------------ #
     def _execute(self, store: JobStore, claim: ClaimedJob, stats: WorkerStats):
-        markers = marker_dir(self._data_dir)
         try:
-            maybe_fire_service_fault("post_claim", marker_dir=markers)
+            fire_fault_hook("post_claim")
         except ReproError as error:
             # A raise-mode fault here models "worker went bad right after
             # claiming": a transient job failure, not a dead worker loop.
@@ -257,9 +255,9 @@ class ServiceWorker:
             return
         heartbeat.stop()
         try:
-            maybe_fire_service_fault("pre_complete", marker_dir=markers)
+            fire_fault_hook("pre_complete")
             store.complete(claim.digest, self._worker_id, summary)
-            maybe_fire_service_fault("post_complete", marker_dir=markers)
+            fire_fault_hook("post_complete")
         except LeaseLostError:
             stats.lease_lost += 1
             self._emit(f"lease lost on {claim.digest}; result dropped")

@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.faults import FAULT_DIR_ENV, FAULT_SPEC_ENV
+from chaos_faults import FAULT_DIR_ENV, FAULT_SPEC_ENV, HOOK_FILE
+from repro.core.faults import FAULT_HOOKS_ENV
 from repro.exceptions import IncompleteRunError, ReproError
 from repro.experiments.config import SMOKE
 from repro.experiments.dissociation import run_dissociation_curve
@@ -58,6 +59,7 @@ def _inject_one_failure(monkeypatch, tmp_path):
         json.dumps([{"restart": 0, "mode": "raise", "at": 8, "transient": False}]),
     )
     monkeypatch.setenv(FAULT_DIR_ENV, str(tmp_path / "markers"))
+    monkeypatch.setenv(FAULT_HOOKS_ENV, HOOK_FILE)
 
 
 def _clear_faults(monkeypatch):

@@ -19,7 +19,8 @@ import pytest
 
 from repro.chemistry import make_problem
 from repro.core import SearchOrchestrator
-from repro.core.faults import FAULT_DIR_ENV, FAULT_SPEC_ENV, FailurePolicy
+from chaos_faults import FAULT_DIR_ENV, FAULT_SPEC_ENV, HOOK_FILE
+from repro.core.faults import FAULT_HOOKS_ENV, FailurePolicy
 from repro.exceptions import IncompleteRunError
 
 pytestmark = pytest.mark.chaos
@@ -36,6 +37,7 @@ def _set_faults(monkeypatch, tmp_path, plan):
     # vars set here are inherited by every worker.
     monkeypatch.setenv(FAULT_SPEC_ENV, json.dumps(plan))
     monkeypatch.setenv(FAULT_DIR_ENV, str(tmp_path / "markers"))
+    monkeypatch.setenv(FAULT_HOOKS_ENV, HOOK_FILE)
 
 
 class TestChaosContract:

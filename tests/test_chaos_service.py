@@ -22,9 +22,10 @@ import time
 import pytest
 
 import repro
-from repro.core.faults import FAULT_DIR_ENV, SERVICE_FAULT_ENV
+from chaos_faults import FAULT_DIR_ENV, HOOK_FILE, SERVICE_FAULT_ENV, marker_dir
+from repro.core.faults import FAULT_HOOKS_ENV
 from repro.runspec import RunSpec
-from repro.service import ServiceWorker, marker_dir, open_store
+from repro.service import ServiceWorker, open_store
 
 pytestmark = pytest.mark.chaos
 
@@ -165,6 +166,8 @@ class TestCrashBetweenTransitions:
                 SERVICE_FAULT_ENV: json.dumps(
                     [{"event": "pre_complete", "mode": "crash", "times": 1}]
                 ),
+                FAULT_DIR_ENV: str(marker_dir(data)),
+                FAULT_HOOKS_ENV: HOOK_FILE,
             },
         )
         crasher.wait(timeout=120.0)
@@ -201,6 +204,8 @@ class TestCrashBetweenTransitions:
                 SERVICE_FAULT_ENV: json.dumps(
                     [{"event": "post_complete", "mode": "crash", "times": 1}]
                 ),
+                FAULT_DIR_ENV: str(marker_dir(data)),
+                FAULT_HOOKS_ENV: HOOK_FILE,
             },
         )
         crasher.wait(timeout=120.0)
@@ -230,7 +235,8 @@ class TestRaiseModeFaults:
             SERVICE_FAULT_ENV,
             json.dumps([{"event": "post_claim", "mode": "raise", "times": 1}]),
         )
-        monkeypatch.delenv(FAULT_DIR_ENV, raising=False)
+        monkeypatch.setenv(FAULT_DIR_ENV, str(marker_dir(data)))
+        monkeypatch.setenv(FAULT_HOOKS_ENV, HOOK_FILE)
         stats = ServiceWorker(data, worker_id="w1", lease_ttl=30.0).run()
         assert stats.claimed == 2  # faulted attempt + clean retry
         assert stats.failed == 1

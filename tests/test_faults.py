@@ -13,23 +13,24 @@ import os
 import numpy as np
 import pytest
 
-from repro.core import SearchOrchestrator
-from repro.core.faults import (
+from chaos_faults import (
     FAULT_DIR_ENV,
     FAULT_SPEC_ENV,
+    HOOK_FILE,
     SERVICE_FAULT_ENV,
-    FailurePolicy,
     FaultInjectingObjective,
     FaultSpec,
+    InjectedFaultError,
     faults_for_restart,
     load_fault_plan,
     load_service_fault_plan,
 )
+from repro.core import SearchOrchestrator
+from repro.core.faults import FAULT_HOOKS_ENV, FailurePolicy
 from repro.core.evalcache import EvaluationCache
 from repro.exceptions import (
     DeterministicRestartError,
     IncompleteRunError,
-    InjectedFaultError,
     OptimizationError,
     ReproError,
     RestartTimeoutError,
@@ -312,6 +313,7 @@ class TestRetries:
     def _run(self, problem, monkeypatch, tmp_path, plan, policy, restarts=3):
         monkeypatch.setenv(FAULT_SPEC_ENV, json.dumps(plan))
         monkeypatch.setenv(FAULT_DIR_ENV, str(tmp_path / "markers"))
+        monkeypatch.setenv(FAULT_HOOKS_ENV, HOOK_FILE)
         return SearchOrchestrator(
             problem, num_restarts=restarts, max_workers=1, seed=0,
             failure_policy=policy,
@@ -498,6 +500,7 @@ class TestRunSpecPlumbing:
                          "times": 99, "transient": False}]),
         )
         monkeypatch.setenv(FAULT_DIR_ENV, str(tmp_path))
+        monkeypatch.setenv(FAULT_HOOKS_ENV, HOOK_FILE)
         report = repro.run(
             RunSpec(
                 problem="ising_chain",

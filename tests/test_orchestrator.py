@@ -24,7 +24,8 @@ from repro.core import (
     restart_seed,
 )
 from repro.core.evalcache import CachedObjective, EvaluationCache
-from repro.core.faults import FAULT_DIR_ENV, FAULT_SPEC_ENV, FailurePolicy
+from chaos_faults import FAULT_DIR_ENV, FAULT_SPEC_ENV, HOOK_FILE
+from repro.core.faults import FAULT_HOOKS_ENV, FailurePolicy
 from repro.exceptions import IncompleteRunError, OptimizationError
 from repro.operators import PauliSum
 from repro.problems import ising_chain
@@ -229,6 +230,7 @@ class TestOneScheduler:
                  "transient": False},
             ]),
         )
+        monkeypatch.setenv(FAULT_HOOKS_ENV, HOOK_FILE)
         results = {}
         for workers in (1, 2):
             monkeypatch.setenv(FAULT_DIR_ENV, str(tmp_path / f"markers{workers}"))
