@@ -35,7 +35,8 @@ import pytest
 
 from repro.chemistry import make_problem
 from repro.circuits import EfficientSU2Ansatz
-from repro.core import CafqaSearch, CliffordObjective, SearchOrchestrator, restart_seed
+from repro.core import CafqaSearch, CliffordObjective, restart_seed
+from repro.runspec import RunSpec, run
 
 pytestmark = pytest.mark.skipif(
     os.environ.get("REPRO_BENCH") != "1",
@@ -66,18 +67,17 @@ def test_orchestrator_throughput_and_resume(tmp_path):
     ]
     sequential_seconds = time.perf_counter() - start
 
-    orchestrator = SearchOrchestrator(
-        problem,
-        num_restarts=NUM_SEEDS,
+    spec = RunSpec(
+        problem=problem,
+        num_seeds=NUM_SEEDS,
         max_workers=NUM_WORKERS,
         seed=BASE_SEED,
         ansatz_reps=ANSATZ_REPS,
+        max_evaluations=MAX_EVALUATIONS,
+        checkpoint_dir=str(tmp_path / "checkpoints"),
     )
-    checkpoint_dir = tmp_path / "checkpoints"
     start = time.perf_counter()
-    orchestrated = orchestrator.run(
-        max_evaluations=MAX_EVALUATIONS, checkpoint_dir=checkpoint_dir
-    )
+    orchestrated = run(spec, problem=problem).result
     orchestrated_seconds = time.perf_counter() - start
 
     # Same seeds => same per-restart results; the speedup is pure sharding.
@@ -86,13 +86,7 @@ def test_orchestrator_throughput_and_resume(tmp_path):
         assert trace.best_indices == result.best_indices
 
     start = time.perf_counter()
-    resumed = SearchOrchestrator(
-        problem,
-        num_restarts=NUM_SEEDS,
-        max_workers=NUM_WORKERS,
-        seed=BASE_SEED,
-        ansatz_reps=ANSATZ_REPS,
-    ).run(max_evaluations=MAX_EVALUATIONS, checkpoint_dir=checkpoint_dir)
+    resumed = run(spec, problem=problem).result
     resumed_seconds = time.perf_counter() - start
 
     # Checkpoint-resume must reproduce the uninterrupted best energy exactly.

@@ -175,6 +175,26 @@ class CompositeConstraint:
         return pairs
 
 
+def search_constraint(problem, constraint=None, penalty_weight: Optional[float] = None):
+    """The constraint a search of ``problem`` runs under.
+
+    An explicit ``constraint`` wins; else ``penalty_weight`` asks for a
+    :class:`ParticleConstraint` of that weight; else the problem's default
+    (``None`` for problems without one).
+    """
+    if constraint is not None:
+        return constraint
+    if penalty_weight is None:
+        return default_constraint_of(problem)
+    if not hasattr(problem, "num_alpha"):
+        raise ValueError(
+            "penalty_weight implies a particle-number constraint, which "
+            f"problem {problem.name!r} does not define; pass an explicit "
+            "constraint (e.g. OperatorPenalty) instead"
+        )
+    return ParticleConstraint(problem.num_alpha, problem.num_beta, weight=penalty_weight)
+
+
 def overlap_penalties_of(constraint) -> List[Tuple[Tuple[int, ...], float]]:
     """The (point, weight) overlap penalties a constraint advertises, if any."""
     if constraint is None:
@@ -219,8 +239,7 @@ def constrained_hamiltonian(
     fingerprints, targets and weights, in order) returns one shared operator,
     built and checked once; a non-Hermitian one raises ``SimulationError``.
     """
-    if constraint is None:
-        constraint = default_constraint_of(problem)
+    constraint = search_constraint(problem, constraint)
     penalties = [] if constraint is None else list(constraint.penalties(problem))
     if spin_z_target is not None and spin_weight > 0:
         penalties.append((problem.spin_z_operator, spin_z_target, spin_weight))

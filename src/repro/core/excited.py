@@ -8,36 +8,34 @@ penalty is an overlap of stabilizer states, evaluated exactly (and
 polynomially) by :mod:`repro.stabilizer.overlap` — never by expanding the
 projector into ``2^n`` Pauli terms.
 
-:func:`find_lowest_states` runs one :class:`~repro.core.orchestrator
-.SearchOrchestrator` per level, so every level inherits the full multi-seed /
-evaluation-cache / checkpoint machinery: deflated objectives carry their own
-fingerprint namespace (see :func:`~repro.operators.fingerprints
-.objective_fingerprint`), levels can share one cache/checkpoint directory
-without collisions, and checkpoints record the deflating states so a resumed
-run is bit-identical.  Each level is the unchanged
-:class:`~repro.core.search.CafqaSearch` loop over a deflated objective.
+:func:`find_lowest_states` takes the run's :class:`~repro.runspec.RunSpec`
+and runs one :class:`~repro.core.orchestrator.SearchOrchestrator` per level:
+level 0 on the spec itself, level ``m`` on a copy whose search options add
+the found states as seeds and a deflation constraint over them.  Every level
+inherits the full multi-seed / evaluation-cache / checkpoint machinery:
+deflated objectives carry their own fingerprint namespace (see
+:func:`~repro.operators.fingerprints.objective_fingerprint`), levels can
+share one cache/checkpoint directory without collisions, and checkpoints
+record the deflating states so a resumed run is bit-identical.  Each level is
+the unchanged :class:`~repro.core.search.CafqaSearch` loop over a deflated
+objective.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
-from repro.circuits.ansatz import EfficientSU2Ansatz
 from repro.core.constraints import (
-    DEFAULT_DEFLATION_WEIGHT,
     DeflationConstraint,
     combine_constraints,
+    search_constraint,
 )
-from repro.core.faults import FailurePolicy
 from repro.core.orchestrator import MultiSeedResult, SearchOrchestrator
 from repro.exceptions import OptimizationError
-from repro.problems.base import ProblemSpec, default_constraint_of, exact_spectrum_of
+from repro.problems.base import ProblemSpec, exact_spectrum_of
 
 __all__ = ["ExcitedStateLevel", "ExcitedStatesResult", "find_lowest_states"]
-
-_UNSET = object()
 
 
 @dataclass
@@ -94,67 +92,56 @@ class ExcitedStatesResult:
         return f"ExcitedStatesResult({self.problem_name!r}, E=[{energies}])"
 
 
-def find_lowest_states(
-    problem: ProblemSpec,
-    num_states: int,
-    max_evaluations: int = 300,
-    deflation_weight: float = DEFAULT_DEFLATION_WEIGHT,
-    num_restarts: int = 1,
-    max_workers: Optional[int] = None,
-    seed: Optional[int] = 0,
-    ansatz: Optional[EfficientSU2Ansatz] = None,
-    ansatz_reps: int = 1,
-    cache_dir: Optional[os.PathLike] = None,
-    checkpoint_dir: Optional[os.PathLike] = None,
-    checkpoint_interval: int = 32,
-    failure_policy: Optional[FailurePolicy] = None,
-    **search_options,
-) -> ExcitedStatesResult:
-    """Find the lowest ``num_states`` states of ``problem`` by deflation.
+def find_lowest_states(spec: "RunSpec", problem: ProblemSpec) -> ExcitedStatesResult:  # noqa: F821
+    """Find the lowest ``spec.num_states`` states of ``problem`` by deflation.
 
-    Level 0 is an ordinary (multi-seed) CAFQA search — with ``num_states=1``
-    and the same options this is bit-identical to a plain orchestrated run.
-    Level ``m`` re-runs the search with a :class:`~repro.core.constraints
-    .DeflationConstraint` over the ``m`` states already found, stacked on top
-    of the problem's default symmetry constraint (or an explicit
-    ``constraint=...`` in ``search_options``), so excited levels are searched
-    in the same sector as the ground state.
+    Level 0 is ``spec`` itself, an ordinary (multi-seed) CAFQA search: its
+    checkpoints and results are bit-identical to a plain ``repro.run`` of
+    the same spec with ``num_states=1``.  Level ``m`` runs
+    ``dataclasses.replace(spec, search_options=...)``, whose options add a
+    :class:`~repro.core.constraints.DeflationConstraint` over the ``m``
+    states already found, stacked on the constraint level 0 ran under (see
+    :func:`~repro.core.constraints.search_constraint`), so excited levels
+    are searched in the same sector as the ground state.
 
     Every level goes through its own :class:`~repro.core.orchestrator
-    .SearchOrchestrator` sharing ``cache_dir`` / ``checkpoint_dir``: deflated
-    objectives are fingerprint-namespaced per level, so one directory serves
-    the whole spectrum and a rerun resumes every level bit-identically.
+    .SearchOrchestrator` sharing the spec's cache and checkpoint
+    directories: deflated objectives are fingerprint-namespaced per level,
+    so one directory serves the whole spectrum and a rerun resumes every
+    level bit-identically.
 
-    ``deflation_weight`` must exceed the spectral range being climbed
+    ``spec.deflation_weight`` must exceed the spectral range being climbed
     (``E_{k} - E_0``); re-finding an already-deflated state costs ``+w``, so
     too small a weight makes the ground state cheaper than the next level.
 
-    ``failure_policy`` governs every level's orchestrated search (retries,
-    per-restart timeout, partial results — see :class:`~repro.core.faults
-    .FailurePolicy`).  With ``on_incomplete="partial"`` a level whose
-    restarts partly failed still deflates with its best surviving state, so
-    a transient fault in one level does not restart the whole spectrum walk.
+    The spec's ``failure_policy`` governs every level (see
+    :class:`~repro.core.faults.FailurePolicy`).  With
+    ``on_incomplete="partial"`` a level whose restarts partly failed still
+    deflates with its best surviving state, so a transient fault in one
+    level does not restart the whole spectrum walk.
     """
+    num_states, weight = int(spec.num_states), float(spec.deflation_weight)
     if num_states < 1:
         raise OptimizationError("find_lowest_states needs at least one state")
     dimension = 2 ** int(problem.num_qubits)
-    if int(num_states) > dimension:
+    if num_states > dimension:
         # Fail before any search runs: the final exact-spectrum validation
         # would reject the request anyway, after burning every level's budget.
         raise OptimizationError(
             f"num_states={num_states} exceeds the {dimension}-dimensional "
             f"Hilbert space of {problem.name!r}"
         )
-    if deflation_weight <= 0:
+    if weight <= 0:
         raise OptimizationError("deflation_weight must be positive")
-    base_constraint = search_options.pop("constraint", _UNSET)
-    if base_constraint is _UNSET:
-        base_constraint = default_constraint_of(problem)
+    options = spec.search_options
+    base_constraint = search_constraint(
+        problem, options.get("constraint"), options.get("penalty_weight")
+    )
 
     levels: List[ExcitedStateLevel] = []
     found_points: Tuple[Tuple[int, ...], ...] = ()
-    for level in range(int(num_states)):
-        level_options = dict(search_options)
+    level_spec = spec
+    for level in range(num_states):
         if found_points:
             # Deflated levels warm-start from (and, crucially, refine off)
             # every state found so far: the next level typically sits one
@@ -163,37 +150,16 @@ def find_lowest_states(
             # loop.  Coordinate descent from the penalized seeds recovers it.
             # Caller-supplied seed_points are kept and the found states
             # appended — user seeds must never displace the deflation seeds.
-            deflation = DeflationConstraint(
-                points=found_points, weight=float(deflation_weight)
-            )
-            seeds = [
-                [int(v) for v in point]
-                for point in level_options.pop("seed_points", [])
-            ]
+            seeds = [[int(v) for v in point] for point in options.get("seed_points", [])]
             seeds.extend(
                 list(point) for point in found_points if list(point) not in seeds
             )
-            level_options["seed_points"] = seeds
+            deflation = DeflationConstraint(points=found_points, weight=weight)
+            level_options = dict(options, seed_points=seeds)
             level_options.setdefault("refine_seed_points", True)
-        else:
-            deflation = None
-        constraint = combine_constraints(base_constraint, deflation)
-        orchestrator = SearchOrchestrator(
-            problem,
-            num_restarts=int(num_restarts),
-            max_workers=max_workers,
-            seed=seed,
-            ansatz=ansatz,
-            ansatz_reps=ansatz_reps,
-            cache_dir=cache_dir,
-            checkpoint_interval=int(checkpoint_interval),
-            failure_policy=failure_policy,
-            constraint=constraint,
-            **level_options,
-        )
-        result = orchestrator.run(
-            max_evaluations=int(max_evaluations), checkpoint_dir=checkpoint_dir
-        )
+            level_options["constraint"] = combine_constraints(base_constraint, deflation)
+            level_spec = replace(spec, search_options=level_options)
+        result = SearchOrchestrator(level_spec, problem).run()
         best = result.best
         levels.append(
             ExcitedStateLevel(
@@ -208,7 +174,7 @@ def find_lowest_states(
 
     return ExcitedStatesResult(
         problem_name=problem.name,
-        deflation_weight=float(deflation_weight),
+        deflation_weight=weight,
         levels=levels,
-        exact_spectrum=exact_spectrum_of(problem, int(num_states)),
+        exact_spectrum=exact_spectrum_of(problem, num_states),
     )

@@ -57,9 +57,9 @@ from repro import telemetry
 from repro.circuits.ansatz import EfficientSU2Ansatz
 from repro.circuits.clifford_points import CliffordGateProgram, validate_clifford_points
 from repro.core.constraints import (
-    ParticleConstraint,
     constrained_hamiltonian,
     overlap_penalties_of,
+    search_constraint,
 )
 from repro.operators.fingerprints import hamiltonian_fingerprint
 from repro.operators.pauli_sum import PauliSum
@@ -153,17 +153,7 @@ class CliffordObjective:
         self._problem = problem
         self._ansatz = ansatz
         self._max_t_gates = int(max_t_gates)
-        if constraint is None and penalty_weight is not None:
-            if not hasattr(problem, "num_alpha"):
-                raise ValueError(
-                    "penalty_weight implies a particle-number constraint, which "
-                    f"problem {problem.name!r} does not define; pass an explicit "
-                    "constraint (e.g. OperatorPenalty) instead"
-                )
-            constraint = ParticleConstraint(
-                problem.num_alpha, problem.num_beta, weight=penalty_weight
-            )
-        self._constraint = constraint
+        constraint = search_constraint(problem, constraint, penalty_weight)
         # Shared across objectives of equal content; Hermiticity is checked
         # once, when the operator is first built.
         self._operator = constrained_hamiltonian(

@@ -9,9 +9,9 @@ its :class:`~repro.core.objective.CliffordObjective`, wraps it in a
 :class:`~repro.core.evalcache.CachedObjective` keyed on ``(objective
 fingerprint, Clifford index tuple)`` (see
 :func:`~repro.operators.fingerprints.objective_fingerprint`), and hands it to
-a :class:`~repro.core.search.CafqaSearch`.  Callers go through
-:func:`repro.run`, which builds the orchestrator from a
-:class:`~repro.runspec.RunSpec`.
+a :class:`~repro.core.search.CafqaSearch`.  The orchestrator takes a
+:class:`~repro.runspec.RunSpec` and the problem it names, and reads every
+setting from the spec; callers go through :func:`repro.run`.
 
 Checkpoint/resume works by replay-from-cache: every evaluated point is
 appended to an on-disk shard (one file per worker process, so concurrent
@@ -596,25 +596,25 @@ def _default_ansatz(num_qubits: int, reps: int) -> EfficientSU2Ansatz:
 
 
 class SearchOrchestrator:
-    """Shards N independent CAFQA restarts across worker processes.
+    """Shards a run's ``num_seeds`` CAFQA restarts across worker processes.
 
-    Each restart gets its own deterministic RNG seed (see
-    :func:`restart_seed`) and runs the full search — warm-up, surrogate
-    rounds, coordinate-descent refinement — in a worker process, or in this
-    process when there is only one worker.  With
-    ``cache_dir`` (or a ``checkpoint_dir`` at :meth:`run` time) the
-    stabilizer evaluations are persisted, so repeated or interrupted runs
-    resume instead of recomputing.  ``checkpoint_interval`` is the number of
-    observations between flushes of a restart's evaluation shard to disk:
-    an interrupted restart resumes from what was flushed.
+    The :class:`~repro.runspec.RunSpec` is the whole configuration: the
+    orchestrator reads its seeds and workers, ``ansatz_reps``, the cache and
+    checkpoint directories, ``checkpoint_interval``, ``failure_policy``,
+    ``telemetry_dir``, ``max_evaluations`` and ``search_options``.  Each
+    restart gets its own deterministic RNG seed (see :func:`restart_seed`)
+    and runs the full search — warm-up, surrogate rounds, coordinate-descent
+    refinement — in a worker process, or in this process when there is only
+    one worker.  With a cache or checkpoint directory the stabilizer
+    evaluations are persisted, so repeated or interrupted runs resume instead
+    of recomputing; each restart flushes its evaluation shard every
+    ``checkpoint_interval`` observations.
 
-    ``max_workers=None`` uses ``min(num_restarts, cpu count)``;
-    ``max_workers=1`` (or a single restart) runs the restarts one at a time
+    ``max_workers=None`` uses ``min(num_seeds, cpu count)``;
+    ``max_workers=1`` (or a single seed) runs the restarts one at a time
     in this process, which keeps single-seed runs free of process-pool
     overhead and bit-identical to a direct :class:`CafqaSearch` over the same
     objective.  Either way the restarts go through the same scheduler.
-    :func:`repro.run` builds the orchestrator from a
-    :class:`~repro.runspec.RunSpec`; drivers go through it.
 
     Scheduling is fault-tolerant under the run's
     :class:`~repro.core.faults.FailurePolicy`: every restart runs in its own
@@ -628,35 +628,16 @@ class SearchOrchestrator:
     and returning the surviving restarts as a partial result.
     """
 
-    def __init__(
-        self,
-        problem: ProblemSpec,
-        num_restarts: int = 4,
-        max_workers: Optional[int] = None,
-        seed: Optional[int] = 0,
-        ansatz: Optional[EfficientSU2Ansatz] = None,
-        ansatz_reps: int = 1,
-        cache_dir: Optional[os.PathLike] = None,
-        checkpoint_interval: int = 32,
-        failure_policy: Optional[FailurePolicy] = None,
-        telemetry_dir: Optional[os.PathLike] = None,
-        **search_options,
-    ):
-        if num_restarts < 1:
+    def __init__(self, spec: "RunSpec", problem: ProblemSpec):  # noqa: F821
+        if spec.num_seeds < 1:
             raise OptimizationError("the orchestrator needs at least one restart")
-        if max_workers is not None and max_workers < 1:
+        if spec.max_workers is not None and spec.max_workers < 1:
             raise OptimizationError("max_workers must be at least one when given")
-        self._failure_policy = FailurePolicy.coerce(failure_policy)
+        self._spec = spec
+        self._failure_policy = spec.resolve_failure_policy()
         self._problem = problem
-        self._num_restarts = int(num_restarts)
-        self._max_workers = max_workers
-        self._seed = seed
-        self._ansatz = ansatz if ansatz is not None else _default_ansatz(
-            problem.num_qubits, int(ansatz_reps)
-        )
-        self._cache_dir = str(cache_dir) if cache_dir is not None else None
-        self._telemetry_dir = str(telemetry_dir) if telemetry_dir is not None else None
-        self._checkpoint_interval = int(checkpoint_interval)
+        self._ansatz = _default_ansatz(problem.num_qubits, int(spec.ansatz_reps))
+        search_options = dict(spec.search_options)
         self._objective_options = {
             key: search_options.pop(key)
             for key in _OBJECTIVE_OPTIONS
@@ -672,7 +653,7 @@ class SearchOrchestrator:
         # Build one search here so a bad search option fails before any
         # restart is scheduled, not inside every restart.
         try:
-            CafqaSearch(self._objective, seed=seed, **self._search_options)
+            CafqaSearch(self._objective, seed=spec.seed, **self._search_options)
         except TypeError as error:
             raise OptimizationError(f"invalid search option: {error}") from error
 
@@ -682,28 +663,25 @@ class SearchOrchestrator:
         return self._objective_fp
 
     # ------------------------------------------------------------------ #
-    def run(
-        self,
-        max_evaluations: int = 300,
-        checkpoint_dir: Optional[os.PathLike] = None,
-    ) -> MultiSeedResult:
+    def run(self) -> MultiSeedResult:
         """Run every restart (resuming from checkpoints when possible)."""
-        checkpoint = str(checkpoint_dir) if checkpoint_dir is not None else None
-        store = self._cache_dir if self._cache_dir is not None else checkpoint
+        spec = self._spec
+        checkpoint = str(spec.checkpoint_dir) if spec.checkpoint_dir is not None else None
+        store = str(spec.cache_dir) if spec.cache_dir is not None else checkpoint
         if checkpoint is not None:
             Path(checkpoint).mkdir(parents=True, exist_ok=True)
         # Resolve the effective telemetry directory once: explicit knob,
         # $REPRO_TELEMETRY_DIR, or a recorder configured programmatically.
         # Passing it through the task keeps pool workers recording even when
         # activation did not travel through the environment.
-        recorder = telemetry.init(self._telemetry_dir)
+        recorder = telemetry.init(spec.telemetry_dir)
         telemetry_dir = str(recorder.directory) if recorder is not None else None
-        digest = options_digest(self._search_options)
+        num_restarts, digest = int(spec.num_seeds), spec.options_digest()
         tasks = [
             RestartTask(
                 restart_index=index,
-                seed=restart_seed(self._seed, index),
-                max_evaluations=int(max_evaluations),
+                seed=restart_seed(spec.seed, index),
+                max_evaluations=int(spec.max_evaluations),
                 problem=self._problem,
                 ansatz=self._ansatz,
                 objective_options=dict(self._objective_options),
@@ -712,22 +690,22 @@ class SearchOrchestrator:
                 options_digest=digest,
                 store_dir=store,
                 checkpoint_dir=checkpoint,
-                checkpoint_interval=self._checkpoint_interval,
+                checkpoint_interval=int(spec.checkpoint_interval),
                 telemetry_dir=telemetry_dir,
             )
-            for index in range(self._num_restarts)
+            for index in range(num_restarts)
         ]
 
-        workers = self._max_workers
+        workers = spec.max_workers
         if workers is None:
-            workers = min(self._num_restarts, os.cpu_count() or 1)
-        workers = min(workers, self._num_restarts)
+            workers = min(num_restarts, os.cpu_count() or 1)
+        workers = min(workers, num_restarts)
 
         policy = self._failure_policy
         with telemetry.span(
             "orchestrator.run",
             problem=self._problem.name,
-            restarts=self._num_restarts,
+            restarts=num_restarts,
             workers=workers,
         ):
             traces, failures = self._execute(tasks, workers, policy)
@@ -737,7 +715,7 @@ class SearchOrchestrator:
             partial = self._merge(traces, failures) if traces else None
             detail = "; ".join(repr(failure) for failure in failures)
             raise IncompleteRunError(
-                f"{len(failures)} of {self._num_restarts} restarts failed: {detail}",
+                f"{len(failures)} of {num_restarts} restarts failed: {detail}",
                 failures=failures,
                 result=partial,
             )
@@ -907,7 +885,7 @@ class SearchOrchestrator:
                         transient=record.transient,
                     )
                     if record.transient and entry["attempts"] < policy.max_attempts:
-                        delay = policy.backoff_delay(self._seed, index, entry["attempts"])
+                        delay = policy.backoff_delay(self._spec.seed, index, entry["attempts"])
                         telemetry.event(
                             "restart.retry",
                             restart=index,

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import Dict, List, Optional, Union
 
 from repro.core.constraints import DEFAULT_DEFLATION_WEIGHT
-from repro.exceptions import OptimizationError, ReproError
+from repro.exceptions import ReproError
 from repro.problems.base import ProblemSpec, reference_energy_of
 
 __all__ = ["RunSpec", "RunReport", "run"]
@@ -171,15 +171,12 @@ class RunSpec:
     def options_digest(self) -> str:
         """The digest the checkpoint layer validates resumed restarts against.
 
-        Identical to what :class:`~repro.core.orchestrator
-        .SearchOrchestrator` computes for this spec's search options, so a
-        checkpoint written by ``run(spec)`` matches ``spec.options_digest()``.
-
-        One exception: in a spectrum run (``num_states > 1``), deflated
-        levels derive extra search options (the found states as warm-up
-        seeds), so *their* checkpoints carry the digest of those derived
-        options — level 0's checkpoints match this digest, and a rerun of
-        the same spec re-derives the later levels' digests identically.
+        The :class:`~repro.core.orchestrator.SearchOrchestrator` records
+        the digest of the spec it runs, so a checkpoint written by
+        ``run(spec)`` matches ``spec.options_digest()``.  Each level of a
+        spectrum run (``num_states > 1``) runs its own spec (see
+        :func:`~repro.core.excited.find_lowest_states`), and that level spec
+        is what gets digested.
         """
         from repro.core.orchestrator import _OBJECTIVE_OPTIONS, options_digest
 
@@ -395,48 +392,14 @@ def run(spec: RunSpec, problem: Optional[ProblemSpec] = None) -> RunReport:
         raise ReproError("num_states must be at least one")
     if problem is None:
         problem = spec.resolve_problem()
-    failure_policy = spec.resolve_failure_policy()
-    # The ansatz is the spec's ``ansatz_reps``; search options cannot set it.
-    reserved = sorted({"ansatz", "ansatz_reps"}.intersection(spec.search_options))
-    if reserved:
-        raise OptimizationError(f"invalid search option: {', '.join(reserved)}")
     states = None
     if spec.num_states > 1:
         from repro.core.excited import find_lowest_states
 
-        states = find_lowest_states(
-            problem,
-            num_states=int(spec.num_states),
-            max_evaluations=int(spec.max_evaluations),
-            deflation_weight=float(spec.deflation_weight),
-            num_restarts=int(spec.num_seeds),
-            max_workers=spec.max_workers,
-            seed=spec.seed,
-            cache_dir=spec.cache_dir,
-            checkpoint_dir=spec.checkpoint_dir,
-            checkpoint_interval=int(spec.checkpoint_interval),
-            failure_policy=failure_policy,
-            ansatz_reps=int(spec.ansatz_reps),
-            **spec.search_options,
-        )
+        states = find_lowest_states(spec, problem)
         result = states.ground.result
     else:
-        orchestrator = SearchOrchestrator(
-            problem,
-            num_restarts=int(spec.num_seeds),
-            max_workers=spec.max_workers,
-            seed=spec.seed,
-            cache_dir=spec.cache_dir,
-            checkpoint_interval=int(spec.checkpoint_interval),
-            failure_policy=failure_policy,
-            telemetry_dir=spec.telemetry_dir,
-            ansatz_reps=int(spec.ansatz_reps),
-            **spec.search_options,
-        )
-        result = orchestrator.run(
-            max_evaluations=int(spec.max_evaluations),
-            checkpoint_dir=spec.checkpoint_dir,
-        )
+        result = SearchOrchestrator(spec, problem).run()
 
     vqe = None
     if spec.vqe_iterations:

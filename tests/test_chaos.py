@@ -18,10 +18,10 @@ import json
 import pytest
 
 from repro.chemistry import make_problem
-from repro.core import SearchOrchestrator
 from chaos_faults import FAULT_DIR_ENV, FAULT_SPEC_ENV, HOOK_FILE
 from repro.core.faults import FAULT_HOOKS_ENV, FailurePolicy
 from repro.exceptions import IncompleteRunError
+from repro.runspec import RunSpec, run
 
 pytestmark = pytest.mark.chaos
 
@@ -30,6 +30,11 @@ pytestmark = pytest.mark.chaos
 def h2_far_problem():
     """H2 at 3.5 A — same pinned problem as the orchestrator contract tests."""
     return make_problem("H2", 3.5)
+
+
+def _search(problem, **fields):
+    """The merged result of ``repro.run`` on ``problem`` with these spec fields."""
+    return run(RunSpec(problem=problem, **fields), problem=problem).result
 
 
 def _set_faults(monkeypatch, tmp_path, plan):
@@ -45,9 +50,9 @@ class TestChaosContract:
         self, h2_far_problem, monkeypatch, tmp_path
     ):
         """The ISSUE 6 acceptance scenario: crash + hang, bit-identical result."""
-        baseline = SearchOrchestrator(
-            h2_far_problem, num_restarts=8, max_workers=2, seed=0
-        ).run(max_evaluations=24)
+        baseline = _search(
+            h2_far_problem, num_seeds=8, max_workers=2, seed=0, max_evaluations=24
+        )
         _set_faults(
             monkeypatch,
             tmp_path,
@@ -56,13 +61,11 @@ class TestChaosContract:
                 {"restart": 5, "mode": "hang", "at": 8, "times": 1},
             ],
         )
-        result = SearchOrchestrator(
-            h2_far_problem,
-            num_restarts=8,
-            max_workers=2,
-            seed=0,
+        result = _search(
+            h2_far_problem, num_seeds=8, max_workers=2, seed=0, max_evaluations=24,
+            checkpoint_dir=tmp_path / "ckpt",
             failure_policy=FailurePolicy(max_retries=2, restart_timeout=3.0),
-        ).run(max_evaluations=24, checkpoint_dir=tmp_path / "ckpt")
+        )
 
         # bit-for-bit identical to the uninterrupted run
         assert result.energies == baseline.energies
@@ -84,19 +87,17 @@ class TestChaosContract:
         self, h2_far_problem, monkeypatch, tmp_path
     ):
         """A worker that tears its own checkpoint+shard mid-write, then dies."""
-        baseline = SearchOrchestrator(
-            h2_far_problem, num_restarts=2, max_workers=2, seed=0
-        ).run(max_evaluations=24)
+        baseline = _search(
+            h2_far_problem, num_seeds=2, max_workers=2, seed=0, max_evaluations=24
+        )
         _set_faults(
             monkeypatch, tmp_path, [{"restart": 0, "mode": "corrupt", "at": 8}]
         )
-        result = SearchOrchestrator(
-            h2_far_problem,
-            num_restarts=2,
-            max_workers=2,
-            seed=0,
+        result = _search(
+            h2_far_problem, num_seeds=2, max_workers=2, seed=0, max_evaluations=24,
+            checkpoint_dir=tmp_path / "ckpt",
             failure_policy=FailurePolicy(max_retries=2),
-        ).run(max_evaluations=24, checkpoint_dir=tmp_path / "ckpt")
+        )
         assert result.energies == baseline.energies
         assert result.traces[0].attempts >= 2
 
@@ -109,21 +110,19 @@ class TestChaosContract:
         always-crashing fault breaks the shared pool and charges innocent
         in-flight siblings, which is correct scheduling but flaky to pin.
         """
-        baseline = SearchOrchestrator(
-            h2_far_problem, num_restarts=4, max_workers=2, seed=0
-        ).run(max_evaluations=24)
+        baseline = _search(
+            h2_far_problem, num_seeds=4, max_workers=2, seed=0, max_evaluations=24
+        )
         _set_faults(
             monkeypatch,
             tmp_path,
             [{"restart": 1, "mode": "raise", "at": 8, "times": 99}],
         )
-        result = SearchOrchestrator(
-            h2_far_problem,
-            num_restarts=4,
-            max_workers=2,
-            seed=0,
+        result = _search(
+            h2_far_problem, num_seeds=4, max_workers=2, seed=0, max_evaluations=24,
+            checkpoint_dir=tmp_path / "ckpt",
             failure_policy=FailurePolicy(max_retries=1, on_incomplete="partial"),
-        ).run(max_evaluations=24, checkpoint_dir=tmp_path / "ckpt")
+        )
         assert result.is_partial
         assert result.failed_restart_indices == [1]
         assert [t.restart_index for t in result.traces] == [0, 2, 3]
@@ -142,13 +141,11 @@ class TestChaosContract:
             [{"restart": 1, "mode": "raise", "at": 8, "times": 99}],
         )
         with pytest.raises(IncompleteRunError) as excinfo:
-            SearchOrchestrator(
-                h2_far_problem,
-                num_restarts=2,
-                max_workers=2,
-                seed=0,
+            _search(
+                h2_far_problem, num_seeds=2, max_workers=2, seed=0, max_evaluations=24,
+                checkpoint_dir=tmp_path / "ckpt",
                 failure_policy=FailurePolicy(max_retries=1, on_incomplete="raise"),
-            ).run(max_evaluations=24, checkpoint_dir=tmp_path / "ckpt")
+            )
         error = excinfo.value
         assert [f.restart_index for f in error.failures] == [1]
         assert error.result is not None  # the partial result rides along

@@ -167,9 +167,11 @@ class TestOrchestratorBackendEquivalence:
 
     def test_sqlite_and_jsonl_runs_bit_identical(self, problem, tmp_path):
         def run_with(cache_dir):
-            return SearchOrchestrator(
-                problem, num_restarts=2, max_workers=1, seed=0, cache_dir=cache_dir
-            ).run(max_evaluations=20)
+            spec = RunSpec(
+                problem=problem, num_seeds=2, max_workers=1, seed=0,
+                max_evaluations=20, cache_dir=cache_dir,
+            )
+            return run(spec, problem=problem).result
 
         bare = run_with(None)
         jsonl = run_with(tmp_path / "shards")
@@ -185,9 +187,11 @@ class TestOrchestratorBackendEquivalence:
         cache_db = tmp_path / "evals.sqlite"
 
         def run_once():
-            return SearchOrchestrator(
-                problem, num_restarts=2, max_workers=1, seed=0, cache_dir=cache_db
-            ).run(max_evaluations=20)
+            spec = RunSpec(
+                problem=problem, num_seeds=2, max_workers=1, seed=0,
+                max_evaluations=20, cache_dir=cache_db,
+            )
+            return run(spec, problem=problem).result
 
         cold = run_once()
         warm = run_once()
@@ -207,7 +211,7 @@ class TestScopedOpen:
 
     @staticmethod
     def _own(problem):
-        return {SearchOrchestrator(problem, num_restarts=1).objective_fingerprint}
+        return {SearchOrchestrator(RunSpec(problem=problem), problem).objective_fingerprint}
 
     @staticmethod
     def _count_rows_read(monkeypatch):
@@ -250,9 +254,11 @@ class TestScopedOpen:
         read = self._count_rows_read(monkeypatch)
 
         def run_once():
-            return SearchOrchestrator(
-                problem, num_restarts=1, max_workers=1, seed=0, cache_dir=database
-            ).run(max_evaluations=20)
+            spec = RunSpec(
+                problem=problem, num_seeds=1, max_workers=1, seed=0,
+                max_evaluations=20, cache_dir=database,
+            )
+            return run(spec, problem=problem).result
 
         cold = run_once()
         assert read == []
@@ -271,9 +277,11 @@ class TestScopedOpen:
 
     def test_jobs_sharing_a_fingerprint_share_evaluations(self, problem, tmp_path):
         def run_seed(seed, cache_dir):
-            return SearchOrchestrator(
-                problem, num_restarts=1, max_workers=1, seed=seed, cache_dir=cache_dir
-            ).run(max_evaluations=20)
+            spec = RunSpec(
+                problem=problem, num_seeds=1, max_workers=1, seed=seed,
+                max_evaluations=20, cache_dir=cache_dir,
+            )
+            return run(spec, problem=problem).result
 
         shared = tmp_path / "evals.sqlite"
         run_seed(0, shared)
@@ -316,7 +324,9 @@ class TestScopedOpen:
                 cache_dir=str(location),
             )
         )
-        own = SearchOrchestrator(report.problem, num_restarts=1).objective_fingerprint
+        own = SearchOrchestrator(
+            RunSpec(problem=report.problem), report.problem
+        ).objective_fingerprint
         stored = self._stored_fingerprints(location)
         assert set(stored) == {own}
         assert len(stored) == sum(t.cache_misses for t in report.result.traces)

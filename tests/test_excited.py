@@ -9,6 +9,7 @@ now-seeded VQE stage.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -127,21 +128,35 @@ class TestDeflatedObjective:
 class TestFindLowestStates:
     def test_single_state_matches_plain_orchestrated_run(self):
         problem = ising_chain(num_sites=3, transverse_field=1.0)
-        report = run(RunSpec(problem=problem, max_evaluations=40, seed=0))
-        spectrum = find_lowest_states(problem, num_states=1, max_evaluations=40, seed=0)
+        spec = RunSpec(problem=problem, max_evaluations=40, seed=0)
+        report = run(spec)
+        spectrum = find_lowest_states(spec, problem)
         assert spectrum.ground.energy == report.energy
         assert spectrum.ground.indices == report.best_indices
 
+    def test_level_0_is_the_single_state_run_under_penalty_weight(self, lih_problem):
+        spec = RunSpec(
+            problem=lih_problem,
+            max_evaluations=40,
+            seed=0,
+            search_options={"local_refinement": False, "penalty_weight": 7.0},
+        )
+        single = run(spec, problem=lih_problem).result
+        spectrum = run(replace(spec, num_states=2), problem=lih_problem).states
+        (level_0,) = spectrum.ground.result.traces
+        assert level_0.observations == single.traces[0].observations
+
     def test_levels_record_deflation_in_checkpoints_and_resume(self, tmp_path):
         problem = ising_chain(num_sites=4, transverse_field=0.0)
-        first = find_lowest_states(
-            problem,
+        spec = RunSpec(
+            problem=problem,
             num_states=2,
             max_evaluations=60,
-            num_restarts=2,
+            num_seeds=2,
             seed=0,
-            checkpoint_dir=tmp_path,
+            checkpoint_dir=str(tmp_path),
         )
+        first = run(spec, problem=problem).states
         payloads = [
             json.loads(path.read_text())
             for path in sorted(tmp_path.glob("restart_*.json"))
@@ -154,14 +169,7 @@ class TestFindLowestStates:
         )
         assert all(p["deflation"]["weights"] == [10.0] for p in deflated)
         # A second run resumes every level's restarts bit-identically.
-        second = find_lowest_states(
-            problem,
-            num_states=2,
-            max_evaluations=60,
-            num_restarts=2,
-            seed=0,
-            checkpoint_dir=tmp_path,
-        )
+        second = run(spec, problem=problem).states
         assert second.energies == first.energies
         assert [level.indices for level in second.levels] == [
             level.indices for level in first.levels
@@ -178,25 +186,31 @@ class TestFindLowestStates:
         off the (penalized) level-0 state."""
         problem = ising_chain(num_sites=4, transverse_field=0.0)
         user_seed = [1] + [0] * 15
-        spectrum = find_lowest_states(
-            problem,
-            num_states=2,
-            max_evaluations=60,
-            num_restarts=2,
-            seed=0,
-            seed_points=[user_seed],
-        )
+        spectrum = run(
+            RunSpec(
+                problem=problem,
+                num_states=2,
+                max_evaluations=60,
+                num_seeds=2,
+                seed=0,
+                search_options={"seed_points": [user_seed]},
+            ),
+            problem=problem,
+        ).states
         assert spectrum.energies == [-3.0, -3.0]  # degenerate pair found
 
     def test_rejects_degenerate_requests(self):
         problem = ising_chain(num_sites=3)
+        def spec(**fields):
+            return RunSpec(problem=problem, **fields)
+
         with pytest.raises(Exception, match="at least one state"):
-            find_lowest_states(problem, num_states=0)
+            find_lowest_states(spec(num_states=0), problem)
         with pytest.raises(Exception, match="must be positive"):
-            find_lowest_states(problem, num_states=2, deflation_weight=0.0)
+            find_lowest_states(spec(num_states=2, deflation_weight=0.0), problem)
         # More states than the Hilbert space holds fails before any search.
         with pytest.raises(Exception, match="Hilbert space"):
-            find_lowest_states(problem, num_states=9)
+            find_lowest_states(spec(num_states=9), problem)
 
 
 # --------------------------------------------------------------------------- #

@@ -30,10 +30,10 @@ from repro.experiments.fig16_clifford_t import run_clifford_t_curve
 from repro.experiments.table1 import run_table1
 from repro.chemistry.molecules import get_preset, make_problem
 from repro.circuits import EfficientSU2Ansatz
-from repro.core import CafqaSearch, CliffordObjective, SearchOrchestrator, VQERunner
+from repro.core import CafqaSearch, CliffordObjective, VQERunner
 from repro.noise.devices import fake_device
 from repro.optim.spsa import SPSA
-from repro.runspec import run
+from repro.runspec import RunSpec, run
 
 
 class TestConfig:
@@ -183,6 +183,11 @@ def _recorded_reports(monkeypatch, module):
     return reports
 
 
+def _search(problem, **fields):
+    """The merged result of ``repro.run`` on ``problem`` with these spec fields."""
+    return run(RunSpec(problem=problem, **fields), problem=problem).result
+
+
 def _observations(observations):
     return [(o.point, o.value.hex(), o.phase) for o in observations]
 
@@ -206,9 +211,7 @@ class TestDriversMatchTheirFormerConstruction:
             "H2", bond_length=2.0, max_evaluations=60, seed=0, max_workers=1
         )
         problem = make_problem("H2", 2.0)
-        multi = SearchOrchestrator(
-            problem, num_restarts=2, max_workers=1, seed=0
-        ).run(max_evaluations=60)
+        multi = _search(problem, num_seeds=2, max_workers=1, seed=0, max_evaluations=60)
         (report,) = reports
         _assert_same_restarts(report, multi)
         assert result.cafqa_energy.hex() == multi.best.energy.hex()
@@ -225,9 +228,9 @@ class TestDriversMatchTheirFormerConstruction:
             "H2", bond_length=2.2, max_evaluations=80, warmup_fraction=0.3, seed=0
         )
         problem = make_problem("H2", 2.2)
-        multi = SearchOrchestrator(
-            problem, num_restarts=1, seed=0, warmup_fraction=0.3
-        ).run(max_evaluations=80)
+        multi = _search(
+            problem, seed=0, max_evaluations=80, search_options={"warmup_fraction": 0.3}
+        )
         (report,) = reports
         _assert_same_restarts(report, multi)
         observations = multi.best_trace.observations
@@ -248,9 +251,7 @@ class TestDriversMatchTheirFormerConstruction:
         assert len(reports) == len(result.points) == 2
         for index, (report, point) in enumerate(zip(reports, result.points)):
             problem = make_problem("H4", point.bond_length, compute_exact=False)
-            multi = SearchOrchestrator(
-                problem, num_restarts=1, seed=index
-            ).run(max_evaluations=budget)
+            multi = _search(problem, seed=index, max_evaluations=budget)
             _assert_same_restarts(report, multi)
             assert point.cafqa_energy.hex() == multi.best.energy.hex()
             assert point.hf_energy.hex() == problem.hf_energy.hex()
@@ -266,8 +267,8 @@ class TestDriversMatchTheirFormerConstruction:
                 preset.equilibrium_bond_length * 1.5, preset.bond_length_range[1]
             )
             problem = make_problem(row.molecule, bond_length, compute_exact=False)
-            multi = SearchOrchestrator(problem, num_restarts=1, seed=index).run(
-                max_evaluations=SMOKE.search_evaluations(problem.num_qubits)
+            multi = _search(
+                problem, seed=index, max_evaluations=SMOKE.search_evaluations(problem.num_qubits)
             )
             _assert_same_restarts(report, multi)
             assert row.final_energy.hex() == multi.best.energy.hex()

@@ -12,7 +12,6 @@ import pytest
 import chaos_faults
 import repro
 from chaos_faults import FAULT_DIR_ENV, FAULT_SPEC_ENV, SERVICE_FAULT_ENV, InjectedFaultError
-from repro.core import SearchOrchestrator
 from repro.core.faults import FAULT_HOOKS_ENV, fire_fault_hook
 from repro.problems import ising_chain
 
@@ -35,9 +34,8 @@ def test_hook_armed_after_an_unhooked_restart_is_imported_once(tmp_path, monkeyp
     problem = ising_chain(num_sites=3, transverse_field=1.0)
 
     def restarts(count):
-        SearchOrchestrator(problem, num_restarts=count, max_workers=1, seed=0).run(
-            max_evaluations=12
-        )
+        spec = repro.RunSpec(problem=problem, num_seeds=count, max_workers=1, max_evaluations=12)
+        repro.run(spec, problem=problem)
 
     monkeypatch.delenv(FAULT_HOOKS_ENV, raising=False)
     restarts(1)

@@ -25,7 +25,6 @@ from chaos_faults import (
     load_fault_plan,
     load_service_fault_plan,
 )
-from repro.core import SearchOrchestrator
 from repro.core.faults import FAULT_HOOKS_ENV, FailurePolicy
 from repro.core.evalcache import EvaluationCache
 from repro.exceptions import (
@@ -40,13 +39,18 @@ from repro.exceptions import (
 )
 from repro.io import write_json_atomic
 from repro.problems import ising_chain
-from repro.runspec import RunSpec
+from repro.runspec import RunSpec, run
 
 
 @pytest.fixture(scope="module")
 def chain_problem():
     """A 3-site transverse-field Ising chain: cheap, no chemistry."""
     return ising_chain(num_sites=3, transverse_field=1.0)
+
+
+def _search(problem, **fields):
+    """The merged result of ``repro.run`` on ``problem`` with these spec fields."""
+    return run(RunSpec(problem=problem, **fields), problem=problem).result
 
 
 # --------------------------------------------------------------------------- #
@@ -253,24 +257,18 @@ class TestShardRobustness:
         assert not list(tmp_path.glob("*.tmp*"))
 
     def test_truncated_checkpoint_is_stale_not_fatal(self, chain_problem, tmp_path):
-        orchestrator = SearchOrchestrator(chain_problem, num_restarts=1, seed=3)
-        clean = orchestrator.run(max_evaluations=16, checkpoint_dir=tmp_path)
+        clean = _search(chain_problem, seed=3, max_evaluations=16, checkpoint_dir=tmp_path)
         checkpoint = next(tmp_path.glob("restart_*.json"))
         payload = checkpoint.read_text()
         checkpoint.write_text(payload[: len(payload) // 2])  # torn mid-write
-        rerun = SearchOrchestrator(chain_problem, num_restarts=1, seed=3).run(
-            max_evaluations=16, checkpoint_dir=tmp_path
-        )
+        rerun = _search(chain_problem, seed=3, max_evaluations=16, checkpoint_dir=tmp_path)
         assert rerun.best.energy == clean.best.energy
         assert rerun.best.best_indices == clean.best.best_indices
 
     def test_zero_byte_checkpoint_is_stale_not_fatal(self, chain_problem, tmp_path):
-        orchestrator = SearchOrchestrator(chain_problem, num_restarts=1, seed=3)
-        clean = orchestrator.run(max_evaluations=16, checkpoint_dir=tmp_path)
+        clean = _search(chain_problem, seed=3, max_evaluations=16, checkpoint_dir=tmp_path)
         next(tmp_path.glob("restart_*.json")).write_text("")
-        rerun = SearchOrchestrator(chain_problem, num_restarts=1, seed=3).run(
-            max_evaluations=16, checkpoint_dir=tmp_path
-        )
+        rerun = _search(chain_problem, seed=3, max_evaluations=16, checkpoint_dir=tmp_path)
         assert rerun.best.energy == clean.best.energy
 
 
@@ -283,21 +281,16 @@ class TestKillMidWriteRecovery:
     ):
         clean_dir = tmp_path / "clean"
         torn_dir = tmp_path / "torn"
-        clean = SearchOrchestrator(chain_problem, num_restarts=2, seed=0).run(
-            max_evaluations=24, checkpoint_dir=clean_dir
-        )
+        fields = dict(num_seeds=2, seed=0, max_evaluations=24)
+        clean = _search(chain_problem, checkpoint_dir=clean_dir, **fields)
         # first pass populates shards + checkpoints, then we simulate a kill
-        SearchOrchestrator(chain_problem, num_restarts=2, seed=0).run(
-            max_evaluations=24, checkpoint_dir=torn_dir
-        )
+        _search(chain_problem, checkpoint_dir=torn_dir, **fields)
         shard = next(torn_dir.glob("evals_*.jsonl"))
         with open(shard, "a") as handle:
             handle.write('["fp", [1, ')  # writer killed mid-line
         checkpoint = sorted(torn_dir.glob("restart_*.json"))[0]
         checkpoint.write_text('{"format": 1, "status": "do')  # half-written
-        resumed = SearchOrchestrator(chain_problem, num_restarts=2, seed=0).run(
-            max_evaluations=24, checkpoint_dir=torn_dir
-        )
+        resumed = _search(chain_problem, checkpoint_dir=torn_dir, **fields)
         assert resumed.energies == clean.energies
         assert [t.best_indices for t in resumed.traces] == [
             t.best_indices for t in clean.traces
@@ -314,17 +307,17 @@ class TestRetries:
         monkeypatch.setenv(FAULT_SPEC_ENV, json.dumps(plan))
         monkeypatch.setenv(FAULT_DIR_ENV, str(tmp_path / "markers"))
         monkeypatch.setenv(FAULT_HOOKS_ENV, HOOK_FILE)
-        return SearchOrchestrator(
-            problem, num_restarts=restarts, max_workers=1, seed=0,
-            failure_policy=policy,
-        ).run(max_evaluations=24, checkpoint_dir=tmp_path / "ckpt")
+        return _search(
+            problem, num_seeds=restarts, max_workers=1, seed=0, max_evaluations=24,
+            checkpoint_dir=tmp_path / "ckpt", failure_policy=policy,
+        )
 
     def test_transient_fault_is_retried_bit_identically(
         self, chain_problem, monkeypatch, tmp_path
     ):
-        baseline = SearchOrchestrator(
-            chain_problem, num_restarts=3, max_workers=1, seed=0
-        ).run(max_evaluations=24)
+        baseline = _search(
+            chain_problem, num_seeds=3, max_workers=1, seed=0, max_evaluations=24
+        )
         result = self._run(
             chain_problem, monkeypatch, tmp_path,
             plan=[{"restart": 1, "mode": "raise", "at": 5, "times": 1}],
@@ -345,9 +338,9 @@ class TestRetries:
         self, chain_problem, monkeypatch, tmp_path
     ):
         max_evaluations = 24
-        baseline = SearchOrchestrator(
-            chain_problem, num_restarts=2, max_workers=1, seed=0
-        ).run(max_evaluations=max_evaluations)
+        baseline = _search(
+            chain_problem, num_seeds=2, max_workers=1, seed=0, max_evaluations=max_evaluations
+        )
         at = max_evaluations + 7  # past warm-up and proposals: inside refinement
         result = self._run(
             chain_problem, monkeypatch, tmp_path,
@@ -389,9 +382,9 @@ class TestRetries:
     def test_partial_mode_returns_survivors_with_metadata(
         self, chain_problem, monkeypatch, tmp_path
     ):
-        baseline = SearchOrchestrator(
-            chain_problem, num_restarts=3, max_workers=1, seed=0
-        ).run(max_evaluations=24)
+        baseline = _search(
+            chain_problem, num_seeds=3, max_workers=1, seed=0, max_evaluations=24
+        )
         result = self._run(
             chain_problem, monkeypatch, tmp_path,
             plan=[{"restart": 2, "mode": "raise", "at": 3,

@@ -26,6 +26,7 @@ from repro.operators.fingerprints import (
 )
 from repro.problems import ising_chain, xxz_chain
 from repro.problems.base import reference_bits_of
+from repro.runspec import RunSpec
 from repro.stabilizer import expectation
 
 
@@ -144,7 +145,8 @@ class TestLazyEvaluators:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(expectation.PauliSumEvaluator, "__init__", counting)
-        orchestrator = SearchOrchestrator(ising_chain(num_sites=4), num_restarts=1)
+        problem = ising_chain(num_sites=4)
+        orchestrator = SearchOrchestrator(RunSpec(problem=problem), problem)
         assert orchestrator.objective_fingerprint
         assert compiled == []
 
@@ -165,7 +167,8 @@ class TestLazyEvaluators:
 
         monkeypatch.setattr(CliffordGateProgram, "segments", cached_property(counting))
         CliffordGateProgram.segments.__set_name__(CliffordGateProgram, "segments")
-        orchestrator = SearchOrchestrator(xxz_chain(num_sites=50), num_restarts=1)
+        problem = xxz_chain(num_sites=50)
+        orchestrator = SearchOrchestrator(RunSpec(problem=problem), problem)
         objective = orchestrator._objective
         assert objective_fingerprint(objective) == orchestrator.objective_fingerprint
         assert built == []
@@ -179,7 +182,7 @@ class TestLazyEvaluators:
 
         problem = HamiltonianProblem("non_hermitian", PauliSum({"XX": 1 + 0.5j, "ZZ": 0.5}))
         with pytest.raises(SimulationError, match="'XX' has non-real coefficient"):
-            SearchOrchestrator(problem, num_restarts=1)
+            SearchOrchestrator(RunSpec(problem=problem), problem)
 
 
 def _registry_problems():

@@ -38,6 +38,11 @@ def h2_far_problem():
     return make_problem("H2", 3.5)
 
 
+def _search(problem, **fields):
+    """The merged result of ``repro.run`` on ``problem`` with these spec fields."""
+    return run(RunSpec(problem=problem, **fields), problem=problem).result
+
+
 def _observation_rows(trace):
     return [(o.point, o.value, o.iteration, o.phase) for o in trace.observations]
 
@@ -163,29 +168,27 @@ class TestSearchOrchestrator:
         direct = CafqaSearch(
             CliffordObjective(h2_far_problem, ansatz), seed=4
         ).run(max_evaluations=50)
-        multi = SearchOrchestrator(
-            h2_far_problem, num_restarts=1, max_workers=1, seed=4
-        ).run(max_evaluations=50)
+        multi = _search(h2_far_problem, max_workers=1, seed=4, max_evaluations=50)
         assert multi.best.best_indices == direct.best_indices
         assert multi.best.energy == direct.energy
         assert multi.best.constrained_energy == direct.constrained_energy
 
     def test_deterministic_and_worker_count_independent(self, h2_far_problem):
-        serial = SearchOrchestrator(
-            h2_far_problem, num_restarts=3, max_workers=1, seed=2
-        ).run(max_evaluations=40)
-        parallel = SearchOrchestrator(
-            h2_far_problem, num_restarts=3, max_workers=2, seed=2
-        ).run(max_evaluations=40)
+        serial = _search(
+            h2_far_problem, num_seeds=3, max_workers=1, seed=2, max_evaluations=40
+        )
+        parallel = _search(
+            h2_far_problem, num_seeds=3, max_workers=2, seed=2, max_evaluations=40
+        )
         assert [t.seed for t in serial.traces] == [t.seed for t in parallel.traces]
         for a, b in zip(serial.traces, parallel.traces):
             assert _observation_rows(a) == _observation_rows(b)
         assert serial.best.energy == parallel.best.energy
 
     def test_restarts_explore_distinct_warmups(self, h2_far_problem):
-        multi = SearchOrchestrator(
-            h2_far_problem, num_restarts=3, max_workers=1, seed=0
-        ).run(max_evaluations=40)
+        multi = _search(
+            h2_far_problem, num_seeds=3, max_workers=1, seed=0, max_evaluations=40
+        )
         warmups = [
             tuple(o.point for o in t.observations if o.phase == "warmup")
             for t in multi.traces
@@ -193,9 +196,9 @@ class TestSearchOrchestrator:
         assert len(set(warmups)) == len(warmups)
 
     def test_merge_reports_best_restart(self, h2_far_problem):
-        multi = SearchOrchestrator(
-            h2_far_problem, num_restarts=3, max_workers=1, seed=0
-        ).run(max_evaluations=40)
+        multi = _search(
+            h2_far_problem, num_seeds=3, max_workers=1, seed=0, max_evaluations=40
+        )
         assert multi.best.energy == min(multi.energies)
         assert multi.num_restarts == 3
         assert multi.total_evaluations == sum(t.num_iterations for t in multi.traces)
@@ -203,9 +206,9 @@ class TestSearchOrchestrator:
 
     def test_validation(self, h2_far_problem):
         with pytest.raises(OptimizationError):
-            SearchOrchestrator(h2_far_problem, num_restarts=0)
+            _search(h2_far_problem, num_seeds=0)
         with pytest.raises(OptimizationError):
-            SearchOrchestrator(h2_far_problem, num_restarts=2, max_workers=0)
+            _search(h2_far_problem, num_seeds=2, max_workers=0)
 
 
 # --------------------------------------------------------------------------- #
@@ -234,10 +237,10 @@ class TestOneScheduler:
         results = {}
         for workers in (1, 2):
             monkeypatch.setenv(FAULT_DIR_ENV, str(tmp_path / f"markers{workers}"))
-            results[workers] = SearchOrchestrator(
-                problem, num_restarts=3, max_workers=workers, seed=0,
+            results[workers] = _search(
+                problem, num_seeds=3, max_workers=workers, seed=0, max_evaluations=24,
                 failure_policy=FailurePolicy(on_incomplete="partial"),
-            ).run(max_evaluations=24)
+            )
         one, two = results[1], results[2]
 
         def errors(records):
@@ -273,10 +276,10 @@ class TestOneScheduler:
 
         monkeypatch.setattr("repro.core.orchestrator.run_restart", failing_restart)
         with pytest.raises(IncompleteRunError) as excinfo:
-            SearchOrchestrator(
-                problem, num_restarts=1, max_workers=1, seed=0,
+            _search(
+                problem, max_workers=1, seed=0, max_evaluations=8,
                 failure_policy=FailurePolicy(max_retries=2),
-            ).run(max_evaluations=8)
+            )
         assert calls == [0]
         (failure,) = excinfo.value.failures
         assert failure.attempts == 1
@@ -295,10 +298,10 @@ class TestOneScheduler:
         monkeypatch.setattr("repro.core.orchestrator.run_restart", interrupted_restart)
         # Recorded as a failure, it would surface as IncompleteRunError.
         with pytest.raises(KeyboardInterrupt):
-            SearchOrchestrator(
-                problem, num_restarts=2, max_workers=1, seed=0,
+            _search(
+                problem, num_seeds=2, max_workers=1, seed=0, max_evaluations=8,
                 failure_policy=FailurePolicy(on_incomplete="partial"),
-            ).run(max_evaluations=8)
+            )
         assert calls == [0]
 
 
@@ -307,13 +310,10 @@ class TestOneScheduler:
 # --------------------------------------------------------------------------- #
 class TestCheckpointResume:
     def test_completed_run_resumes_from_checkpoints(self, h2_far_problem, tmp_path):
-        first = SearchOrchestrator(
-            h2_far_problem, num_restarts=2, max_workers=1, seed=1
-        ).run(max_evaluations=40, checkpoint_dir=tmp_path)
+        fields = dict(num_seeds=2, max_workers=1, seed=1, max_evaluations=40)
+        first = _search(h2_far_problem, checkpoint_dir=tmp_path, **fields)
         assert not any(t.from_checkpoint for t in first.traces)
-        second = SearchOrchestrator(
-            h2_far_problem, num_restarts=2, max_workers=1, seed=1
-        ).run(max_evaluations=40, checkpoint_dir=tmp_path)
+        second = _search(h2_far_problem, checkpoint_dir=tmp_path, **fields)
         assert all(t.from_checkpoint for t in second.traces)
         assert second.best.energy == first.best.energy
         assert _observation_rows(second.best_trace) == _observation_rows(
@@ -325,14 +325,11 @@ class TestCheckpointResume:
     ):
         """Interrupting a restart mid-search and resuming reproduces the
         uninterrupted run exactly (replay-from-cache is bit-identical)."""
-        uninterrupted = SearchOrchestrator(
-            h2_far_problem, num_restarts=2, max_workers=1, seed=3
-        ).run(max_evaluations=40)
+        fields = dict(num_seeds=2, max_workers=1, seed=3, max_evaluations=40)
+        uninterrupted = _search(h2_far_problem, **fields)
 
         checkpoint_dir = tmp_path / "ckpt"
-        SearchOrchestrator(
-            h2_far_problem, num_restarts=2, max_workers=1, seed=3
-        ).run(max_evaluations=40, checkpoint_dir=checkpoint_dir)
+        _search(h2_far_problem, checkpoint_dir=checkpoint_dir, **fields)
 
         # Forge a mid-search interruption of restart 1: drop its "done"
         # checkpoint and truncate its evaluation shard to the first half.
@@ -342,9 +339,7 @@ class TestCheckpointResume:
         lines = shard.read_text().splitlines()
         shard.write_text("\n".join(lines[: len(lines) // 2]) + "\n")
 
-        resumed = SearchOrchestrator(
-            h2_far_problem, num_restarts=2, max_workers=1, seed=3
-        ).run(max_evaluations=40, checkpoint_dir=checkpoint_dir)
+        resumed = _search(h2_far_problem, checkpoint_dir=checkpoint_dir, **fields)
         assert resumed.traces[0].from_checkpoint
         assert not resumed.traces[1].from_checkpoint
         assert resumed.traces[1].cache_hits > 0  # replayed from the shard
@@ -355,13 +350,10 @@ class TestCheckpointResume:
         )
 
     def test_stale_checkpoint_is_ignored(self, h2_far_problem, tmp_path):
-        SearchOrchestrator(h2_far_problem, num_restarts=1, max_workers=1, seed=1).run(
-            max_evaluations=40, checkpoint_dir=tmp_path
-        )
+        fields = dict(max_workers=1, seed=1, checkpoint_dir=tmp_path)
+        _search(h2_far_problem, max_evaluations=40, **fields)
         # A different budget invalidates the stored checkpoint.
-        redone = SearchOrchestrator(
-            h2_far_problem, num_restarts=1, max_workers=1, seed=1
-        ).run(max_evaluations=44, checkpoint_dir=tmp_path)
+        redone = _search(h2_far_problem, max_evaluations=44, **fields)
         assert not redone.traces[0].from_checkpoint
 
     def test_changed_search_options_invalidate_checkpoint(
@@ -369,14 +361,13 @@ class TestCheckpointResume:
     ):
         """A checkpoint from a differently-configured search must not be
         trusted: search-loop options change the trajectory."""
-        first = SearchOrchestrator(
-            h2_far_problem, num_restarts=1, max_workers=1, seed=1,
-            warmup_fraction=0.5,
-        ).run(max_evaluations=40, checkpoint_dir=tmp_path)
-        redone = SearchOrchestrator(
-            h2_far_problem, num_restarts=1, max_workers=1, seed=1,
-            warmup_fraction=0.9,
-        ).run(max_evaluations=40, checkpoint_dir=tmp_path)
+        fields = dict(max_workers=1, seed=1, max_evaluations=40, checkpoint_dir=tmp_path)
+        first = _search(
+            h2_far_problem, search_options={"warmup_fraction": 0.5}, **fields
+        )
+        redone = _search(
+            h2_far_problem, search_options={"warmup_fraction": 0.9}, **fields
+        )
         assert not redone.traces[0].from_checkpoint
         first_warmups = sum(
             1 for o in first.traces[0].observations if o.phase == "warmup"
@@ -390,16 +381,10 @@ class TestCheckpointResume:
         """Checkpoints are namespaced by objective fingerprint, so different
         problems (e.g. bond lengths of a sweep) coexist in one directory."""
         other_problem = make_problem("H2", 3.0)
+        fields = dict(max_workers=1, seed=1, max_evaluations=40, checkpoint_dir=tmp_path)
         for problem in (h2_far_problem, other_problem):
-            SearchOrchestrator(problem, num_restarts=1, max_workers=1, seed=1).run(
-                max_evaluations=40, checkpoint_dir=tmp_path
-            )
-        resumed = [
-            SearchOrchestrator(problem, num_restarts=1, max_workers=1, seed=1).run(
-                max_evaluations=40, checkpoint_dir=tmp_path
-            )
-            for problem in (h2_far_problem, other_problem)
-        ]
+            _search(problem, **fields)
+        resumed = [_search(problem, **fields) for problem in (h2_far_problem, other_problem)]
         assert all(m.traces[0].from_checkpoint for m in resumed)
 
     def test_molecule_run_two_seeds_two_workers_smoke(self, h2_far_problem):
@@ -563,14 +548,11 @@ class TestCheckpointCorruption:
         from repro.problems import ising_chain
 
         problem = ising_chain(num_sites=3, transverse_field=1.0)
-        first = SearchOrchestrator(
-            problem, num_restarts=1, max_workers=1, seed=2
-        ).run(max_evaluations=30, checkpoint_dir=tmp_path)
+        fields = dict(max_workers=1, seed=2, max_evaluations=30, checkpoint_dir=tmp_path)
+        first = _search(problem, **fields)
         for path in tmp_path.glob("restart_*.json"):
             path.write_text(path.read_text()[: len(path.read_text()) // 2])
-        redone = SearchOrchestrator(
-            problem, num_restarts=1, max_workers=1, seed=2
-        ).run(max_evaluations=30, checkpoint_dir=tmp_path)
+        redone = _search(problem, **fields)
         assert not redone.traces[0].from_checkpoint
         assert redone.best.energy == first.best.energy
         assert redone.best.best_indices == first.best.best_indices
@@ -579,14 +561,16 @@ class TestCheckpointCorruption:
         from repro.problems import ising_chain
 
         def orchestrator():
-            return SearchOrchestrator(
+            return _search(
                 ising_chain(num_sites=3, transverse_field=1.0),
-                num_restarts=2,
+                num_seeds=2,
                 max_workers=1,
                 seed=4,
+                max_evaluations=30,
+                checkpoint_dir=tmp_path,
             )
 
-        first = orchestrator().run(max_evaluations=30, checkpoint_dir=tmp_path)
+        first = orchestrator()
         paths = sorted(tmp_path.glob("restart_*.json"))
         assert len(paths) == 2
         for path, trace in zip(paths, first.traces):
@@ -594,7 +578,7 @@ class TestCheckpointCorruption:
             payload["format"] = 1
             payload["observations"] = _format_1_rows(trace.observations)
             path.write_text(json.dumps(payload))
-        redone = orchestrator().run(max_evaluations=30, checkpoint_dir=tmp_path)
+        redone = orchestrator()
         for again, original in zip(redone.traces, first.traces):
             assert not again.from_checkpoint
             assert again.cache_misses == 0 and again.cache_hits > 0
@@ -602,7 +586,7 @@ class TestCheckpointCorruption:
             assert again.best_indices == original.best_indices
             assert again.energy == original.energy
         # The recompute rewrote the checkpoints in the current format.
-        replayed = orchestrator().run(max_evaluations=30, checkpoint_dir=tmp_path)
+        replayed = orchestrator()
         assert all(trace.from_checkpoint for trace in replayed.traces)
         assert [_observation_rows(t) for t in replayed.traces] == [
             _observation_rows(t) for t in first.traces
@@ -712,9 +696,9 @@ class TestLazyReplay:
 
     def test_second_orchestrator_on_a_shape_compiles_nothing(self, monkeypatch):
         problem = ising_chain(num_sites=5)
-        first = SearchOrchestrator(problem, num_restarts=1)
+        first = SearchOrchestrator(RunSpec(problem=problem), problem)
         built, compiled = self._count_builds(monkeypatch)
-        second = SearchOrchestrator(problem, num_restarts=1, seed=3)
+        second = SearchOrchestrator(RunSpec(problem=problem, seed=3), problem)
         assert compiled == []
         assert second._objective.ansatz is first._objective.ansatz
         assert second._objective.program is first._objective.program
